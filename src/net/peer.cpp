@@ -4,36 +4,36 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netdb.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 namespace dprbg {
 namespace {
 
-void set_nonblocking(int fd, bool on) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return;
-  ::fcntl(fd, F_SETFL, on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK));
-}
-
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-// Resolves `host` (numeric or name) into a sockaddr_in. The transport is
-// IPv4-only for now — the roster format is host:port and every test and
-// deployment target uses 127.0.0.1 or a numeric LAN address.
-bool resolve_ipv4(const std::string& host, std::uint16_t port,
-                  sockaddr_in* out) {
+// Frames up to this size are read without growing the buffer; a larger
+// announced frame grows it to exactly that frame, and it shrinks back
+// once the frame is consumed.
+constexpr std::size_t kReadFloorBytes = 4096;
+// Frames gathered into one sendmsg() when draining the out-queue.
+constexpr std::size_t kMaxGather = 64;
+
+}  // namespace
+
+bool tcp_resolve(const std::string& host, std::uint16_t port,
+                 sockaddr_in* out) {
   std::memset(out, 0, sizeof(*out));
   out->sin_family = AF_INET;
   out->sin_port = htons(port);
@@ -51,33 +51,15 @@ bool resolve_ipv4(const std::string& host, std::uint16_t port,
   return true;
 }
 
-// poll() one fd for `events`, EINTR-safe. Returns revents, or 0 on
-// timeout, or -1 on error.
-int poll_one(int fd, short events, int timeout_ms) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = events;
-  for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (rc == 0) return 0;
-    return p.revents;
-  }
-}
-
-}  // namespace
-
 int tcp_listen_socket(const std::string& host, std::uint16_t port,
                       std::string* err) {
   sockaddr_in addr{};
-  if (!resolve_ipv4(host, port, &addr)) {
+  if (!tcp_resolve(host, port, &addr)) {
     if (err != nullptr) *err = "cannot resolve " + host;
     return -1;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     if (err != nullptr) *err = "socket: " + std::string(::strerror(errno));
     return -1;
@@ -106,35 +88,62 @@ std::uint16_t tcp_local_port(int fd) {
   return ntohs(addr.sin_port);
 }
 
-int tcp_connect_socket(const std::string& host, std::uint16_t port,
-                       unsigned timeout_ms) {
-  sockaddr_in addr{};
-  if (!resolve_ipv4(host, port, &addr)) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+int tcp_accept(int listen_fd) {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return fd;
+    }
+    if (errno != EINTR && errno != ECONNABORTED) return -1;
+  }
+}
+
+int tcp_dial(const sockaddr_in& addr, bool* done) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
-  set_nonblocking(fd, true);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  set_nodelay(fd);
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  } while (rc != 0 && errno == EINTR);
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
     return -1;
   }
-  if (rc != 0) {
-    const int rev = poll_one(fd, POLLOUT, static_cast<int>(timeout_ms));
-    if (rev <= 0 || (rev & (POLLERR | POLLHUP)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 ||
-        soerr != 0) {
+  *done = rc == 0;
+  return fd;
+}
+
+bool tcp_connect_result(int fd) {
+  int soerr = 0;
+  socklen_t len = sizeof(soerr);
+  return ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) == 0 &&
+         soerr == 0;
+}
+
+int tcp_connect_socket(const std::string& host, std::uint16_t port,
+                       unsigned timeout_ms) {
+  sockaddr_in addr{};
+  if (!tcp_resolve(host, port, &addr)) return -1;
+  bool done = false;
+  const int fd = tcp_dial(addr, &done);
+  if (fd < 0) return -1;
+  if (!done) {
+    pollfd p{fd, POLLOUT, 0};
+    int rc;
+    do {
+      rc = ::poll(&p, 1, static_cast<int>(timeout_ms));
+    } while (rc < 0 && errno == EINTR);
+    if (rc <= 0 || !tcp_connect_result(fd)) {
       ::close(fd);
       return -1;
     }
   }
-  set_nonblocking(fd, false);
-  set_nodelay(fd);
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
   return fd;
 }
 
@@ -153,294 +162,154 @@ bool tcp_write_all(int fd, std::span<const std::uint8_t> data) {
   return true;
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// FrameReader.
 
-using SteadyClock = std::chrono::steady_clock;
-
-// Reads exactly `len` bytes, polling in slices so `stop` interrupts and
-// `deadline` (time_point::max() = none) bounds the total wait.
-TcpReadStatus read_exact(int fd, const std::atomic<bool>& stop,
-                         unsigned poll_ms, std::uint8_t* dst, std::size_t len,
-                         SteadyClock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    if (stop.load(std::memory_order_acquire)) return TcpReadStatus::kStopped;
-    if (SteadyClock::now() >= deadline) return TcpReadStatus::kTimeout;
-    const int rev = poll_one(fd, POLLIN, static_cast<int>(poll_ms));
-    if (rev < 0) return TcpReadStatus::kClosed;
-    if (rev == 0) continue;  // timeout slice — re-check stop and poll again
-    const ssize_t n = ::recv(fd, dst + off, len - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return TcpReadStatus::kClosed;
-    }
-    if (n == 0) return TcpReadStatus::kClosed;  // orderly EOF
-    off += static_cast<std::size_t>(n);
+FrameReader::Fill FrameReader::fill(int fd) {
+  if (head_ == tail_) {
+    head_ = tail_ = 0;
+  } else if (head_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
   }
-  return TcpReadStatus::kOk;
+  const std::size_t need = std::max(kReadFloorBytes, want_);
+  if (buf_.size() < need || (buf_.size() > need && tail_ <= need)) {
+    // Grow to the announced frame, or give a consumed large frame's
+    // memory back: the buffer is always sized to the frame being read.
+    std::vector<std::uint8_t> next(need);
+    std::copy_n(buf_.begin(), tail_, next.begin());
+    buf_.swap(next);
+  }
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf_.data() + tail_, buf_.size() - tail_, 0);
+    if (n > 0) {
+      tail_ += static_cast<std::size_t>(n);
+      return Fill::kData;
+    }
+    if (n == 0) return Fill::kClosed;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Fill::kAgain;
+    return Fill::kClosed;
+  }
 }
 
-}  // namespace
-
-TcpReadStatus tcp_read_frame(int fd, const std::atomic<bool>& stop,
-                             unsigned poll_ms, std::size_t max_frame,
-                             FrameType* type,
-                             std::vector<std::uint8_t>* payload,
-                             unsigned deadline_ms) {
-  const auto deadline =
-      deadline_ms == 0
-          ? SteadyClock::time_point::max()
-          : SteadyClock::now() + std::chrono::milliseconds(deadline_ms);
-  std::uint8_t prefix[kTcpFramePrefixBytes];
-  TcpReadStatus st =
-      read_exact(fd, stop, poll_ms, prefix, sizeof(prefix), deadline);
-  if (st != TcpReadStatus::kOk) return st;
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            (static_cast<std::uint32_t>(prefix[1]) << 8) |
-                            (static_cast<std::uint32_t>(prefix[2]) << 16) |
-                            (static_cast<std::uint32_t>(prefix[3]) << 24);
+FrameReader::Next FrameReader::next(std::size_t max_frame, FrameType* type,
+                                    std::span<const std::uint8_t>* payload) {
+  const std::size_t have = tail_ - head_;
+  if (have < kTcpFramePrefixBytes) return Next::kPartial;
+  const std::uint8_t* p = buf_.data() + head_;
+  const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
+                            (static_cast<std::uint32_t>(p[1]) << 8) |
+                            (static_cast<std::uint32_t>(p[2]) << 16) |
+                            (static_cast<std::uint32_t>(p[3]) << 24);
   // `len` counts the type byte; the payload is len - 1 bytes. Length 0
   // (no type byte) is malformed; an over-limit length is rejected before
-  // any allocation.
-  if (len == 0 || len > max_frame + 1) return TcpReadStatus::kTooBig;
-  *type = static_cast<FrameType>(prefix[4]);
-  payload->assign(static_cast<std::size_t>(len) - 1, 0);
-  if (len > 1) {
-    st = read_exact(fd, stop, poll_ms, payload->data(), payload->size(),
-                    deadline);
-    if (st != TcpReadStatus::kOk) return st;
+  // the buffer grows for it.
+  if (len == 0 || len > max_frame + 1) return Next::kTooBig;
+  const std::size_t total = kTcpFramePrefixBytes - 1 + len;
+  if (have < total) {
+    want_ = total;
+    return Next::kPartial;
   }
-  return TcpReadStatus::kOk;
+  want_ = 0;
+  *type = static_cast<FrameType>(p[4]);
+  *payload = std::span<const std::uint8_t>(p + kTcpFramePrefixBytes,
+                                           total - kTcpFramePrefixBytes);
+  head_ += total;
+  return Next::kFrame;
 }
 
 // ---------------------------------------------------------------------------
+// TcpPeer.
 
-TcpPeer::TcpPeer(int local_id, int remote_id, std::string host,
-                 std::uint16_t port, Role role, PeerOptions opts,
-                 PeerCallbacks cb)
-    : local_id_(local_id),
-      remote_id_(remote_id),
-      host_(std::move(host)),
-      port_(port),
-      role_(role),
-      opts_(std::move(opts)),
-      cb_(std::move(cb)) {}
+bool TcpPeer::send(std::vector<std::uint8_t> frame) {
+  std::lock_guard lk(mu_);
+  if (fd_ < 0) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  const bool was_idle = queue_.empty();
+  queue_.push_back(std::move(frame));
+  if (was_idle) write_queue_locked();
+  return was_idle && !queue_.empty();
+}
 
-TcpPeer::~TcpPeer() { stop(); }
+void TcpPeer::drain() {
+  std::lock_guard lk(mu_);
+  if (fd_ >= 0) write_queue_locked();
+}
 
-void TcpPeer::start() {
-  send_thread_ = std::thread([this] { send_loop(); });
-  if (role_ == Role::kDialer) {
-    conn_thread_ = std::thread([this] { dial_loop(); });
+bool TcpPeer::backlog() const {
+  std::lock_guard lk(mu_);
+  return !queue_.empty();
+}
+
+void TcpPeer::write_queue_locked() {
+  while (!queue_.empty()) {
+    iovec iov[kMaxGather];
+    std::size_t count = 0;
+    for (auto it = queue_.begin(); it != queue_.end() && count < kMaxGather;
+         ++it, ++count) {
+      const std::size_t off = count == 0 ? front_off_ : 0;
+      iov[count].iov_base = it->data() + off;
+      iov[count].iov_len = it->size() - off;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      // The reactor observes the shutdown and runs the teardown (which
+      // drops the queue and owns the down notification).
+      ::shutdown(fd_, SHUT_RDWR);
+      return;
+    }
+    auto left = static_cast<std::size_t>(n);
+    while (left > 0) {
+      const std::size_t rest = queue_.front().size() - front_off_;
+      if (left < rest) {
+        front_off_ += left;
+        return;  // the socket took less than offered: it is full
+      }
+      left -= rest;
+      tx_frames_.fetch_add(1, std::memory_order_relaxed);
+      tx_bytes_.fetch_add(queue_.front().size(), std::memory_order_relaxed);
+      queue_.pop_front();
+      front_off_ = 0;
+    }
   }
 }
 
-void TcpPeer::set_up(int fd, bool notify) {
+void TcpPeer::install(int fd) {
   {
     std::lock_guard lk(mu_);
     fd_ = fd;
   }
-  const bool reconnect = connects_.fetch_add(1) > 0;
+  connects_.fetch_add(1);
   up_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  if (notify && cb_.on_up) cb_.on_up(remote_id_, reconnect);
 }
 
-void TcpPeer::close_fd_locked() {
+bool TcpPeer::close() {
+  const bool was_up = up_.exchange(false, std::memory_order_acq_rel);
+  std::lock_guard lk(mu_);
   if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-void TcpPeer::set_down(bool notify) {
-  bool was_up = up_.exchange(false, std::memory_order_acq_rel);
-  {
-    std::lock_guard lk(mu_);
-    close_fd_locked();
-    // Lockstep semantics: frames queued for a dead peer are garbage (the
-    // peer, if it ever comes back, restarts its protocol state).
-    dropped_.fetch_add(queue_.size(), std::memory_order_relaxed);
-    queue_.clear();
-  }
-  cv_.notify_all();
-  if (was_up && notify && cb_.on_down) cb_.on_down(remote_id_);
-}
-
-bool TcpPeer::enqueue(std::vector<std::uint8_t> frame) {
-  {
-    std::lock_guard lk(mu_);
-    if (up_.load(std::memory_order_acquire) &&
-        queue_.size() < opts_.max_queue_frames) {
-      queue_.push_back(std::move(frame));
-      cv_.notify_all();
-      return true;
-    }
-  }
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void TcpPeer::flush(unsigned timeout_ms) {
-  std::unique_lock lk(mu_);
-  cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), [this] {
-    return queue_.empty() || !up_.load(std::memory_order_acquire) ||
-           stop_.load(std::memory_order_acquire);
-  });
-}
-
-void TcpPeer::send_loop() {
-  for (;;) {
-    std::vector<std::uint8_t> frame;
-    int fd = -1;
-    {
-      std::unique_lock lk(mu_);
-      cv_.wait(lk, [this] {
-        return stop_.load(std::memory_order_acquire) ||
-               (!queue_.empty() && fd_ >= 0);
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      frame = std::move(queue_.front());
-      queue_.pop_front();
-      fd = fd_;
-      if (queue_.empty()) cv_.notify_all();  // wake flush() waiters
-    }
-    if (tcp_write_all(fd, frame)) {
-      tx_frames_.fetch_add(1, std::memory_order_relaxed);
-      tx_bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
-    } else {
-      // Write failure: shut the socket so the reader unblocks and runs
-      // the full teardown (it owns the on_down notification).
-      std::lock_guard lk(mu_);
-      if (fd_ == fd) ::shutdown(fd_, SHUT_RDWR);
-    }
-  }
-}
-
-void TcpPeer::read_loop(int fd) {
-  for (;;) {
-    FrameType type{};
-    std::vector<std::uint8_t> payload;
-    const TcpReadStatus st = tcp_read_frame(
-        fd, stop_, opts_.read_poll_ms, opts_.max_frame_bytes, &type, &payload);
-    if (st != TcpReadStatus::kOk) break;
-    rx_frames_.fetch_add(1, std::memory_order_relaxed);
-    rx_bytes_.fetch_add(kTcpFramePrefixBytes + payload.size(),
-                        std::memory_order_relaxed);
-    if (cb_.on_frame) cb_.on_frame(remote_id_, type, std::move(payload));
-  }
-  set_down(/*notify=*/!stop_.load(std::memory_order_acquire));
-}
-
-bool TcpPeer::dial_handshake(int fd) {
-  const auto hello =
-      frame_bytes(FrameType::kHello, encode_hello(opts_.local_hello));
-  if (!tcp_write_all(fd, hello)) {
-    if (cb_.on_reject) cb_.on_reject(remote_id_, HandshakeReject::kMalformed);
-    return false;
-  }
-  // Await the HelloAck, bounded by the handshake timeout.
-  FrameType type{};
-  std::vector<std::uint8_t> payload;
-  const TcpReadStatus st = tcp_read_frame(
-      fd, stop_, opts_.read_poll_ms, opts_.max_frame_bytes, &type, &payload,
-      opts_.handshake_timeout_ms);
-  if (st == TcpReadStatus::kStopped) return false;
-  if (st != TcpReadStatus::kOk) {
-    // Listener closed on us (almost always a handshake reject on its
-    // side — roster/version mismatch) or went silent; count it.
-    rejects_.fetch_add(1, std::memory_order_relaxed);
-    if (cb_.on_reject) cb_.on_reject(remote_id_, HandshakeReject::kMalformed);
-    return false;
-  }
-  HandshakeReject why = HandshakeReject::kMalformed;
-  const auto ack = decode_hello(payload);
-  bool ok = false;
-  if (type != FrameType::kHelloAck || !ack) {
-    why = HandshakeReject::kMalformed;
-  } else if (ack->proto_version != opts_.local_hello.proto_version) {
-    why = HandshakeReject::kProtoVersion;
-  } else if (ack->wire_version != opts_.local_hello.wire_version) {
-    why = HandshakeReject::kWireVersion;
-  } else if (ack->roster_hash != opts_.local_hello.roster_hash) {
-    why = HandshakeReject::kRosterHash;
-  } else if (ack->node_id != static_cast<std::uint32_t>(remote_id_) ||
-             ack->n != opts_.local_hello.n) {
-    why = HandshakeReject::kBadId;
-  } else {
-    ok = true;
-  }
-  if (!ok) {
-    rejects_.fetch_add(1, std::memory_order_relaxed);
-    if (cb_.on_reject) cb_.on_reject(remote_id_, why);
-  }
-  return ok;
-}
-
-void TcpPeer::dial_loop() {
-  unsigned backoff = opts_.backoff_initial_ms;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int fd =
-        tcp_connect_socket(host_, port_, opts_.connect_timeout_ms);
-    if (fd >= 0 && dial_handshake(fd)) {
-      backoff = opts_.backoff_initial_ms;
-      set_up(fd, /*notify=*/true);
-      read_loop(fd);  // returns when the connection dies (runs set_down)
-      continue;       // redial immediately after a lost connection
-    }
-    if (fd >= 0) ::close(fd);
-    // Capped exponential backoff, sliced so stop() is responsive.
-    for (unsigned waited = 0;
-         waited < backoff && !stop_.load(std::memory_order_acquire);
-         waited += 10) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    backoff = backoff >= opts_.backoff_max_ms / 2 ? opts_.backoff_max_ms
-                                                  : backoff * 2;
-  }
-}
-
-void TcpPeer::adopt(int fd) {
-  // Tear down any previous connection first so exactly one reader runs.
-  // Only shutdown() here — the old reader observes the failure, runs
-  // set_down (which closes the fd), and exits; closing from this thread
-  // while the reader is mid-recv would race on fd reuse.
-  {
-    std::lock_guard lk(mu_);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-  if (recv_thread_.joinable()) recv_thread_.join();
-  if (stop_.load(std::memory_order_acquire)) {
-    ::close(fd);
-    return;
-  }
-  set_nodelay(fd);
-  set_up(fd, /*notify=*/true);
-  recv_thread_ = std::thread([this, fd] { read_loop(fd); });
+  // Lockstep semantics: frames queued for a dead peer are garbage (the
+  // peer, if it ever comes back, restarts its protocol state).
+  dropped_.fetch_add(queue_.size(), std::memory_order_relaxed);
+  queue_.clear();
+  front_off_ = 0;
+  return was_up;
 }
 
 void TcpPeer::sever() {
   std::lock_guard lk(mu_);
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void TcpPeer::stop() {
-  if (stop_.exchange(true, std::memory_order_acq_rel)) {
-    // Idempotent: second caller still joins anything left (destructor
-    // after an explicit stop() finds the threads already joined).
-  }
-  {
-    std::lock_guard lk(mu_);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-  cv_.notify_all();
-  if (conn_thread_.joinable()) conn_thread_.join();
-  if (recv_thread_.joinable()) recv_thread_.join();
-  if (send_thread_.joinable()) send_thread_.join();
-  std::lock_guard lk(mu_);
-  close_fd_locked();
-  up_.store(false, std::memory_order_release);
 }
 
 }  // namespace dprbg

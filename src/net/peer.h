@@ -1,43 +1,43 @@
-// One remote node of the TCP transport: connection lifecycle, send
-// queue, and reader/sender threads.
+// One remote node of the TCP transport: the connection state the
+// cluster's reactor drives, the per-connection frame reader, and the
+// non-blocking send path with its ordered out-queue.
 //
 // Roles are deterministic by index (the classic MPC party-loop shape):
 // between players i < j it is always j that dials and i that listens, so
 // every pair establishes exactly one connection and a restarted process
 // knows which direction to re-establish without negotiation. A
-// `TcpPeer` therefore runs in one of two modes:
+// `TcpPeer` is therefore either a dialer (remote id < local id: the
+// reactor dials, handshakes Hello -> HelloAck, and redials with capped
+// exponential backoff whenever the connection dies) or a listener
+// (remote id > local id: the reactor's accept path runs the listener
+// half of the handshake and installs the socket here).
 //
-//   * dialer  (remote id < local id): owns a connect thread that dials,
-//     handshakes (Hello -> HelloAck), then reads frames until the
-//     connection dies, then backs off (capped exponential) and redials —
-//     forever, until stop(). Every successful (re)connect is counted.
-//   * listener (remote id > local id): passive; the cluster's accept
-//     loop performs the listener half of the handshake and hands the
-//     socket over via adopt(), which (re)starts this peer's reader.
+// Thread model: a TcpPeer owns no thread. The cluster's single reactor
+// thread is the only one that connects, reads, closes, or touches the
+// `rs` state; any thread may call send() (protocol threads write their
+// round frames directly) and sever(). The installed socket and the
+// out-queue are guarded by the peer's mutex, and only the reactor closes
+// the socket, so a writer never sends on a reused descriptor.
 //
-// Sending is asynchronous in both modes: enqueue() appends a fully
-// framed byte string to the peer's queue and the sender thread drains it
-// in order. While the peer is down, frames are dropped and counted —
-// lockstep semantics treat a disconnected peer as crashed, so there is
-// nothing useful to buffer (a reconnected process restarts its protocol
-// state anyway; see DESIGN.md §16).
-//
-// Thread-safety: all public methods may be called from any thread. The
-// callbacks (on_frame/on_up/on_down/on_reject) fire on this peer's
-// reader/connect threads; the owning TcpCluster serializes its own state
-// behind its demux mutex.
+// Sending never blocks: send() writes what the socket takes right now
+// and appends the rest to the out-queue, which the reactor drains on
+// POLLOUT, so frame order holds and two large writers cannot deadlock.
+// While the peer is down, frames are dropped and counted — lockstep
+// semantics treat a disconnected peer as crashed, so there is nothing
+// useful to buffer (a reconnected process restarts its protocol state
+// anyway; see DESIGN.md §16).
 
 #pragma once
 
+#include <netinet/in.h>
+
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/framing.h"
@@ -45,123 +45,109 @@
 namespace dprbg {
 
 // --------------------------------------------------------------------------
-// Small POSIX socket helpers shared by TcpPeer and the cluster's accept
-// loop. All of them are EINTR-safe and never throw.
+// Small POSIX socket helpers shared by the reactor, dprbg_node, and the
+// tests' raw-socket probes. All of them are EINTR-safe and never throw.
 
-// Creates a bound, listening TCP socket (SO_REUSEADDR). Returns -1 and
-// fills `err` on failure. `port` 0 binds an ephemeral port — read it
-// back with tcp_local_port.
+// Creates a bound, listening, non-blocking TCP socket (SO_REUSEADDR).
+// Returns -1 and fills `err` on failure. `port` 0 binds an ephemeral
+// port — read it back with tcp_local_port.
 int tcp_listen_socket(const std::string& host, std::uint16_t port,
                       std::string* err);
 std::uint16_t tcp_local_port(int fd);
 
-// Connects with a timeout (non-blocking connect + poll). Returns the
-// connected fd, or -1. TCP_NODELAY is set — round frames are small and
-// latency-critical.
+// Accepts one pending connection as a non-blocking TCP_NODELAY socket;
+// -1 when none is pending.
+int tcp_accept(int listen_fd);
+
+// Resolves `host` (numeric or name) into an IPv4 address. The transport
+// is IPv4-only: the roster format is host:port and every deployment
+// target uses 127.0.0.1 or a numeric LAN address.
+bool tcp_resolve(const std::string& host, std::uint16_t port,
+                 sockaddr_in* out);
+
+// Starts a non-blocking connect (TCP_NODELAY set). Returns the socket, or
+// -1; `*done` tells whether the connect already completed — otherwise
+// wait for POLLOUT and check tcp_connect_result.
+int tcp_dial(const sockaddr_in& addr, bool* done);
+bool tcp_connect_result(int fd);
+
+// Blocking connect with a timeout. Returns the connected fd, or -1.
 int tcp_connect_socket(const std::string& host, std::uint16_t port,
                        unsigned timeout_ms);
 
-// Writes the whole buffer; false on any error.
+// Writes the whole buffer; false on any error. On a non-blocking socket
+// a buffer the kernel will not take at once also fails — only used for
+// handshake frames on a fresh connection and by blocking test probes.
 bool tcp_write_all(int fd, std::span<const std::uint8_t> data);
-
-enum class TcpReadStatus : std::uint8_t {
-  kOk = 0,
-  kClosed = 1,   // orderly EOF or connection reset
-  kTooBig = 2,   // frame length exceeded max_frame (protocol violation)
-  kStopped = 3,  // stop flag observed while polling
-  kTimeout = 4,  // deadline_ms elapsed before a full frame arrived
-};
-
-// Reads exactly one frame (prefix + type + payload). Polls in
-// `poll_ms` slices so a raised `stop` flag interrupts an idle read;
-// `max_frame` bounds the declared payload length BEFORE any allocation.
-// `deadline_ms` caps the whole read (0 = wait forever) — used for the
-// handshake, where a silent peer must not park the dialer.
-TcpReadStatus tcp_read_frame(int fd, const std::atomic<bool>& stop,
-                             unsigned poll_ms, std::size_t max_frame,
-                             FrameType* type,
-                             std::vector<std::uint8_t>* payload,
-                             unsigned deadline_ms = 0);
 
 // --------------------------------------------------------------------------
 
-struct PeerOptions {
-  // Dialer: how long one connect() attempt may take.
-  unsigned connect_timeout_ms = 2000;
-  // Dialer: how long to wait for the HelloAck after sending Hello.
-  unsigned handshake_timeout_ms = 2000;
-  // Poll granularity for reads (bounds stop() latency, not throughput).
-  unsigned read_poll_ms = 100;
-  // Reconnect backoff: initial delay, doubled per consecutive failure,
-  // capped. A successful handshake resets the ladder.
-  unsigned backoff_initial_ms = 10;
-  unsigned backoff_max_ms = 1000;
-  // Largest acceptable frame (see kTcpMaxFrameBytes).
-  std::size_t max_frame_bytes = kTcpMaxFrameBytes;
-  // Send-queue cap in frames; beyond it new frames are dropped+counted
-  // (an honest lockstep sender never gets close — the window is bounded
-  // by the pipeline depth).
-  std::size_t max_queue_frames = 1u << 16;
-  // What we send in our Hello and require of the peer's Hello/Ack.
-  HelloFrame local_hello;
-};
+// One connection's inbound byte stream, cut into frames. The buffer is
+// sized to the frame being read: a small floor for the common case,
+// grown to exactly one frame when a larger one is announced, and
+// released once that frame has been consumed.
+class FrameReader {
+ public:
+  enum class Fill : std::uint8_t { kData, kAgain, kClosed };
+  enum class Next : std::uint8_t { kFrame, kPartial, kTooBig };
 
-struct PeerCallbacks {
-  // A fully read frame from this peer (reader thread context).
-  std::function<void(int peer, FrameType, std::vector<std::uint8_t>)>
-      on_frame;
-  // Connection established (handshake complete). `reconnect` is true
-  // for every connect after the first.
-  std::function<void(int peer, bool reconnect)> on_up;
-  // Connection lost (EOF, error, oversized frame, or stop()).
-  std::function<void(int peer)> on_down;
-  // Dialer-side handshake rejection (listener closed or sent a bad Ack).
-  std::function<void(int peer, HandshakeReject)> on_reject;
+  // One recv() into the free space (non-blocking socket).
+  Fill fill(int fd);
+
+  // Cuts the next complete frame. `payload` stays valid until the next
+  // fill(). kTooBig: the declared length is zero or exceeds `max_frame`
+  // (checked before anything is allocated for it).
+  Next next(std::size_t max_frame, FrameType* type,
+            std::span<const std::uint8_t>* payload);
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t head_ = 0;  // first unconsumed byte
+  std::size_t tail_ = 0;  // one past the last received byte
+  std::size_t want_ = 0;  // total size of the frame at head_, once known
 };
 
 class TcpPeer {
  public:
-  enum class Role : std::uint8_t { kDialer = 0, kListener = 1 };
+  using Clock = std::chrono::steady_clock;
 
-  TcpPeer(int local_id, int remote_id, std::string host, std::uint16_t port,
-          Role role, PeerOptions opts, PeerCallbacks cb);
-  ~TcpPeer();
+  TcpPeer(int remote_id, const sockaddr_in& addr, bool dialer)
+      : remote_id_(remote_id), addr_(addr), dialer_(dialer) {}
+  ~TcpPeer() { close(); }
   TcpPeer(const TcpPeer&) = delete;
   TcpPeer& operator=(const TcpPeer&) = delete;
 
   [[nodiscard]] int remote_id() const { return remote_id_; }
-  [[nodiscard]] Role role() const { return role_; }
+  [[nodiscard]] const sockaddr_in& addr() const { return addr_; }
+  [[nodiscard]] bool dialer() const { return dialer_; }
 
-  // Starts the sender thread, and (dialer role) the connect thread.
-  void start();
+  // Ships one framed byte string. Returns true when the frame was left
+  // (partly) queued behind a busy socket, so the reactor must be woken to
+  // drain it; false when it went out whole or was dropped (peer down).
+  bool send(std::vector<std::uint8_t> frame);
 
-  // Listener role: installs an accepted, fully handshaken socket and
-  // (re)starts the reader. Any previous connection is torn down first.
-  void adopt(int fd);
+  // Reactor: writes queued frames until the socket would block.
+  void drain();
+  [[nodiscard]] bool backlog() const;
 
-  // Queues one framed byte string for ordered delivery. Returns false
-  // (and counts a drop) when the peer is down or the queue is full.
-  bool enqueue(std::vector<std::uint8_t> frame);
+  // Reactor: installs a fully handshaken socket (the peer is up).
+  void install(int fd);
+  // Reactor: closes the socket and drops the out-queue. Returns whether
+  // the peer was up.
+  bool close();
 
-  // Blocks until the send queue has drained, the peer went down, or
-  // `timeout_ms` elapsed. Used to linger long enough for final round
-  // frames and the Bye to reach the wire.
-  void flush(unsigned timeout_ms);
-
-  // Drops the current connection (the reader observes the failure and
-  // runs the normal teardown) without stopping the peer: the demux uses
-  // this to cut off a peer that violated the framing protocol. A dialer
-  // will redial after backoff; a listener waits for a fresh accept.
+  // Cuts the live connection (shutdown only — the reactor observes the
+  // EOF and runs the teardown). A dialer redials; a listener waits for a
+  // fresh accept.
   void sever();
-
-  // Tears the connection down and joins every thread. Idempotent.
-  void stop();
 
   [[nodiscard]] bool up() const {
     return up_.load(std::memory_order_acquire);
   }
 
-  // Lifecycle / traffic counters (monotonic, lock-free reads).
+  // Lifecycle / traffic counters (monotonic, lock-free reads). A frame
+  // counts as transmitted once its last byte is in the socket, so after
+  // a clean run one node's tx to a peer equals that peer's rx from it.
   [[nodiscard]] std::uint64_t connects() const { return connects_.load(); }
   [[nodiscard]] std::uint64_t reconnects() const {
     const std::uint64_t c = connects_.load();
@@ -177,37 +163,44 @@ class TcpPeer {
   [[nodiscard]] std::uint64_t dropped_frames() const {
     return dropped_.load();
   }
-  [[nodiscard]] std::size_t queue_depth() const {
-    std::lock_guard lk(mu_);
-    return queue_.size();
+
+  void note_reject() { rejects_.fetch_add(1, std::memory_order_relaxed); }
+  void note_rx(std::size_t bytes) {
+    rx_frames_.fetch_add(1, std::memory_order_relaxed);
+    rx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
- private:
-  void dial_loop();                    // dialer connect/handshake/read loop
-  bool dial_handshake(int fd);         // Hello -> HelloAck; false = reject
-  void read_loop(int fd);              // frames -> on_frame until error
-  void send_loop();                    // drains queue_ in order
-  void set_up(int fd, bool notify);    // install fd, fire on_up
-  void set_down(bool notify);          // drop fd, fire on_down
-  void close_fd_locked();              // with mu_ held
+  // Reactor-owned connection state; no other thread touches it.
+  enum class Link : std::uint8_t {
+    kIdle,         // dialer: waiting for `deadline` to dial; listener: down
+    kConnecting,   // dialer: non-blocking connect in flight
+    kHandshaking,  // dialer: Hello sent, awaiting the HelloAck
+    kUp,
+  };
+  struct ReactorState {
+    Link link = Link::kIdle;
+    int fd = -1;  // the dialing socket, or the installed one once kUp
+    Clock::time_point deadline{};
+    unsigned backoff_ms = 0;
+    FrameReader reader;
+  };
+  ReactorState rs;
 
-  const int local_id_;
+ private:
+  // With mu_ held: writes queued frames (gathered) until the socket would
+  // block; on a write error, shuts the socket down so the reactor tears
+  // the connection down.
+  void write_queue_locked();
+
   const int remote_id_;
-  const std::string host_;
-  const std::uint16_t port_;
-  const Role role_;
-  const PeerOptions opts_;
-  const PeerCallbacks cb_;
+  const sockaddr_in addr_;
+  const bool dialer_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // queue + fd-state changes
-  int fd_ = -1;
+  int fd_ = -1;  // the installed socket; -1 while down
   std::deque<std::vector<std::uint8_t>> queue_;
-  std::thread conn_thread_;  // dialer only
-  std::thread recv_thread_;  // listener only (re-spawned per adopt)
-  std::thread send_thread_;
+  std::size_t front_off_ = 0;  // bytes of queue_.front() already written
 
-  std::atomic<bool> stop_{false};
   std::atomic<bool> up_{false};
   std::atomic<std::uint64_t> connects_{0};
   std::atomic<std::uint64_t> rejects_{0};

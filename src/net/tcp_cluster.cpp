@@ -1,11 +1,12 @@
 #include "net/tcp_cluster.h"
 
 #include <poll.h>
-#include <sys/socket.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -26,21 +27,6 @@ namespace {
 // which also caps how many StreamStates a hostile peer can make us
 // allocate.
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
-
-int poll_one(int fd, short events, int timeout_ms) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = events;
-  for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (rc == 0) return 0;
-    return p.revents;
-  }
-}
 
 }  // namespace
 
@@ -151,12 +137,17 @@ TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
 }
 
 TcpCluster::~TcpCluster() {
-  stop_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& p : peers_) {
-    if (p != nullptr) p->stop();
+  {
+    std::lock_guard lk(mu_);
+    stop_.store(true, std::memory_order_release);
+    wake_all_waiters_locked();
   }
+  up_cv_.notify_all();
+  if (reactor_.joinable()) {
+    wake_reactor();
+    reactor_.join();
+  }
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
@@ -181,39 +172,28 @@ bool TcpCluster::start() {
     DPRBG_CHECK(listen_fd_ >= 0);
   }
   listen_port_ = tcp_local_port(listen_fd_);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  DPRBG_CHECK(wake_fd_ >= 0);
 
-  PeerOptions popts;
-  popts.connect_timeout_ms = opts_.connect_timeout_ms;
-  popts.handshake_timeout_ms = opts_.handshake_timeout_ms;
-  popts.read_poll_ms = opts_.read_poll_ms;
-  popts.backoff_initial_ms = opts_.backoff_initial_ms;
-  popts.backoff_max_ms = opts_.backoff_max_ms;
-  popts.local_hello.proto_version = kTcpProtoVersion;
-  popts.local_hello.wire_version = static_cast<std::uint8_t>(wire_version());
-  popts.local_hello.roster_hash = roster_hash_;
-  popts.local_hello.node_id = static_cast<std::uint32_t>(id_);
-  popts.local_hello.n = static_cast<std::uint32_t>(n_);
+  local_hello_.proto_version = kTcpProtoVersion;
+  local_hello_.wire_version = static_cast<std::uint8_t>(wire_version());
+  local_hello_.roster_hash = roster_hash_;
+  local_hello_.node_id = static_cast<std::uint32_t>(id_);
+  local_hello_.n = static_cast<std::uint32_t>(n_);
 
-  PeerCallbacks cb;
-  cb.on_frame = [this](int peer, FrameType type,
-                       std::vector<std::uint8_t> payload) {
-    on_frame(peer, type, std::move(payload));
-  };
-  cb.on_up = [this](int peer, bool reconnect) { on_peer_up(peer, reconnect); };
-  cb.on_down = [this](int peer) { on_peer_down(peer); };
-
+  const auto now = TcpPeer::Clock::now();
   for (int j = 0; j < n_; ++j) {
     if (j == id_) continue;
-    const auto role =
-        j < id_ ? TcpPeer::Role::kDialer : TcpPeer::Role::kListener;
-    peers_[static_cast<std::size_t>(j)] = std::make_unique<TcpPeer>(
-        id_, j, roster_[static_cast<std::size_t>(j)].host,
-        roster_[static_cast<std::size_t>(j)].port, role, popts, cb);
+    const TcpNodeAddr& a = roster_[static_cast<std::size_t>(j)];
+    sockaddr_in addr{};
+    const bool dialer = j < id_;
+    DPRBG_CHECK(tcp_resolve(a.host, a.port, &addr) || !dialer);
+    auto p = std::make_unique<TcpPeer>(j, addr, dialer);
+    p->rs.deadline = now;  // dial right away
+    p->rs.backoff_ms = opts_.backoff_initial_ms;
+    peers_[static_cast<std::size_t>(j)] = std::move(p);
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  for (auto& p : peers_) {
-    if (p != nullptr) p->start();
-  }
+  reactor_ = std::thread([this] { reactor_loop(); });
 
   const auto all_up = [this] {
     for (const auto& p : peers_) {
@@ -222,76 +202,315 @@ bool TcpCluster::start() {
     return true;
   };
   std::unique_lock lk(mu_);
-  return cv_.wait_for(lk, std::chrono::milliseconds(opts_.start_timeout_ms),
-                      [&] { return all_up() || stop_.load(); }) &&
+  return up_cv_.wait_for(lk, std::chrono::milliseconds(opts_.start_timeout_ms),
+                         [&] { return all_up() || stop_.load(); }) &&
          all_up();
 }
 
-void TcpCluster::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int rev = poll_one(listen_fd_, POLLIN, 100);
-    if (rev < 0) return;
-    if (rev == 0) continue;
-    if ((rev & POLLIN) == 0) return;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
+// ---------------------------------------------------------------------------
+// The reactor: one poll loop owns every socket's lifecycle and all reads.
+
+void TcpCluster::wake_reactor() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void TcpCluster::reactor_loop() {
+  using Clock = TcpPeer::Clock;
+  using Link = TcpPeer::Link;
+  constexpr int kWake = -1, kListen = -2;  // who[] tags; -3 - k: inbound k
+  std::vector<pollfd> pfds;
+  std::vector<int> who;
+  std::optional<Clock::time_point> drain_until;
+  for (;;) {
+    const auto now = Clock::now();
+    const bool stopping = stop_.load(std::memory_order_acquire);
+    int timeout_ms = -1;
+    const auto arm = [&](Clock::time_point at) {
+      const auto ms =
+          std::chrono::ceil<std::chrono::milliseconds>(at - now).count();
+      const int clamped = static_cast<int>(std::max<std::int64_t>(ms, 0));
+      timeout_ms = timeout_ms < 0 ? clamped : std::min(timeout_ms, clamped);
+    };
+    if (stopping) {
+      // Linger only while final frames still sit behind a busy socket.
+      if (!drain_until) {
+        drain_until = now + std::chrono::milliseconds(opts_.drain_timeout_ms);
+      }
+      const bool backlog = std::any_of(peers_.begin(), peers_.end(),
+                                       [](const auto& p) {
+                                         return p != nullptr &&
+                                                p->rs.link == Link::kUp &&
+                                                p->backlog();
+                                       });
+      if (!backlog || now >= *drain_until) break;
+      arm(*drain_until);
     }
-    if (!accept_handshake(fd)) ::close(fd);
+
+    pfds.clear();
+    who.clear();
+    pfds.push_back({wake_fd_, POLLIN, 0});
+    who.push_back(kWake);
+    if (!stopping) {
+      pfds.push_back({listen_fd_, POLLIN, 0});
+      who.push_back(kListen);
+    }
+    for (auto& pp : peers_) {
+      if (pp == nullptr) continue;
+      TcpPeer& p = *pp;
+      TcpPeer::ReactorState& rs = p.rs;
+      if (!stopping && p.dialer()) {
+        if (rs.link == Link::kIdle && now >= rs.deadline) {
+          dial(p, now);
+        } else if ((rs.link == Link::kConnecting ||
+                    rs.link == Link::kHandshaking) &&
+                   now >= rs.deadline) {
+          // A silent listener must not park the dialer: the handshake
+          // timeout counts as a reject, a connect timeout does not.
+          dial_failed(p, now, rs.link == Link::kHandshaking);
+        }
+      }
+      short events = 0;
+      if (rs.link == Link::kUp) {
+        events = stopping ? 0 : POLLIN;
+        if (p.backlog()) events |= POLLOUT;
+      } else if (!stopping && p.dialer()) {
+        // Only the shutdown drain runs once stopping; dials are abandoned.
+        arm(rs.deadline);
+        if (rs.link == Link::kConnecting) events = POLLOUT;
+        if (rs.link == Link::kHandshaking) events = POLLIN;
+      }
+      if (events != 0) {
+        pfds.push_back({rs.fd, events, 0});
+        who.push_back(p.remote_id());
+      }
+    }
+    if (!stopping) {
+      for (std::size_t k = 0; k < inbound_.size(); ++k) {
+        pfds.push_back({inbound_[k].fd, POLLIN, 0});
+        who.push_back(-3 - static_cast<int>(k));
+        arm(inbound_[k].deadline);
+      }
+    }
+
+    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    if (rc < 0 && errno != EINTR) break;
+    const auto after = Clock::now();
+    for (std::size_t i = 0; rc > 0 && i < pfds.size(); ++i) {
+      const short rev = pfds[i].revents;
+      const int w = who[i];
+      if (w >= 0) {
+        if (rev == 0) continue;
+        TcpPeer& p = *peers_[static_cast<std::size_t>(w)];
+        switch (p.rs.link) {
+          case Link::kConnecting:
+            if (tcp_connect_result(p.rs.fd)) {
+              send_hello(p, after);
+            } else {
+              dial_failed(p, after, /*reject=*/false);
+            }
+            break;
+          case Link::kHandshaking:
+            on_dial_readable(p, after);
+            break;
+          case Link::kUp:
+            if ((rev & POLLOUT) != 0) p.drain();
+            if ((rev & (POLLIN | POLLHUP | POLLERR)) != 0) {
+              if (stopping) {
+                peer_down(p, /*notify=*/false);
+              } else {
+                on_readable(p);
+              }
+            }
+            break;
+          case Link::kIdle:
+            break;
+        }
+      } else if (w == kWake) {
+        if (rev == 0) continue;
+        std::uint64_t drained = 0;
+        [[maybe_unused]] const ssize_t n =
+            ::read(wake_fd_, &drained, sizeof(drained));
+      } else if (w == kListen) {
+        if (rev == 0) continue;
+        for (int fd = tcp_accept(listen_fd_); fd >= 0;
+             fd = tcp_accept(listen_fd_)) {
+          Inbound in;
+          in.fd = fd;
+          in.deadline =
+              after + std::chrono::milliseconds(opts_.handshake_timeout_ms);
+          inbound_.push_back(std::move(in));
+        }
+      } else if (rev != 0) {
+        on_inbound_readable(inbound_[static_cast<std::size_t>(-3 - w)]);
+      }
+    }
+    // A dialer that never sends its Hello is dropped at the handshake
+    // deadline; it never holds up the other connections.
+    for (Inbound& in : inbound_) {
+      if (in.fd >= 0 && after >= in.deadline) {
+        reject_inbound(HandshakeReject::kMalformed);
+        ::close(in.fd);
+        in.fd = -1;
+      }
+    }
+    std::erase_if(inbound_, [](const Inbound& in) { return in.fd < 0; });
+  }
+
+  for (auto& pp : peers_) {
+    if (pp == nullptr) continue;
+    if (pp->rs.link == Link::kUp) {
+      pp->close();
+    } else if (pp->rs.fd >= 0) {
+      ::close(pp->rs.fd);
+    }
+    pp->rs.fd = -1;
+    pp->rs.link = Link::kIdle;
+  }
+  for (Inbound& in : inbound_) ::close(in.fd);
+  inbound_.clear();
+}
+
+void TcpCluster::dial(TcpPeer& p, TcpPeer::Clock::time_point now) {
+  bool connected = false;
+  const int fd = tcp_dial(p.addr(), &connected);
+  if (fd < 0) {
+    dial_failed(p, now, /*reject=*/false);
+    return;
+  }
+  p.rs.fd = fd;
+  if (connected) {
+    send_hello(p, now);
+  } else {
+    p.rs.link = TcpPeer::Link::kConnecting;
+    p.rs.deadline = now + std::chrono::milliseconds(opts_.connect_timeout_ms);
   }
 }
 
-bool TcpCluster::accept_handshake(int fd) {
+void TcpCluster::send_hello(TcpPeer& p, TcpPeer::Clock::time_point now) {
+  if (!tcp_write_all(p.rs.fd, frame_bytes(FrameType::kHello,
+                                          encode_hello(local_hello_)))) {
+    dial_failed(p, now, /*reject=*/false);
+    return;
+  }
+  p.rs.link = TcpPeer::Link::kHandshaking;
+  p.rs.deadline = now + std::chrono::milliseconds(opts_.handshake_timeout_ms);
+}
+
+void TcpCluster::dial_failed(TcpPeer& p, TcpPeer::Clock::time_point now,
+                             bool reject) {
+  if (reject) p.note_reject();
+  if (p.rs.fd >= 0) ::close(p.rs.fd);
+  p.rs.fd = -1;
+  p.rs.reader = FrameReader{};
+  p.rs.link = TcpPeer::Link::kIdle;
+  // Capped exponential backoff; a successful handshake resets it.
+  p.rs.deadline = now + std::chrono::milliseconds(p.rs.backoff_ms);
+  p.rs.backoff_ms = p.rs.backoff_ms >= opts_.backoff_max_ms / 2
+                        ? opts_.backoff_max_ms
+                        : p.rs.backoff_ms * 2;
+}
+
+void TcpCluster::on_dial_readable(TcpPeer& p, TcpPeer::Clock::time_point now) {
+  const FrameReader::Fill fill = p.rs.reader.fill(p.rs.fd);
+  if (fill == FrameReader::Fill::kAgain) return;
   FrameType type{};
-  std::vector<std::uint8_t> payload;
-  const TcpReadStatus st =
-      tcp_read_frame(fd, stop_, opts_.read_poll_ms, kTcpMaxFrameBytes, &type,
-                     &payload, opts_.handshake_timeout_ms);
-  HandshakeReject why = HandshakeReject::kMalformed;
+  std::span<const std::uint8_t> payload;
+  const FrameReader::Next next =
+      p.rs.reader.next(kTcpMaxFrameBytes, &type, &payload);
+  if (next == FrameReader::Next::kPartial &&
+      fill == FrameReader::Fill::kData) {
+    return;
+  }
   int peer = -1;
-  if (st == TcpReadStatus::kOk && type == FrameType::kHello) {
-    if (const auto h = decode_hello(payload); !h) {
-      why = HandshakeReject::kMalformed;
-    } else if (h->proto_version != kTcpProtoVersion) {
-      why = HandshakeReject::kProtoVersion;
-    } else if (h->wire_version != static_cast<std::uint8_t>(wire_version())) {
-      why = HandshakeReject::kWireVersion;
-    } else if (h->roster_hash != roster_hash_) {
-      why = HandshakeReject::kRosterHash;
-    } else if (h->n != static_cast<std::uint32_t>(n_) ||
-               h->node_id >= static_cast<std::uint32_t>(n_) ||
-               static_cast<int>(h->node_id) <= id_) {
-      // Higher ids dial lower ids: an inbound claim of a lower-or-equal
-      // id is either an impostor or a miswired roster.
-      why = HandshakeReject::kBadId;
-    } else {
-      peer = static_cast<int>(h->node_id);
-    }
+  HandshakeReject why{};
+  if (next == FrameReader::Next::kFrame &&
+      check_hello(type, FrameType::kHelloAck, payload, &peer, &why) &&
+      peer == p.remote_id()) {
+    peer_up(p, p.rs.fd);
+    // The listener may already have sent round frames behind its Ack.
+    process_frames(p, fill == FrameReader::Fill::kClosed);
+    return;
   }
-  if (peer < 0) {
-    std::lock_guard lk(mu_);
-    ++accept_rejects_[static_cast<std::size_t>(why)];
-    return false;
-  }
-  HelloFrame ack;
-  ack.proto_version = kTcpProtoVersion;
-  ack.wire_version = static_cast<std::uint8_t>(wire_version());
-  ack.roster_hash = roster_hash_;
-  ack.node_id = static_cast<std::uint32_t>(id_);
-  ack.n = static_cast<std::uint32_t>(n_);
-  if (!tcp_write_all(fd, frame_bytes(FrameType::kHelloAck,
-                                     encode_hello(ack)))) {
-    return false;
-  }
-  peers_[static_cast<std::size_t>(peer)]->adopt(fd);
-  return true;
+  // The listener closed on us (almost always a handshake reject on its
+  // side — roster/version mismatch) or answered wrongly.
+  dial_failed(p, now, /*reject=*/true);
 }
 
-void TcpCluster::on_peer_up(int peer, bool reconnect) {
+bool TcpCluster::check_hello(FrameType type, FrameType want,
+                             std::span<const std::uint8_t> payload, int* peer,
+                             HandshakeReject* why) const {
+  const auto h = type == want ? decode_hello(payload) : std::nullopt;
+  if (!h) {
+    *why = HandshakeReject::kMalformed;
+  } else if (h->proto_version != local_hello_.proto_version) {
+    *why = HandshakeReject::kProtoVersion;
+  } else if (h->wire_version != local_hello_.wire_version) {
+    *why = HandshakeReject::kWireVersion;
+  } else if (h->roster_hash != roster_hash_) {
+    *why = HandshakeReject::kRosterHash;
+  } else if (h->n != static_cast<std::uint32_t>(n_) ||
+             h->node_id >= static_cast<std::uint32_t>(n_)) {
+    *why = HandshakeReject::kBadId;
+  } else {
+    *peer = static_cast<int>(h->node_id);
+    return true;
+  }
+  return false;
+}
+
+void TcpCluster::reject_inbound(HandshakeReject why) {
+  std::lock_guard lk(mu_);
+  ++accept_rejects_[static_cast<std::size_t>(why)];
+}
+
+void TcpCluster::on_inbound_readable(Inbound& in) {
+  const FrameReader::Fill fill = in.reader.fill(in.fd);
+  if (fill == FrameReader::Fill::kAgain) return;
+  FrameType type{};
+  std::span<const std::uint8_t> payload;
+  const FrameReader::Next next =
+      in.reader.next(kTcpMaxFrameBytes, &type, &payload);
+  if (next == FrameReader::Next::kPartial &&
+      fill == FrameReader::Fill::kData) {
+    return;
+  }
+  // A full frame, or a connection closed before one arrived: either way
+  // this connection is done with its handshake.
+  const int fd = std::exchange(in.fd, -1);
+  int peer = -1;
+  HandshakeReject why = HandshakeReject::kMalformed;
+  bool ok = next == FrameReader::Next::kFrame &&
+            check_hello(type, FrameType::kHello, payload, &peer, &why);
+  if (ok && peer <= id_) {
+    // Higher ids dial lower ids: an inbound claim of a lower-or-equal id
+    // is either an impostor or a miswired roster.
+    ok = false;
+    why = HandshakeReject::kBadId;
+  }
+  if (!ok) reject_inbound(why);
+  if (!ok || !tcp_write_all(fd, frame_bytes(FrameType::kHelloAck,
+                                            encode_hello(local_hello_)))) {
+    ::close(fd);
+    return;
+  }
+  TcpPeer& p = *peers_[static_cast<std::size_t>(peer)];
+  // A fresh accept replaces whatever connection this peer had.
+  if (p.rs.link == TcpPeer::Link::kUp) peer_down(p, /*notify=*/true);
+  p.rs.reader = std::move(in.reader);
+  peer_up(p, fd);
+  process_frames(p, fill == FrameReader::Fill::kClosed);
+}
+
+void TcpCluster::peer_up(TcpPeer& p, int fd) {
+  p.install(fd);
+  p.rs.fd = fd;
+  p.rs.link = TcpPeer::Link::kUp;
+  p.rs.backoff_ms = opts_.backoff_initial_ms;
   {
     std::lock_guard lk(mu_);
     if (telemetry_enabled()) {
+      const int peer = p.remote_id();
       PeerTelemetry& pt = peer_telemetry_[static_cast<std::size_t>(peer)];
       const std::string l = "node=" + std::to_string(id_) +
                             ",peer=" + std::to_string(peer);
@@ -300,23 +519,47 @@ void TcpCluster::on_peer_up(int peer, bool reconnect) {
         pt.reconnects = &metrics().counter("net_tcp_reconnects_total", l);
       }
       pt.connects->add(1);
-      if (reconnect) pt.reconnects->add(1);
+      if (p.connects() > 1) pt.reconnects->add(1);
     }
   }
-  cv_.notify_all();
+  up_cv_.notify_all();
 }
 
-void TcpCluster::on_peer_down(int peer) {
-  {
-    std::lock_guard lk(mu_);
-    if (run_active_) {
-      // Latched for the rest of the run: the process behind this link is
-      // mid-restart, and lockstep state cannot absorb a rejoin. Barriers
-      // stop waiting for it — the transport twin of Cluster::drop().
-      lapsed_[static_cast<std::size_t>(peer)] = 1;
-    }
+void TcpCluster::peer_down(TcpPeer& p, bool notify) {
+  const bool was_up = p.close();
+  p.rs.fd = -1;
+  p.rs.reader = FrameReader{};
+  p.rs.link = TcpPeer::Link::kIdle;
+  p.rs.deadline = TcpPeer::Clock::now();  // a dialer redials right away
+  if (!was_up || !notify) return;
+  std::lock_guard lk(mu_);
+  if (run_active_) {
+    // Latched for the rest of the run: the process behind this link is
+    // mid-restart, and lockstep state cannot absorb a rejoin. Barriers
+    // stop waiting for it — the transport twin of Cluster::drop().
+    lapsed_[static_cast<std::size_t>(p.remote_id())] = 1;
+    wake_all_waiters_locked();
   }
-  cv_.notify_all();
+}
+
+void TcpCluster::wake_all_waiters_locked() {
+  for (auto& [stream, st] : streams_) {
+    if (st.waiting) st.cv.notify_all();
+  }
+}
+
+bool TcpCluster::round_ready_locked(const StreamState& st,
+                                    std::uint64_t round) const {
+  if (stop_.load(std::memory_order_acquire)) return true;
+  for (int j = 0; j < n_; ++j) {
+    const auto u = static_cast<std::size_t>(j);
+    if (j == id_ || st.next_round[u] > round || lapsed_[u] != 0 ||
+        bye_[u] != 0) {
+      continue;
+    }
+    return false;
+  }
+  return true;
 }
 
 TcpCluster::StreamState& TcpCluster::stream_state_locked(
@@ -329,54 +572,71 @@ TcpCluster::StreamState& TcpCluster::stream_state_locked(
   return st;
 }
 
-void TcpCluster::on_frame(int peer, FrameType type,
-                          std::vector<std::uint8_t> payload) {
-  if (type == FrameType::kBye) {
-    {
-      std::lock_guard lk(mu_);
-      bye_[static_cast<std::size_t>(peer)] = 1;
+void TcpCluster::on_readable(TcpPeer& p) {
+  const FrameReader::Fill fill = p.rs.reader.fill(p.rs.fd);
+  if (fill == FrameReader::Fill::kAgain) return;
+  process_frames(p, fill == FrameReader::Fill::kClosed);
+}
+
+void TcpCluster::process_frames(TcpPeer& p, bool closed) {
+  const int peer = p.remote_id();
+  const auto pu = static_cast<std::size_t>(peer);
+  // Cut and decode every complete frame outside the demux lock; a Bye is
+  // kept in sequence as an empty optional.
+  std::vector<std::optional<RoundFrame>> arrivals;
+  bool violation = false;
+  bool dead = closed;
+  for (;;) {
+    FrameType type{};
+    std::span<const std::uint8_t> payload;
+    const FrameReader::Next next =
+        p.rs.reader.next(kTcpMaxFrameBytes, &type, &payload);
+    if (next == FrameReader::Next::kPartial) break;
+    if (next == FrameReader::Next::kTooBig) {
+      dead = true;
+      break;
     }
-    cv_.notify_all();
-    return;
-  }
-  if (type != FrameType::kRound) {
-    // Hello/HelloAck after the handshake (or an unknown type) is a
-    // framing violation: score it and cut the connection.
-    {
-      std::lock_guard lk(mu_);
-      ++frame_decode_failures_;
+    p.note_rx(kTcpFramePrefixBytes + payload.size());
+    if (type == FrameType::kBye) {
+      arrivals.emplace_back();
+      continue;
     }
-    if (misbehavior_ != nullptr) misbehavior_->report_decode(peer, id_);
-    peers_[static_cast<std::size_t>(peer)]->sever();
-    return;
-  }
-  auto frame = decode_round_frame(payload, wire_version(), peer,
-                                  kTcpMaxFrameBytes);
-  if (!frame || frame->stream > kTcpMaxStreamId) {
-    // A round frame we cannot attribute to a (stream, round) cannot be
-    // turned into a barrier marker, so the only safe response is to cut
-    // the connection — the peer lapses and barriers proceed without it
-    // (leaving it connected would park every barrier forever).
-    {
-      std::lock_guard lk(mu_);
-      ++frame_decode_failures_;
+    // Hello/HelloAck after the handshake (or an unknown type), or a round
+    // frame we cannot attribute to a (stream, round): it can never become
+    // a barrier marker, so the only safe response is to cut the
+    // connection — the peer lapses and barriers proceed without it.
+    auto frame = type == FrameType::kRound
+                     ? decode_round_frame(payload, wire_version(), peer,
+                                          kTcpMaxFrameBytes)
+                     : std::nullopt;
+    if (!frame || frame->stream > kTcpMaxStreamId) {
+      violation = true;
+      break;
     }
-    if (misbehavior_ != nullptr) misbehavior_->report_decode(peer, id_);
-    peers_[static_cast<std::size_t>(peer)]->sever();
-    return;
+    arrivals.push_back(std::move(frame));
   }
-  bool notify = false;
+
+  // Demux under one lock acquisition; wake a blocked sync() only when an
+  // arrival completes the round it waits on.
+  std::vector<StreamState*> completed;
   {
     std::lock_guard lk(mu_);
-    if (lapsed_[static_cast<std::size_t>(peer)] ||
-        bye_[static_cast<std::size_t>(peer)]) {
-      // Transport reconnected but the run moved on without this peer;
-      // its fresh traffic has no round to join.
-      ++lapsed_frames_;
-    } else {
-      StreamState& st = stream_state_locked(frame->stream);
-      std::uint64_t& next = st.next_round[static_cast<std::size_t>(peer)];
-      if (frame->round != next) {
+    bool departed = false;
+    for (auto& arrival : arrivals) {
+      if (!arrival) {
+        departed = departed || bye_[pu] == 0;
+        bye_[pu] = 1;
+        continue;
+      }
+      if (lapsed_[pu] != 0 || bye_[pu] != 0) {
+        // Transport reconnected but the run moved on without this peer;
+        // its fresh traffic has no round to join.
+        ++lapsed_frames_;
+        continue;
+      }
+      StreamState& st = stream_state_locked(arrival->stream);
+      std::uint64_t& next = st.next_round[pu];
+      if (arrival->round != next) {
         // One ordered connection + sequential per-stream rounds means an
         // honest sender can only ever deliver the contiguous next round;
         // anything else is a replay/skip attack. Dropping (instead of
@@ -385,26 +645,35 @@ void TcpCluster::on_frame(int peer, FrameType type,
         if (misbehavior_ != nullptr) {
           misbehavior_->report(peer, MisbehaviorSignal::kStaleFlood);
         }
-      } else {
-        ++next;
-        if (!frame->msgs.empty()) {
-          buffered_msgs_ += frame->msgs.size();
-          st.pending[static_cast<std::size_t>(peer)][frame->round] =
-              std::move(frame->msgs);
-          if (telemetry_enabled()) {
-            if (tel_recv_pending_ == nullptr) {
-              tel_recv_pending_ = &metrics().gauge(
-                  "net_tcp_recv_pending", "node=" + std::to_string(id_));
-            }
-            tel_recv_pending_->set(
-                static_cast<std::int64_t>(buffered_msgs_));
+        continue;
+      }
+      ++next;
+      if (!arrival->msgs.empty()) {
+        buffered_msgs_ += arrival->msgs.size();
+        st.pending[pu][arrival->round] = std::move(arrival->msgs);
+        if (telemetry_enabled()) {
+          if (tel_recv_pending_ == nullptr) {
+            tel_recv_pending_ = &metrics().gauge(
+                "net_tcp_recv_pending", "node=" + std::to_string(id_));
           }
+          tel_recv_pending_->set(static_cast<std::int64_t>(buffered_msgs_));
         }
-        notify = true;
+      }
+      if (st.waiting && st.wait_round == arrival->round &&
+          round_ready_locked(st, arrival->round)) {
+        completed.push_back(&st);
       }
     }
+    if (departed) wake_all_waiters_locked();
+    if (violation) ++frame_decode_failures_;
   }
-  if (notify) cv_.notify_all();
+  // StreamStates are never erased, so the pointers outlive the lock.
+  for (StreamState* st : completed) st->cv.notify_all();
+
+  if (violation && misbehavior_ != nullptr) {
+    misbehavior_->report_decode(peer, id_);
+  }
+  if (violation || dead) peer_down(p, /*notify=*/true);
 }
 
 void TcpCluster::sync_stream(TcpPartyIo& io) {
@@ -431,17 +700,29 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
     }
   }
   io.staged_.clear();
-  // Ship one bundle per peer — empty ones included; they are the round
-  // barrier markers. A bundle for a down peer is dropped by the peer's
-  // queue (and the peer is or becomes lapsed, so the barrier will not
-  // wait for its half either).
+  // Ship one bundle per peer still in the run — empty ones included;
+  // they are the round barrier markers. A peer that said Bye or lapsed
+  // will never read another round, so it gets none (send() has already
+  // charged the ledger, exactly as the simulator charges a send to a
+  // dropped player). Each frame goes straight to the socket from this
+  // thread; whatever the socket does not take is queued for the reactor.
+  std::vector<char> departed(static_cast<std::size_t>(n_), 0);
+  {
+    std::lock_guard lk(mu_);
+    for (int j = 0; j < n_; ++j) {
+      const auto u = static_cast<std::size_t>(j);
+      departed[u] = static_cast<char>(lapsed_[u] | bye_[u]);
+    }
+  }
+  bool wake = false;
   for (int j = 0; j < n_; ++j) {
-    if (j == id_) continue;
+    if (j == id_ || departed[static_cast<std::size_t>(j)] != 0) continue;
     const auto payload = encode_round_frame(
         stream, round, outgoing[static_cast<std::size_t>(j)], wv);
-    peers_[static_cast<std::size_t>(j)]->enqueue(
+    wake |= peers_[static_cast<std::size_t>(j)]->send(
         frame_bytes(FrameType::kRound, payload));
   }
+  if (wake) wake_reactor();
 
   MisbehaviorManager* mgr = misbehavior_.get();
   const bool trace_on = tracer().enabled();
@@ -450,22 +731,14 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   comm_.bytes += byte_count;
   StreamState& st = stream_state_locked(stream);
 
-  const auto ready = [&] {
-    if (stop_.load(std::memory_order_acquire)) return true;
-    for (int j = 0; j < n_; ++j) {
-      if (j == id_) continue;
-      if (st.next_round[static_cast<std::size_t>(j)] > round) continue;
-      if (lapsed_[static_cast<std::size_t>(j)] != 0) continue;
-      if (bye_[static_cast<std::size_t>(j)] != 0) continue;
-      return false;
-    }
-    return true;
-  };
-  if (!ready()) {
+  if (!round_ready_locked(st, round)) {
     TelemetryClock::time_point t0;
     const bool tel_on = telemetry_enabled();
     if (tel_on) t0 = TelemetryClock::now();
-    cv_.wait(lk, ready);
+    st.waiting = true;
+    st.wait_round = round;
+    st.cv.wait(lk, [&] { return round_ready_locked(st, round); });
+    st.waiting = false;
     if (tel_on) {
       if (tel_barrier_wait_ == nullptr) {
         tel_barrier_wait_ = &metrics().histogram(
@@ -581,16 +854,16 @@ void TcpCluster::run(const Program& program) {
   } catch (...) {
     err = std::current_exception();
   }
-  // Announce completion and linger: peers must not wait on our barriers
-  // (kBye), and the final round frames must reach the wire before the
-  // sockets die. This runs on the exception path too — a crashed program
-  // is exactly when remote barriers most need the release.
+  // Announce completion: peers must not wait on our barriers (kBye). This
+  // runs on the exception path too — a crashed program is exactly when
+  // remote barriers most need the release. The Bye rides behind any
+  // queued round frames, and the reactor drains that backlog before the
+  // sockets close (up to drain_timeout_ms at shutdown).
+  bool wake = false;
   for (auto& p : peers_) {
-    if (p != nullptr) p->enqueue(frame_bytes(FrameType::kBye, {}));
+    if (p != nullptr) wake |= p->send(frame_bytes(FrameType::kBye, {}));
   }
-  for (auto& p : peers_) {
-    if (p != nullptr) p->flush(opts_.drain_timeout_ms);
-  }
+  if (wake) wake_reactor();
   {
     std::lock_guard lk(mu_);
     run_active_ = false;
@@ -634,7 +907,10 @@ TcpStats TcpCluster::stats() const {
 void TcpCluster::sever_peer(int peer) {
   if (peer < 0 || peer >= n_ || peer == id_) return;
   TcpPeer* p = peers_[static_cast<std::size_t>(peer)].get();
-  if (p != nullptr) p->sever();
+  if (p != nullptr) {
+    p->sever();
+    wake_reactor();
+  }
 }
 
 void TcpCluster::publish_telemetry() {

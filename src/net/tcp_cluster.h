@@ -3,9 +3,10 @@
 // cluster's lockstep contract on top of asynchronous frame arrival.
 //
 // One `TcpCluster` object is ONE player's half of an n-node deployment:
-// it owns the player's listen socket, the n-1 `TcpPeer` connections
-// (deterministic roles — this node dials every lower id and accepts
-// every higher id, so each pair has exactly one link), the handshake
+// it owns the player's listen socket, the n-1 `TcpPeer` connections and
+// the reactor thread that drives them (deterministic roles — this node
+// dials every lower id and accepts every higher id, so each pair has
+// exactly one link), the handshake
 // (roster hash + framing/wire versions + claimed id, all validated on
 // both ends), and the demux that turns arriving kRound frames back into
 // the per-(stream, round) inboxes the protocols expect.
@@ -45,10 +46,14 @@
 // transport one. A peer that finishes its program cleanly announces it
 // with a kBye frame — the graceful twin of lapsing.
 //
-// Thread model: n-1 peer reader threads + 1 accept thread feed the
-// demux under one mutex; any number of protocol threads (the pipelined
-// scheduler drives one stream per worker) block in sync() on the same
-// mutex's condition variable. See DESIGN.md §16.
+// Thread model: one reactor thread per node owns the listen socket,
+// every dial and both halves of every handshake, and all reads; it cuts
+// each wakeup's bytes into frames and demuxes them under one mutex. Any
+// number of protocol threads (the pipelined scheduler drives one stream
+// per worker) write their own round frames from sync() and then block
+// on their stream's condition variable, which the reactor signals only
+// when an arriving frame completes that stream's round, a peer lapses
+// or says Bye, or the node stops. See DESIGN.md §16.
 
 #pragma once
 
@@ -59,6 +64,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,12 +98,12 @@ struct TcpNodeAddr {
 struct TcpClusterOptions {
   unsigned connect_timeout_ms = 2000;
   unsigned handshake_timeout_ms = 2000;
-  unsigned read_poll_ms = 50;
   unsigned backoff_initial_ms = 10;
   unsigned backoff_max_ms = 1000;
   // start(): how long to wait for every peer link to come up.
   unsigned start_timeout_ms = 15000;
-  // shutdown: how long to linger so final round frames + Bye drain.
+  // Shutdown: how long the reactor lingers so final round frames and the
+  // Bye still queued behind a busy socket reach the wire.
   unsigned drain_timeout_ms = 2000;
   // Pre-bound listen socket (the in-process loopback harness binds all
   // n ephemeral ports before any roster hash is computed); -1 binds
@@ -124,10 +130,10 @@ class TcpPartyIo {
   void send(int to, std::uint32_t tag, std::vector<std::uint8_t> body);
   void send_all(std::uint32_t tag, const std::vector<std::uint8_t>& body);
 
-  // Ends this stream's round: ships one kRound bundle per peer (empty
-  // ones included — they are the markers), blocks until every
-  // non-lapsed peer's bundle for this round has arrived, and delivers
-  // the canonically ordered inbox.
+  // Ends this stream's round: ships one kRound bundle per peer still in
+  // the run (empty ones included — they are the markers), blocks until
+  // every non-lapsed peer's bundle for this round has arrived, and
+  // delivers the canonically ordered inbox.
   const Inbox& sync();
   [[nodiscard]] const Inbox& inbox() const { return inbox_; }
 
@@ -212,18 +218,19 @@ class TcpCluster {
     return misbehavior_.get();
   }
 
-  // Binds (unless pre-bound), starts the accept loop and every peer,
-  // and blocks until all n-1 links are up or start_timeout elapses.
+  // Binds (unless pre-bound), starts the reactor, and blocks until all
+  // n-1 links are up or start_timeout elapses.
   // Returns whether the full mesh came up; on false the caller may
   // inspect stats() (e.g. handshake rejects) and must still destroy the
   // cluster normally.
   [[nodiscard]] bool start();
 
   // Runs this player's program to completion on the calling thread,
-  // then announces kBye and drains the send queues. One run per
-  // cluster (a returned program told every peer it is done — rejoin is
-  // an epoch concern, not a transport one). Exceptions propagate after
-  // the Bye/drain so remote barriers are not deadlocked by our crash.
+  // then announces kBye (the reactor drains anything still queued). One
+  // run per cluster (a returned program told every peer it is done —
+  // rejoin is an epoch concern, not a transport one). Exceptions
+  // propagate after the Bye so remote barriers are not deadlocked by our
+  // crash.
   void run(const Program& program);
 
   // The root-stream handle (valid after construction; protocols open
@@ -263,16 +270,47 @@ class TcpCluster {
     // (rounds the sender has shipped but our own sync() hasn't consumed
     // yet — nonempty exactly when the peer runs ahead of us).
     std::vector<std::map<std::uint64_t, std::vector<Msg>>> pending;
+    // The round this stream's sync() is blocked on, if any (one thread
+    // drives a stream), and the condition variable it sleeps on.
+    bool waiting = false;
+    std::uint64_t wait_round = 0;
+    std::condition_variable cv;
   };
 
-  // Peer-thread entry points (serialized on mu_).
-  void on_frame(int peer, FrameType type, std::vector<std::uint8_t> payload);
-  void on_peer_up(int peer, bool reconnect);
-  void on_peer_down(int peer);
-  void accept_loop();
-  // Listener half of the handshake; returns false (and counts the
-  // reason) when the connection must be closed.
-  bool accept_handshake(int fd);
+  // Reactor thread: dials, accepts, handshakes, reads, drains backlogs.
+  void reactor_loop();
+  void wake_reactor();
+  // Dialer half of the handshake.
+  void dial(TcpPeer& p, TcpPeer::Clock::time_point now);
+  void send_hello(TcpPeer& p, TcpPeer::Clock::time_point now);
+  void dial_failed(TcpPeer& p, TcpPeer::Clock::time_point now, bool reject);
+  void on_dial_readable(TcpPeer& p, TcpPeer::Clock::time_point now);
+  // Listener half: a fresh inbound connection awaiting its Hello.
+  struct Inbound {
+    int fd = -1;
+    TcpPeer::Clock::time_point deadline;
+    FrameReader reader;
+  };
+  // Installs or rejects the connection once its Hello is in (or it
+  // closed); either way `in.fd` becomes -1 and the entry is dropped.
+  void on_inbound_readable(Inbound& in);
+  void reject_inbound(HandshakeReject why);
+  // Validates a Hello/HelloAck against our own; on success `*peer` is
+  // the id it claims (the caller checks the dial direction).
+  bool check_hello(FrameType type, FrameType want,
+                   std::span<const std::uint8_t> payload, int* peer,
+                   HandshakeReject* why) const;
+  void peer_up(TcpPeer& p, int fd);
+  void peer_down(TcpPeer& p, bool notify);
+  // Reads what the socket has and demuxes every complete frame; tears
+  // the connection down on EOF, an oversized frame, or a violation.
+  void on_readable(TcpPeer& p);
+  void process_frames(TcpPeer& p, bool closed);
+  // With mu_ held: signal every blocked sync() so it re-checks its
+  // barrier (a peer departed or the node stops).
+  void wake_all_waiters_locked();
+  [[nodiscard]] bool round_ready_locked(const StreamState& st,
+                                        std::uint64_t round) const;
 
   // The barrier + delivery half of TcpPartyIo::sync (staging and frame
   // building happen in the caller first).
@@ -291,19 +329,21 @@ class TcpCluster {
 
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  std::thread accept_thread_;
+  int wake_fd_ = -1;  // eventfd: backlog queued, sever, or stop
   std::atomic<bool> stop_{false};
   bool started_ = false;
+  HelloFrame local_hello_;
 
   // peers_[j] for j != id_; [id_] stays null.
   std::vector<std::unique_ptr<TcpPeer>> peers_;
+  std::vector<Inbound> inbound_;  // reactor-owned
 
   std::unique_ptr<TcpPartyIo> root_;
   std::map<std::uint32_t, std::unique_ptr<TcpPartyIo>> instances_;
   std::mutex instances_mu_;  // instance() may be called from workers
 
   mutable std::mutex mu_;  // demux + barrier state
-  std::condition_variable cv_;
+  std::condition_variable up_cv_;  // start(): a link came up
   std::map<std::uint32_t, StreamState> streams_;
   std::vector<char> lapsed_;  // latched per run on disconnect
   std::vector<char> bye_;     // peer's program finished cleanly
@@ -334,6 +374,9 @@ class TcpCluster {
     std::uint64_t published_rx = 0;
   };
   std::vector<PeerTelemetry> peer_telemetry_;
+
+  // Last: the reactor uses every member above (joined in ~TcpCluster).
+  std::thread reactor_;
 };
 
 // --------------------------------------------------------------------------

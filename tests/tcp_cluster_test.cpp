@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -77,14 +79,19 @@ struct EchoRun {
 // broadcasts a distinct byte per round and one extra unicast to player
 // (id+1) % n, so inboxes exercise both send paths and the canonical
 // sort. `rounds_for(id)` lets a player return early (the drop test).
+// `after_sync(id, r)`, when set, runs after each of the player's rounds.
+using RoundHook = std::function<void(int id, int round)>;
+
 template <typename Io>
-void echo_program(Io& io, int rounds, EchoRun& run) {
+void echo_program(Io& io, int rounds, EchoRun& run,
+                  const RoundHook& after_sync = {}) {
   for (int r = 0; r < rounds; ++r) {
     io.send_all(kTag, {static_cast<std::uint8_t>(io.id() * 16 + r)});
     io.send((io.id() + 1) % io.n(), kTag + 1,
             {static_cast<std::uint8_t>(0xE0 + r)});
     run.transcript[static_cast<std::size_t>(io.id())]
                   [static_cast<std::size_t>(r)] = render_inbox(io.sync());
+    if (after_sync) after_sync(io.id(), r);
   }
   run.sent[static_cast<std::size_t>(io.id())] = io.sent();
 }
@@ -111,7 +118,8 @@ EchoRun run_sim_echo(int n, int t, std::uint64_t seed,
 }
 
 EchoRun run_tcp_echo(TcpLoopback& loop, int n,
-                     const std::vector<int>& rounds_per_player) {
+                     const std::vector<int>& rounds_per_player,
+                     const RoundHook& after_sync = {}) {
   EchoRun run;
   const int max_rounds =
       *std::max_element(rounds_per_player.begin(), rounds_per_player.end());
@@ -121,9 +129,9 @@ EchoRun run_tcp_echo(TcpLoopback& loop, int n,
   run.sent.assign(static_cast<std::size_t>(n), {});
   std::vector<TcpCluster::Program> programs;
   for (int i = 0; i < n; ++i) {
-    programs.push_back([&run, &rounds_per_player](TcpPartyIo& io) {
+    programs.push_back([&run, &rounds_per_player, &after_sync](TcpPartyIo& io) {
       echo_program(io, rounds_per_player[static_cast<std::size_t>(io.id())],
-                   run);
+                   run, after_sync);
     });
   }
   loop.run(std::move(programs));
@@ -163,8 +171,16 @@ TEST(TcpClusterTest, EchoMatchesSimulatedClusterBitForBit) {
   const EchoRun tcp = run_tcp_echo(loop, n, uniform);
   expect_echo_runs_equal(sim, tcp, n);
 
-  // Zero transport-level anomalies in a clean run.
+  // Zero transport-level anomalies in a clean run. A peer's Bye leaves
+  // with its run() but is read by our reactor asynchronously.
   for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(wait_until([&] {
+      const TcpStats st = loop.node(i).stats();
+      for (int j = 0; j < n; ++j) {
+        if (j != i && !st.peers[static_cast<std::size_t>(j)].bye) return false;
+      }
+      return true;
+    })) << "node " << i;
     const TcpStats st = loop.node(i).stats();
     EXPECT_EQ(st.frame_decode_failures, 0u);
     EXPECT_EQ(st.lapsed_frames, 0u);
@@ -213,6 +229,13 @@ TEST(TcpClusterTest, EarlyReturnMatchesSimulatedDrop) {
   const TcpStats st = loop.node(0).stats();
   EXPECT_TRUE(st.peers[2].bye);
   EXPECT_FALSE(st.peers[2].lapsed);
+  // Once its Bye is in, survivors stop shipping it round bundles: it gets
+  // strictly fewer frames (its Bye included) than the rounds they ran.
+  for (int i : {0, 1, 3}) {
+    EXPECT_LT(loop.node(i).stats().peers[2].tx_frames,
+              static_cast<std::uint64_t>(rounds[static_cast<std::size_t>(i)]))
+        << "survivor " << i;
+  }
 }
 
 TEST(TcpClusterTest, VssMatchesSimulatedCluster) {
@@ -306,22 +329,27 @@ TEST(TcpClusterTest, GradeCastMatchesSimulatedCluster) {
   }
 }
 
-TEST(TcpClusterTest, PipelinedCoinGenMatchesSimulatedCluster) {
-  // The full tentpole workload: depth-2 pipelined Coin-Gen, which drives
-  // several concurrent per-batch streams (instance() handles + worker
-  // threads) through the TCP demux at once.
-  const int n = 7, t = 1;
-  const std::uint64_t seed = 4242;
+// Depth-2 pipelined Coin-Gen, which drives several concurrent per-batch
+// streams (instance() handles + worker threads) through the TCP demux at
+// once, must equal the simulator batch for batch. `on_joined(id)` runs
+// on each player after every joined batch.
+void expect_pipelined_coin_gen_matches(
+    int n, int t, std::uint64_t seed,
+    const std::function<void(int)>& on_joined = {}) {
   const unsigned m = 3, batches = 2;
   auto genesis = trusted_dealer_coins<F>(n, t, 4 * batches + 8, seed);
 
-  auto program = [&](auto& io, std::vector<PipelineResult<F>>& out) {
+  auto program = [&](auto& io, std::vector<PipelineResult<F>>& out,
+                     bool hook) {
     CoinPool<F> pool;
     for (const auto& c : genesis[static_cast<std::size_t>(io.id())]) {
       pool.add(c);
     }
     PipelineOptions opts;
     opts.depth = 2;
+    if (hook && on_joined) {
+      opts.on_batch_joined = [&, id = io.id()](unsigned) { on_joined(id); };
+    }
     out[static_cast<std::size_t>(io.id())] =
         pipelined_coin_gen<F>(io, m, pool, batches, opts);
   };
@@ -330,13 +358,13 @@ TEST(TcpClusterTest, PipelinedCoinGenMatchesSimulatedCluster) {
   Cluster sim(n, t, seed);
   sim.run(std::vector<Cluster::Program>(
       static_cast<std::size_t>(n),
-      [&](PartyIo& io) { program(io, sim_out); }));
+      [&](PartyIo& io) { program(io, sim_out, false); }));
 
   TcpLoopback loop(n, t, seed);
   ASSERT_TRUE(loop.start());
   std::vector<TcpCluster::Program> programs;
   for (int i = 0; i < n; ++i) {
-    programs.push_back([&](TcpPartyIo& io) { program(io, tcp_out); });
+    programs.push_back([&](TcpPartyIo& io) { program(io, tcp_out, true); });
   }
   loop.run(std::move(programs));
 
@@ -358,6 +386,10 @@ TEST(TcpClusterTest, PipelinedCoinGenMatchesSimulatedCluster) {
       EXPECT_TRUE(cb.success) << "player " << i << " batch " << b;
     }
   }
+}
+
+TEST(TcpClusterTest, PipelinedCoinGenMatchesSimulatedCluster) {
+  expect_pipelined_coin_gen_matches(/*n=*/7, /*t=*/1, /*seed=*/4242);
 }
 
 TEST(TcpClusterTest, SeverBeforeRunReconnectsTransparently) {
@@ -554,6 +586,172 @@ TEST(TcpClusterTest, StartFailsClosedAgainstMismatchedRoster) {
                 HandshakeReject::kRosterHash)],
             1u);
   EXPECT_GE(b.stats().peers[0].handshake_rejects, 1u);
+}
+
+TEST(TcpClusterTest, SilentDialerDoesNotStallAccept) {
+  // A connection that never sends its Hello holds its own handshake
+  // deadline, not the accept path: a real peer that reconnects meanwhile
+  // is admitted at once.
+  const int n = 4, t = 1, rounds = 3;
+  const std::uint64_t seed = 21;
+  const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
+  const EchoRun sim = run_sim_echo(n, t, seed, uniform);
+
+  TcpClusterOptions opts;
+  opts.handshake_timeout_ms = 5000;
+  opts.backoff_initial_ms = 5;
+  TcpLoopback loop(n, t, seed, opts);
+  ASSERT_TRUE(loop.start());
+
+  const int silent =
+      tcp_connect_socket("127.0.0.1", loop.node(0).listen_port(), 2000);
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // accepted
+
+  loop.node(1).sever_peer(0);
+  EXPECT_TRUE(wait_until(
+      [&] {
+        const TcpStats a = loop.node(1).stats();
+        const TcpStats b = loop.node(0).stats();
+        return a.peers[0].reconnects >= 1 && a.peers[0].up && b.peers[1].up;
+      },
+      /*timeout_ms=*/1000))
+      << "reconnect stalled behind the silent dialer";
+  ::close(silent);
+
+  const EchoRun tcp = run_tcp_echo(loop, n, uniform);
+  expect_echo_runs_equal(sim, tcp, n);
+}
+
+// Threads of this process, from /proc/self/task.
+long process_threads() {
+  long count = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(TcpClusterTest, EchoAtThirteenNodesMatchesSimulator) {
+  // n = 13 players in one process: one program thread and one reactor
+  // per node, plus the test's own thread.
+  const int n = 13, t = 2, rounds = 4;
+  const std::uint64_t seed = 1313;
+  const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
+  const EchoRun sim = run_sim_echo(n, t, seed, uniform);
+
+  TcpLoopback loop(n, t, seed);
+  ASSERT_TRUE(loop.start());
+  std::atomic<long> peak{0};
+  // After player 0's round 1 every program thread is alive: none can
+  // finish round 3 before player 0 ships it.
+  const EchoRun tcp = run_tcp_echo(loop, n, uniform, [&](int id, int r) {
+    if (id == 0 && r == 1) peak = process_threads();
+  });
+  expect_echo_runs_equal(sim, tcp, n);
+  RecordProperty("peak_threads", static_cast<int>(peak.load()));
+  EXPECT_GT(peak.load(), n);
+  EXPECT_LE(peak.load(), 2 * n + 8);
+}
+
+TEST(TcpClusterTest, PipelinedCoinGenAtThirteenNodesMatchesSimulator) {
+  // n = 6t + 1 = 13. Depth 2 adds up to two Coin-Gen workers per node on
+  // top of the 2n + 8 allowance.
+  const int n = 13, t = 2;
+  std::atomic<long> peak{0};
+  expect_pipelined_coin_gen_matches(n, t, /*seed=*/977, [&](int) {
+    const long now = process_threads();
+    long seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  });
+  RecordProperty("peak_threads", static_cast<int>(peak.load()));
+  EXPECT_GT(peak.load(), n);
+  EXPECT_LE(peak.load(), 2 * n + 8 + 2 * n);
+}
+
+// For every ordered pair, what node i counted out to j is exactly what j
+// counted in from i (frames and bytes). Bye frames are read
+// asynchronously after run() returns, hence the wait.
+void expect_tx_matches_peer_rx(TcpLoopback& loop) {
+  const int n = loop.n();
+  const auto witness_holds = [&] {
+    for (int i = 0; i < n; ++i) {
+      const TcpStats a = loop.node(i).stats();
+      for (int j = 0; j < n; ++j) {
+        if (j == i) continue;
+        const TcpStats b = loop.node(j).stats();
+        const auto& out = a.peers[static_cast<std::size_t>(j)];
+        const auto& in = b.peers[static_cast<std::size_t>(i)];
+        if (out.tx_frames != in.rx_frames || out.tx_bytes != in.rx_bytes) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(wait_until(witness_holds));
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const auto out = loop.node(i).stats().peers[static_cast<std::size_t>(j)];
+      EXPECT_GT(out.tx_frames, 0u) << i << " -> " << j;
+      EXPECT_EQ(out.dropped_frames, 0u) << i << " -> " << j;
+    }
+  }
+}
+
+TEST(TcpClusterTest, TxBytesEqualPeerRxBytesAfterCleanRun) {
+  const int n = 4, t = 1, rounds = 5;
+  const std::uint64_t seed = 61;
+  const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
+  TcpLoopback loop(n, t, seed);
+  ASSERT_TRUE(loop.start());
+  run_tcp_echo(loop, n, uniform);
+  expect_tx_matches_peer_rx(loop);
+}
+
+// Both players send the other a bundle far larger than the loopback
+// socket buffers in the same round: neither send may block the other,
+// and the inboxes must equal the simulator's.
+template <typename Io>
+void bulk_program(Io& io, std::vector<std::vector<std::string>>& digests) {
+  constexpr std::size_t kBody = std::size_t{4} << 20;
+  for (int r = 0; r < 2; ++r) {
+    std::vector<std::uint8_t> body(kBody);
+    for (std::size_t k = 0; k < body.size(); ++k) {
+      body[k] = static_cast<std::uint8_t>(k * 131 + io.id() * 7 + r);
+    }
+    io.send(1 - io.id(), kTag, std::move(body));
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::ostringstream os;
+    for (const Msg& m : io.sync().all()) {
+      for (std::uint8_t b : m.body) h = (h ^ b) * 0x100000001b3ull;
+      os << m.from << "/" << m.tag << ":" << m.body.size() << " ";
+    }
+    os << std::hex << h;
+    digests[static_cast<std::size_t>(io.id())].push_back(os.str());
+  }
+}
+
+TEST(TcpClusterTest, LargeBundlesBothWaysDrainThroughOutQueue) {
+  const int n = 2, t = 0;
+  const std::uint64_t seed = 8;
+  std::vector<std::vector<std::string>> sim_digest(n), tcp_digest(n);
+  Cluster sim(n, t, seed);
+  sim.run(std::vector<Cluster::Program>(
+      static_cast<std::size_t>(n),
+      [&](PartyIo& io) { bulk_program(io, sim_digest); }));
+
+  TcpLoopback loop(n, t, seed);
+  ASSERT_TRUE(loop.start());
+  loop.run(std::vector<TcpCluster::Program>(
+      static_cast<std::size_t>(n),
+      [&](TcpPartyIo& io) { bulk_program(io, tcp_digest); }));
+  EXPECT_EQ(sim_digest, tcp_digest);
+  ASSERT_EQ(tcp_digest[0].size(), 2u);
+  expect_tx_matches_peer_rx(loop);
 }
 
 }  // namespace
