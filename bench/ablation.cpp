@@ -52,10 +52,7 @@ void ablation_shared_coin() {
       auto genesis = trusted_dealer_coins<F>(n, t, 1, 900 + n);
       Cluster cluster(n, t, 900 + n);
       cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-        std::vector<Polynomial<F>> polys;
-        for (unsigned j = 0; j < m_total; ++j) {
-          polys.push_back(Polynomial<F>::random(t, io.rng()));
-        }
+        const auto polys = PolyBlock<F>::random(m_total, t, io.rng());
         (void)bit_gen_all<F>(io, polys, m_total, t, genesis[io.id()][0]);
       }));
       table.row({"shared coin (Fig. 5)", fmt(n),
@@ -68,11 +65,9 @@ void ablation_shared_coin() {
       Cluster cluster(n, t, 910 + n);
       cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
         for (int dealer = 0; dealer < n; ++dealer) {
-          std::vector<Polynomial<F>> polys;
+          PolyBlock<F> polys;
           if (io.id() == dealer) {
-            for (unsigned j = 0; j < m_total; ++j) {
-              polys.push_back(Polynomial<F>::random(t, io.rng()));
-            }
+            polys = PolyBlock<F>::random(m_total, t, io.rng());
           }
           (void)bit_gen_single<F>(io, dealer, m_total, t, polys,
                                   genesis[io.id()][dealer],
@@ -212,10 +207,7 @@ void ablation_blinding() {
       auto genesis = trusted_dealer_coins<F>(n, t, 1, 950 + m);
       Cluster cluster(n, t, 950 + m);
       cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-        std::vector<Polynomial<F>> polys;
-        for (unsigned j = 0; j < m_total; ++j) {
-          polys.push_back(Polynomial<F>::random(t, io.rng()));
-        }
+        const auto polys = PolyBlock<F>::random(m_total, t, io.rng());
         (void)bit_gen_all<F>(io, polys, m_total, t, genesis[io.id()][0]);
       }));
       table.row({blinded ? "blinded (library default)" : "unblinded (Fig. 4 literal)",

@@ -32,16 +32,13 @@ struct Row {
 Row measure(int n, int t, unsigned m, std::uint64_t seed) {
   auto coins = trusted_dealer_coins<F>(n, t, 1, seed);
   Chacha dealer_rng(seed, 777);
-  std::vector<Polynomial<F>> polys;
-  for (unsigned j = 0; j < m; ++j) {
-    polys.push_back(Polynomial<F>::random(t, dealer_rng));
-  }
+  const auto polys = PolyBlock<F>::random(m, t, dealer_rng);
+  const PolyBlock<F> none;  // non-dealers pass an empty block
   Cluster cluster(n, t, seed);
   const auto start = std::chrono::steady_clock::now();
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
-    (void)bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
+    (void)bit_gen_single<F>(io, 0, m, t, io.id() == 0 ? polys : none,
+                            coins[io.id()][0]);
   }));
   const auto stop = std::chrono::steady_clock::now();
   Row row{cluster.per_player_field_ops()[1], cluster.comm(),

@@ -34,14 +34,15 @@ int main() {
     if (plant_bad) {
       polys[kSecrets / 2] = Polynomial<F>::random(t + 3, dealer_rng);
     }
+    const auto block = PolyBlock<F>::from_polys(polys);
+    const PolyBlock<F> none;  // non-dealers pass an empty block
     bool accepted = false;
     std::uint64_t interpolations = 0;
     Cluster cluster(n, t, seed);
     cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-      std::span<const Polynomial<F>> mine;
-      if (io.id() == 0) mine = polys;
-      const auto out =
-          batch_vss<F>(io, 0, t, kSecrets, mine, coins[io.id()][0]);
+      const auto out = batch_vss<F>(io, 0, t, kSecrets,
+                                    io.id() == 0 ? block : none,
+                                    coins[io.id()][0]);
       if (io.id() == 1) accepted = out.accepted;
     }));
     interpolations = cluster.per_player_field_ops()[1].interpolations;

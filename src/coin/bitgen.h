@@ -121,11 +121,11 @@ std::optional<std::vector<std::optional<F>>> decode_combo_batch(
 
 // Single-dealer Bit-Gen, exactly Fig. 4 (used standalone by tests and the
 // E6 benchmark). The dealer passes its M_total polynomials; everyone else
-// passes an empty span. Consumes 2 rounds.
+// passes an empty block. Consumes 2 rounds.
 template <FiniteField F, NetEndpoint Io>
 BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
                              unsigned t,
-                             std::span<const Polynomial<F>> dealer_polys,
+                             const PolyBlock<F>& dealer_polys,
                              const SealedCoin<F>& challenge_coin,
                              unsigned instance = 0) {
   const std::uint32_t row_tag = make_tag(ProtoId::kBitGen, instance, 0);
@@ -142,7 +142,7 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(m_total * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(i, row_tag, std::move(w).take());
       }
     }
@@ -196,9 +196,9 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
 // All n Bit-Gen instances in parallel with one shared challenge coin
 // (Fig. 5 steps 1-3: "Participate in all invocations of Bit-Gen_j ...
 // using the same coin r for all invocations"). Each player deals the
-// polynomials in `my_polys` (size M_total). Combination shares for all n
-// instances are batched into a single message per recipient, giving the
-// n^2 messages of size kn of Theorem 2. Consumes 2 rounds.
+// polynomials in the block `my_polys` (size M_total). Combination shares
+// for all n instances are batched into a single message per recipient,
+// giving the n^2 messages of size kn of Theorem 2. Consumes 2 rounds.
 template <FiniteField F>
 struct BitGenAllOutcome {
   std::optional<F> challenge;
@@ -207,7 +207,7 @@ struct BitGenAllOutcome {
 
 template <FiniteField F, NetEndpoint Io>
 BitGenAllOutcome<F> bit_gen_all(Io& io,
-                                std::span<const Polynomial<F>> my_polys,
+                                const PolyBlock<F>& my_polys,
                                 unsigned m_total, unsigned t,
                                 const SealedCoin<F>& challenge_coin,
                                 unsigned instance = 0) {
@@ -224,7 +224,7 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
     for (int i = 0; i < n; ++i) {
       eval_polys_block<F>(my_polys, eval_point<F>(i), vals);
       ByteWriter w(m_total * F::kBytes);
-      for (const F& v : vals) write_elem(w, v);
+      write_elem_row<F>(w, vals);
       io.send(i, row_tag, std::move(w).take());
     }
   }

@@ -175,11 +175,7 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
   const SealedCoin<F> challenge = pool.take();
   ++result.seed_coins_used;
   TraceSpan deal_span(io, "coin-gen", "deal");
-  std::vector<Polynomial<F>> my_polys;
-  my_polys.reserve(m_total);
-  for (unsigned j = 0; j < m_total; ++j) {
-    my_polys.push_back(Polynomial<F>::random(t, io.rng()));
-  }
+  const auto my_polys = PolyBlock<F>::random(m_total, t, io.rng());
   auto bg = bit_gen_all<F>(io, my_polys, m_total, t, challenge,
                            /*instance=*/0);
   deal_span.close();

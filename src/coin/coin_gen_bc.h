@@ -69,11 +69,7 @@ BcCoinGenResult<F> coin_gen_broadcast(Io& io, unsigned m,
   DPRBG_CHECK(io.n() >= static_cast<int>(3 * t + 1));
   const unsigned m_total = m + 1;  // index 0: blinding polynomial
 
-  std::vector<Polynomial<F>> my_polys;
-  my_polys.reserve(m_total);
-  for (unsigned j = 0; j < m_total; ++j) {
-    my_polys.push_back(Polynomial<F>::random(t, io.rng()));
-  }
+  const auto my_polys = PolyBlock<F>::random(m_total, t, io.rng());
   const auto bg =
       bit_gen_all<F>(io, my_polys, m_total, t, challenge_coin, instance);
 

@@ -4,11 +4,6 @@
 
 namespace dprbg {
 
-FieldCounters& field_counters() noexcept {
-  thread_local FieldCounters counters;
-  return counters;
-}
-
 std::string to_string(const FieldCounters& c) {
   std::ostringstream os;
   os << "adds=" << c.adds << " muls=" << c.muls << " invs=" << c.invs

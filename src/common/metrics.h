@@ -36,11 +36,20 @@ struct FieldCounters {
   }
 };
 
-// Access the calling thread's counters.
-FieldCounters& field_counters() noexcept;
+namespace metrics_detail {
+// The calling thread's counters. constinit (zero, no dynamic
+// initializer) lets every translation unit address the variable directly,
+// without the thread_local init wrapper call.
+inline constinit thread_local FieldCounters tls_field_counters{};
+}  // namespace metrics_detail
 
-// Convenience hooks used by the field implementations. Kept out-of-line
-// cheap: a thread_local increment.
+// Access the calling thread's counters.
+inline FieldCounters& field_counters() noexcept {
+  return metrics_detail::tls_field_counters;
+}
+
+// Convenience hooks used by the field implementations: each is inline and
+// compiles to a single thread-local increment.
 inline void count_add() noexcept { ++field_counters().adds; }
 inline void count_mul() noexcept { ++field_counters().muls; }
 inline void count_inv() noexcept { ++field_counters().invs; }

@@ -37,6 +37,14 @@ class ByteWriter {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
+  // Grows the buffer by `n` zero bytes in one step and returns them for
+  // the caller to fill (bulk encoders: one resize, then memcpy or stores).
+  std::span<std::uint8_t> extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return std::span<std::uint8_t>(buf_).subspan(at);
+  }
+
   // Canonical unsigned varint (wire v1 integer encoding, common/varint.h).
   void uvarint(std::uint64_t v) { append_varint(buf_, v); }
 

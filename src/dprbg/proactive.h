@@ -46,13 +46,18 @@
 
 namespace dprbg {
 
-// A uniformly random degree-<=t polynomial with zero constant term:
-// x * g(x) for uniform g of degree <= t-1.
+// `count` uniformly random degree-<=t polynomials with zero constant
+// term: x * g(x) for uniform g of degree <= t-1, drawn one polynomial
+// after another.
 template <FiniteField F>
-Polynomial<F> random_zero_secret(unsigned t, Chacha& rng) {
-  std::vector<F> coeffs(t + 1, F::zero());
-  for (unsigned i = 1; i <= t; ++i) coeffs[i] = random_element<F>(rng);
-  return Polynomial<F>{std::move(coeffs)};
+PolyBlock<F> random_zero_secrets(std::size_t count, unsigned t,
+                                 Chacha& rng) {
+  PolyBlock<F> block(count, t);
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::span<F> c = block.coeffs(j);
+    for (unsigned i = 1; i <= t; ++i) c[i] = random_element<F>(rng);
+  }
+  return block;
 }
 
 template <FiniteField F>
@@ -80,11 +85,7 @@ RefreshResult<F> proactive_refresh(Io& io,
   const unsigned m = static_cast<unsigned>(coins.size());
   const unsigned m_total = m + 1;  // zero-secret blinder at index 0
 
-  std::vector<Polynomial<F>> my_polys;
-  my_polys.reserve(m_total);
-  for (unsigned j = 0; j < m_total; ++j) {
-    my_polys.push_back(random_zero_secret<F>(t, io.rng()));
-  }
+  const auto my_polys = random_zero_secrets<F>(m_total, t, io.rng());
   const auto bg =
       bit_gen_all<F>(io, my_polys, m_total, t, challenge_coin, instance);
 
@@ -220,19 +221,19 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
     bool holds_all = old_side;
     for (const auto& c : coins) holds_all = holds_all && c.share.has_value();
     if (holds_all) {
-      std::vector<Polynomial<F>> polys;
-      polys.reserve(m_total);
-      polys.push_back(Polynomial<F>::random(t_new, io.rng()));
-      for (const auto& c : coins) {
-        polys.push_back(
-            Polynomial<F>::random_with_secret(*c.share, t_new, io.rng()));
+      // Blinder at index 0, then one polynomial per coin whose constant
+      // term is overwritten with this dealer's share (the draws of
+      // Polynomial::random_with_secret, in the same order).
+      auto polys = PolyBlock<F>::random(m_total, t_new, io.rng());
+      for (unsigned h = 0; h < m; ++h) {
+        polys.coeffs(h + 1)[0] = *coins[h].share;
       }
       ArenaScope scope(scratch_arena());
       ScratchVec<F> vals(scope, m_total);
       for (int j = 0; j < n_new; ++j) {
         eval_polys_block<F>(polys, eval_point<F>(j), vals);
         ByteWriter w(m_total * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(n_old + j, row_tag, std::move(w).take());
       }
     }

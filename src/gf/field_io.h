@@ -6,14 +6,27 @@
 
 #pragma once
 
+#include <bit>
+#include <cstring>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/serial.h"
 #include "gf/field_concept.h"
 
 namespace dprbg {
+
+// True when a row of F elements in memory already is its wire encoding:
+// 8-byte elements held as one little-endian uint64_t in which every bit
+// pattern is a valid element (kBits == 64, so from_uint masks nothing).
+// GF2_64 — the protocol field — qualifies on little-endian hosts; its
+// share rows then encode and decode with a single memcpy.
+template <FiniteField F>
+inline constexpr bool kRowIsWireLayout =
+    std::endian::native == std::endian::little && F::kBytes == 8 &&
+    F::kBits == 64 && sizeof(F) == 8 && std::is_trivially_copyable_v<F>;
 
 template <FiniteField F>
 void write_elem(ByteWriter& w, F e) {
@@ -32,6 +45,24 @@ F read_elem(ByteReader& r) {
   return F::from_uint(v);
 }
 
+// Appends a whole row of elements: the same bytes as write_elem per
+// element, with the writer extended once.
+template <FiniteField F>
+void write_elem_row(ByteWriter& w, std::span<const F> row) {
+  const std::span<std::uint8_t> out = w.extend(row.size() * F::kBytes);
+  if constexpr (kRowIsWireLayout<F>) {
+    if (!row.empty()) std::memcpy(out.data(), row.data(), out.size());
+  } else {
+    std::uint8_t* p = out.data();
+    for (const F& e : row) {
+      const std::uint64_t v = e.to_uint();
+      for (unsigned i = 0; i < F::kBytes; ++i) {
+        *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+}
+
 // Decodes an untrusted buffer as exactly `count` field elements — the
 // only shape an honest sender produces for a share row. The size is
 // validated before any allocation, so a Byzantine body can neither
@@ -40,10 +71,13 @@ template <FiniteField F>
 std::optional<std::vector<F>> decode_elem_row(
     std::span<const std::uint8_t> bytes, std::size_t count) {
   if (bytes.size() != count * F::kBytes) return std::nullopt;
-  ByteReader r(bytes);
-  std::vector<F> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(read_elem<F>(r));
+  std::vector<F> out(count);
+  if constexpr (kRowIsWireLayout<F>) {
+    if (count != 0) std::memcpy(out.data(), bytes.data(), bytes.size());
+  } else {
+    ByteReader r(bytes);
+    for (F& e : out) e = read_elem<F>(r);
+  }
   return out;
 }
 

@@ -1,8 +1,11 @@
 // GF(2^m) for m <= 64, with the two multiplication strategies the paper
 // discusses in Section 2:
 //
-//  * naive shift-and-XOR ("naive multiplication in a field of size 2^k
-//    takes O(k^2) steps"), used for m > 16, and
+//  * carry-less multiply plus reduction ("naive multiplication in a field
+//    of size 2^k takes O(k^2) steps"), used for m > 16: hardware PCLMUL
+//    when the CPU has it (gf2_clmul.h; a fixed two-fold reduction for the
+//    protocol field GF(2^64), a fold loop for 16 < m < 64), else the
+//    shift-and-XOR loop `clmul_reduce`, and
 //  * log/antilog tables for m <= 16, which is the regime where the paper
 //    notes that "when k is small, working over GF(2^k) with the naive
 //    O(k^2) multiplication is faster than working over our special field".
@@ -216,7 +219,11 @@ class GF2 {
       // Hardware PCLMUL when available (gf2_clmul.h); bit-for-bit the
       // same canonical remainder as the software loop, ~20x faster.
       if (gf2_detail::clmul_hw) {
-        return gf2_detail::clmul_hw_mul(a, b, M, gf2_detail::modulus<M>());
+        if constexpr (M == 64) {
+          return gf2_detail::clmul_hw_mul64(a, b);
+        } else {
+          return gf2_detail::clmul_hw_mul(a, b, M, gf2_detail::modulus<M>());
+        }
       }
       return gf2_detail::clmul_reduce<M>(a, b);
     }

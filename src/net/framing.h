@@ -170,20 +170,34 @@ struct RoundFrame {
   std::vector<Msg> msgs;  // in send order; every Msg targets the receiver
 };
 
+// Encodes one whole kRound wire frame — the frame_bytes prefix followed
+// by the payload above — into one buffer of exactly the frame's size, so
+// a bundle carrying a ~32 KB share row is copied once, not once more to
+// prefix it. decode_round_frame takes the bytes after the prefix.
 [[nodiscard]] inline std::vector<std::uint8_t> encode_round_frame(
     std::uint32_t stream, std::uint64_t round, std::span<const Msg> msgs,
     WireVersion wire) {
-  ByteWriter w;
-  w.uvarint(stream);
-  w.uvarint(round);
-  w.uvarint(msgs.size());
-  for (const Msg& m : msgs) {
+  const auto header = [](const Msg& m) {
     EnvelopeHeader h;
     h.from = static_cast<std::uint32_t>(m.from);
     h.tag = m.tag;
     h.batch = m.batch;
     h.body_len = static_cast<std::uint32_t>(m.body.size());
-    encode_envelope_header(w, h, wire);
+    return h;
+  };
+  std::size_t payload =
+      varint_size(stream) + varint_size(round) + varint_size(msgs.size());
+  for (const Msg& m : msgs) {
+    payload += envelope_header_bytes(header(m), wire) + m.body.size();
+  }
+  ByteWriter w(kTcpFramePrefixBytes + payload);
+  w.u32(static_cast<std::uint32_t>(1 + payload));
+  w.u8(static_cast<std::uint8_t>(FrameType::kRound));
+  w.uvarint(stream);
+  w.uvarint(round);
+  w.uvarint(msgs.size());
+  for (const Msg& m : msgs) {
+    encode_envelope_header(w, header(m), wire);
     w.bytes(m.body);
   }
   return std::move(w).take();

@@ -717,10 +717,8 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   bool wake = false;
   for (int j = 0; j < n_; ++j) {
     if (j == id_ || departed[static_cast<std::size_t>(j)] != 0) continue;
-    const auto payload = encode_round_frame(
-        stream, round, outgoing[static_cast<std::size_t>(j)], wv);
-    wake |= peers_[static_cast<std::size_t>(j)]->send(
-        frame_bytes(FrameType::kRound, payload));
+    wake |= peers_[static_cast<std::size_t>(j)]->send(encode_round_frame(
+        stream, round, outgoing[static_cast<std::size_t>(j)], wv));
   }
   if (wake) wake_reactor();
 

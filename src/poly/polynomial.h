@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -134,38 +135,111 @@ class Polynomial {
   std::vector<F> coeffs_;
 };
 
-// Evaluate a whole batch of polynomials at one point in a blocked SoA
-// pass: out[j] = polys[j](x). The dealer's distribution step evaluates
-// all M+1 sharing polynomials per recipient; walking them in a register
-// tile keeps the accumulators hot instead of re-running M independent
-// Horner loops. Each polynomial's own Horner sequence (acc = acc*x + c_i
-// from the top coefficient down) is replayed verbatim, so outputs and
-// add/mul counts are identical to calling polys[j](x) in a loop — the
-// trace budgets can't tell the difference (tests/block_kernels_test.cpp
-// asserts both).
+// A dealer's whole batch of sharing polynomials in one contiguous block:
+// size() polynomials of stride() = deg + 1 coefficients each, polynomial j
+// low-degree-first at [j * stride, (j + 1) * stride). One allocation holds
+// the (M+1)(t+1) coefficients a Coin-Gen dealer draws per batch, where a
+// vector of Polynomial would hold M+1 separate ones.
+//
+// Coefficients are not trimmed: a zero top coefficient stays in place, and
+// trimmed_len(j) is the length Polynomial would keep. eval_polys_block
+// honours it, so evaluation costs exactly what the trimmed Polynomial's
+// Horner loop costs.
 template <FiniteField F>
-void eval_polys_block(std::span<const Polynomial<F>> polys, F x,
-                      std::span<F> out) {
+class PolyBlock {
+ public:
+  PolyBlock() = default;
+  // `count` zero polynomials of degree <= deg.
+  PolyBlock(std::size_t count, unsigned deg)
+      : count_(count), stride_(std::size_t{deg} + 1),
+        coeffs_(count * stride_, F::zero()) {}
+
+  // `count` uniformly random polynomials of degree <= deg. Coefficients
+  // are drawn in exactly the order of `count` successive
+  // Polynomial::random(deg, rng) calls, so the block equals those
+  // polynomials and leaves `rng` in the same state.
+  static PolyBlock random(std::size_t count, unsigned deg, Chacha& rng) {
+    PolyBlock b(count, deg);
+    for (F& c : b.coeffs_) c = random_element<F>(rng);
+    return b;
+  }
+
+  // The block holding `polys`, with the stride of the longest one (at
+  // least 1). Lets callers that build polynomials one by one — tests,
+  // cheating dealers of degree > t — use the block kernels.
+  static PolyBlock from_polys(std::span<const Polynomial<F>> polys) {
+    std::size_t len = 1;
+    for (const auto& p : polys) len = std::max(len, p.coeffs().size());
+    PolyBlock b(polys.size(), static_cast<unsigned>(len - 1));
+    for (std::size_t j = 0; j < polys.size(); ++j) {
+      std::copy(polys[j].coeffs().begin(), polys[j].coeffs().end(),
+                b.coeffs(j).begin());
+    }
+    return b;
+  }
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t stride() const { return stride_; }
+
+  [[nodiscard]] std::span<F> coeffs(std::size_t j) {
+    return std::span<F>(coeffs_).subspan(j * stride_, stride_);
+  }
+  [[nodiscard]] std::span<const F> coeffs(std::size_t j) const {
+    return std::span<const F>(coeffs_).subspan(j * stride_, stride_);
+  }
+
+  // Length of polynomial j without its zero top coefficients.
+  [[nodiscard]] std::size_t trimmed_len(std::size_t j) const {
+    const F* c = coeffs_.data() + j * stride_;
+    std::size_t len = stride_;
+    while (len > 0 && c[len - 1].is_zero()) --len;
+    return len;
+  }
+
+  [[nodiscard]] Polynomial<F> poly(std::size_t j) const {
+    const auto c = coeffs(j);
+    return Polynomial<F>{std::vector<F>(c.begin(), c.end())};
+  }
+
+ private:
+  std::size_t count_ = 0;
+  std::size_t stride_ = 0;
+  std::vector<F> coeffs_;
+};
+
+// Evaluate a whole batch of polynomials at one point in a blocked SoA
+// pass: out[j] = polys.poly(j)(x). The dealer's distribution step
+// evaluates all M+1 sharing polynomials per recipient; walking them in a
+// register tile keeps the accumulators hot instead of re-running M
+// independent Horner loops. Each polynomial's own Horner sequence
+// (acc = acc*x + c_i from its top nonzero coefficient down) is replayed
+// verbatim, so outputs and add/mul counts are identical to evaluating the
+// trimmed polynomials in a loop — the trace budgets can't tell the
+// difference (tests/block_kernels_test.cpp asserts both).
+template <FiniteField F>
+void eval_polys_block(const PolyBlock<F>& polys, F x, std::span<F> out) {
   DPRBG_CHECK(out.size() == polys.size());
   constexpr std::size_t kTile = 32;
   F acc[kTile];
+  const F* rows[kTile];
+  std::size_t len[kTile];
   for (std::size_t p0 = 0; p0 < polys.size(); p0 += kTile) {
     const std::size_t tile = std::min(kTile, polys.size() - p0);
     std::size_t max_len = 0;
     for (std::size_t t = 0; t < tile; ++t) {
       acc[t] = F::zero();
-      max_len = std::max(max_len, polys[p0 + t].coeffs().size());
+      rows[t] = polys.coeffs(p0 + t).data();
+      len[t] = polys.trimmed_len(p0 + t);
+      max_len = std::max(max_len, len[t]);
     }
-    // Polynomials are trimmed, so lengths can be ragged within a tile;
-    // each engages once the column index enters its coefficient range
-    // (a zero accumulator times x plus the top coefficient is exactly
-    // where its own Horner loop starts... except the ops before that
-    // point must not run at all to keep counts identical, hence the
-    // length guard).
+    // Trimmed lengths can be ragged within a tile; each polynomial
+    // engages once the column index enters its trimmed range. The ops a
+    // shorter one would do before that point (zero accumulator times x
+    // plus a zero coefficient) must not run at all to keep counts
+    // identical, hence the length guard.
     for (std::size_t j = max_len; j-- > 0;) {
       for (std::size_t t = 0; t < tile; ++t) {
-        const auto& c = polys[p0 + t].coeffs();
-        if (j < c.size()) acc[t] = acc[t] * x + c[j];
+        if (j < len[t]) acc[t] = acc[t] * x + rows[t][j];
       }
     }
     for (std::size_t t = 0; t < tile; ++t) out[p0 + t] = acc[t];

@@ -65,12 +65,12 @@ struct BatchVssOutcome {
 
 // Distribution (1 round) + challenge exposure (1 round) + combination
 // broadcast and local decision (1 round). The dealer passes its M
-// polynomials; everyone else passes an empty span. `expected_m` is the
+// polynomials; everyone else passes an empty block. `expected_m` is the
 // publicly known batch size M.
 template <FiniteField F, NetEndpoint Io>
 BatchVssOutcome<F> batch_vss(
     Io& io, int dealer, unsigned t, unsigned expected_m,
-    std::span<const Polynomial<F>> dealer_polys,
+    const PolyBlock<F>& dealer_polys,
     const SealedCoin<F>& challenge_coin, unsigned instance = 0) {
   const std::uint32_t share_tag = make_tag(ProtoId::kBatchVss, instance, 0);
   const std::uint32_t combo_tag = make_tag(ProtoId::kBatchVss, instance, 2);
@@ -88,7 +88,7 @@ BatchVssOutcome<F> batch_vss(
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(expected_m * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(i, share_tag, std::move(w).take());
       }
     }

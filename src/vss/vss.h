@@ -23,9 +23,7 @@
 
 #pragma once
 
-#include <array>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/trace.h"
@@ -71,15 +69,13 @@ VssOutcome<F> vss_share_and_verify(
     TraceSpan deal(io, "vss", "deal");
     if (io.id() == dealer) {
       DPRBG_CHECK(dealer_poly.has_value());
-      const std::array<Polynomial<F>, 2> fg{
-          *dealer_poly, Polynomial<F>::random(t, io.rng())};
-      std::array<F, 2> vals;
+      const Polynomial<F>& f = *dealer_poly;
+      const Polynomial<F> g = Polynomial<F>::random(t, io.rng());
       for (int i = 0; i < n; ++i) {
-        eval_polys_block<F>(std::span<const Polynomial<F>>(fg),
-                            eval_point<F>(i), vals);
+        const F x = eval_point<F>(i);
         ByteWriter w(2 * F::kBytes);
-        write_elem(w, vals[0]);
-        write_elem(w, vals[1]);
+        write_elem(w, f(x));
+        write_elem(w, g(x));
         io.send(i, share_tag, std::move(w).take());
       }
     }

@@ -131,10 +131,7 @@ TEST(AdversaryLibTest, CoinGenDealerCrashesMidProtocol) {
     for (auto& c : genesis[io.id()]) pool.add(std::move(c));
     const SealedCoin<F> challenge = pool.take();
     const unsigned m_total = m + 1;
-    std::vector<Polynomial<F>> my_polys;
-    for (unsigned j = 0; j < m_total; ++j) {
-      my_polys.push_back(Polynomial<F>::random(t, io.rng()));
-    }
+    const auto my_polys = PolyBlock<F>::random(m_total, t, io.rng());
     bit_gen_all<F>(io, my_polys, m_total, t, challenge, /*instance=*/0);
     // ...and crash here, before grade_cast_all.
   }};

@@ -32,8 +32,8 @@ std::vector<std::optional<BatchVssOutcome<F>>> run_batch(
   std::vector<std::optional<BatchVssOutcome<F>>> outcomes(n);
   Cluster cluster(n, t, seed);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     outcomes[io.id()] =
         batch_vss<F>(io, 0, t, m, mine, coins[io.id()][0]);
   }));
@@ -106,8 +106,8 @@ TEST(BatchVssTest, CommunicationIndependentOfM) {
     auto coins = trusted_dealer_coins<F>(7, 2, 1, 80 + m);
     Cluster cluster(7, 2, 80 + m);
     cluster.run(std::vector<Cluster::Program>(7, [&](PartyIo& io) {
-      std::span<const Polynomial<F>> mine;
-      if (io.id() == 0) mine = polys;
+      PolyBlock<F> mine;
+      if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
       (void)batch_vss<F>(io, 0, 2, m, mine, coins[io.id()][0]);
     }));
     return cluster.comm();
@@ -127,8 +127,8 @@ TEST(BatchVssTest, InterpolationCountIndependentOfM) {
   auto coins = trusted_dealer_coins<F>(7, 2, 1, 90);
   Cluster cluster(7, 2, 90);
   cluster.run(std::vector<Cluster::Program>(7, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     (void)batch_vss<F>(io, 0, 2, m, mine, coins[io.id()][0]);
   }));
   for (int i = 0; i < 7; ++i) {

@@ -35,8 +35,8 @@ TEST(BitGenTest, HonestDealerAcceptedByAll) {
   std::vector<BitGenView<F>> views(n);
   Cluster cluster(n, t, 1);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     views[io.id()] =
         bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
   }));
@@ -59,8 +59,8 @@ TEST(BitGenTest, DecodedPolynomialIsChallengeCombination) {
   std::vector<F> challenges(n);
   Cluster cluster(n, t, 2);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     views[io.id()] =
         bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
   }));
@@ -96,8 +96,8 @@ TEST(BitGenTest, OverDegreeDealerRejected) {
     std::vector<BitGenView<F>> views(n);
     Cluster cluster(n, t, 10 + bad);
     cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-      std::span<const Polynomial<F>> mine;
-      if (io.id() == 0) mine = polys;
+      PolyBlock<F> mine;
+      if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
       views[io.id()] =
           bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
     }));
@@ -133,8 +133,8 @@ TEST(BitGenTest, ByzantineCombinersDoNotSpoilHonestDealer) {
   Cluster cluster(n, t, 30);
   cluster.run(
       [&](PartyIo& io) {
-        std::span<const Polynomial<F>> mine;
-        if (io.id() == 0) mine = polys;
+        PolyBlock<F> mine;
+        if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
         views[io.id()] =
             bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
       },
@@ -160,10 +160,7 @@ TEST(BitGenTest, AllDealersParallelAllAccepted) {
   std::vector<BitGenAllOutcome<F>> outcomes(n);
   Cluster cluster(n, t, 40);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::vector<Polynomial<F>> mine;
-    for (unsigned j = 0; j < m_total; ++j) {
-      mine.push_back(Polynomial<F>::random(t, io.rng()));
-    }
+    const auto mine = PolyBlock<F>::random(m_total, t, io.rng());
     outcomes[io.id()] =
         bit_gen_all<F>(io, mine, m_total, t, coins[io.id()][0]);
   }));
@@ -185,10 +182,7 @@ TEST(BitGenTest, AllDealersSameDecodedPolynomials) {
   std::vector<BitGenAllOutcome<F>> outcomes(n);
   Cluster cluster(n, t, 41);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::vector<Polynomial<F>> mine;
-    for (unsigned j = 0; j < 3; ++j) {
-      mine.push_back(Polynomial<F>::random(t, io.rng()));
-    }
+    const auto mine = PolyBlock<F>::random(3, t, io.rng());
     outcomes[io.id()] = bit_gen_all<F>(io, mine, 3, t, coins[io.id()][0]);
   }));
   for (int dealer = 0; dealer < n; ++dealer) {
@@ -209,8 +203,8 @@ TEST(BitGenTest, InterpolationCountMatchesLemma6) {
   auto coins = trusted_dealer_coins<F>(n, t, 1, 50);
   Cluster cluster(n, t, 50);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     (void)bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
   }));
   for (int i = 0; i < n; ++i) {
@@ -227,10 +221,7 @@ TEST(BitGenTest, MessageVolumeMatchesTheorem2Shape) {
   auto coins = trusted_dealer_coins<F>(n, t, 1, 51);
   Cluster cluster(n, t, 51);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::vector<Polynomial<F>> mine;
-    for (unsigned j = 0; j < m_total; ++j) {
-      mine.push_back(Polynomial<F>::random(t, io.rng()));
-    }
+    const auto mine = PolyBlock<F>::random(m_total, t, io.rng());
     (void)bit_gen_all<F>(io, mine, m_total, t, coins[io.id()][0]);
   }));
   // 3 message groups of <= n^2 each (rows, coin shares, combos).

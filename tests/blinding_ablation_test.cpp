@@ -56,8 +56,8 @@ BatchRun run_batch(bool with_blinder, std::uint64_t seed) {
   BatchRun run;
   Cluster cluster(n, t, seed);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     auto view =
         bit_gen_single<F>(io, 0, m_total, t, mine, genesis[io.id()][0]);
     ASSERT_TRUE(view.accepted());

@@ -1,7 +1,8 @@
 // Blocked SoA kernel equivalence (poly/interpolate.h, poly/polynomial.h):
 // batch_combine_block / accumulate_rows_block / eval_polys_block must be
 // bit-for-bit equal to their scalar loops AND perform identical field op
-// counts (the Lemma 2/4/6/8 trace budgets depend on it);
+// counts (the Lemma 2/4/6/8 trace budgets depend on it); PolyBlock::random
+// must draw what Polynomial::random draws;
 // interpolate_at_block must be value-equal to per-column interpolate_at
 // (it is allowed — designed — to use fewer multiplications).
 
@@ -120,14 +121,78 @@ TYPED_TEST(BlockKernelsTest, EvalPolysBlockMatchesScalarExactly) {
     for (const auto& p : polys) expect.push_back(p(x));
     const FieldCounters scalar_ops = field_counters() - before_scalar;
 
+    const auto block = PolyBlock<F>::from_polys(polys);
     std::vector<F> got(polys.size());
     const FieldCounters before_block = field_counters();
-    eval_polys_block<F>(polys, x, got);
+    eval_polys_block<F>(block, x, got);
     const FieldCounters block_ops = field_counters() - before_block;
 
     ASSERT_EQ(got, expect) << "count=" << count;
     EXPECT_EQ(block_ops.adds, scalar_ops.adds);
     EXPECT_EQ(block_ops.muls, scalar_ops.muls);
+  }
+}
+
+// A dealer's block at protocol shape (degree t, untrimmed) with zero top
+// coefficients and zero secrets planted: the trimmed lengths go ragged
+// inside a tile, and evaluation must still equal the Polynomial Horner
+// loop in values and in FieldCounters deltas.
+TYPED_TEST(BlockKernelsTest, PolyBlockEvalMatchesPolynomialLoop) {
+  using F = TypeParam;
+  Chacha rng(606);
+  for (unsigned deg : {0u, 1u, 3u}) {
+    for (std::size_t count : {std::size_t{1}, std::size_t{33},
+                              std::size_t{70}}) {
+      auto block = PolyBlock<F>::random(count, deg, rng);
+      for (std::size_t j = 0; j < count; j += 3) {
+        block.coeffs(j)[deg] = F::zero();  // zero top coefficient
+      }
+      for (std::size_t j = 0; j < count; j += 5) {
+        block.coeffs(j)[0] = F::zero();  // zero secret
+      }
+      for (std::size_t j = 0; j < count; j += 7) {
+        for (F& c : block.coeffs(j)) c = F::zero();  // zero polynomial
+      }
+      for (const int point : {0, 1, 6}) {
+        const F x = eval_point<F>(point);
+        const FieldCounters before_scalar = field_counters();
+        std::vector<F> expect;
+        for (std::size_t j = 0; j < count; ++j) {
+          expect.push_back(block.poly(j)(x));
+        }
+        const FieldCounters scalar_ops = field_counters() - before_scalar;
+
+        std::vector<F> got(count);
+        const FieldCounters before_block = field_counters();
+        eval_polys_block<F>(block, x, got);
+        const FieldCounters block_ops = field_counters() - before_block;
+
+        ASSERT_EQ(got, expect) << "deg=" << deg << " count=" << count;
+        EXPECT_EQ(block_ops.adds, scalar_ops.adds) << "deg=" << deg;
+        EXPECT_EQ(block_ops.muls, scalar_ops.muls) << "deg=" << deg;
+      }
+    }
+  }
+}
+
+// PolyBlock::random is a drop-in for a loop of Polynomial::random calls:
+// same coefficients from one ChaCha stream, and the stream ends in the
+// same state.
+TYPED_TEST(BlockKernelsTest, PolyBlockRandomMatchesPolynomialRandom) {
+  using F = TypeParam;
+  for (unsigned deg : {0u, 1u, 2u, 5u}) {
+    const std::size_t count = 41;
+    Chacha block_rng(707, deg);
+    Chacha poly_rng(707, deg);
+    const auto block = PolyBlock<F>::random(count, deg, block_rng);
+    ASSERT_EQ(block.size(), count);
+    ASSERT_EQ(block.stride(), deg + 1);
+    for (std::size_t j = 0; j < count; ++j) {
+      const auto p = Polynomial<F>::random(deg, poly_rng);
+      EXPECT_EQ(block.poly(j), p) << "deg=" << deg << " j=" << j;
+      EXPECT_EQ(block.trimmed_len(j), p.coeffs().size());
+    }
+    EXPECT_EQ(block_rng.next_u64(), poly_rng.next_u64()) << "deg=" << deg;
   }
 }
 

@@ -275,11 +275,9 @@ TEST(ChaosSoakTest, BatchVssAcceptsWithHonestDealerUnderFaults) {
     std::vector<char> accepted(n);
     trial.cluster.run(
         [&](PartyIo& io) {
-          std::vector<Polynomial<F>> polys;
+          PolyBlock<F> polys;
           if (io.id() == dealer) {
-            for (unsigned j = 0; j < m; ++j) {
-              polys.push_back(Polynomial<F>::random(t, io.rng()));
-            }
+            polys = PolyBlock<F>::random(m, t, io.rng());
           }
           const auto out = batch_vss<F>(
               io, dealer, t, m, polys,
@@ -314,11 +312,9 @@ TEST(ChaosSoakTest, BitGenDecodesUnanimouslyUnderFaults) {
     std::vector<std::vector<std::uint64_t>> decoded(n);
     trial.cluster.run(
         [&](PartyIo& io) {
-          std::vector<Polynomial<F>> polys;
+          PolyBlock<F> polys;
           if (io.id() == dealer) {
-            for (unsigned j = 0; j < m_total; ++j) {
-              polys.push_back(Polynomial<F>::random(t, io.rng()));
-            }
+            polys = PolyBlock<F>::random(m_total, t, io.rng());
           }
           const auto view = bit_gen_single<F>(
               io, dealer, m_total, t, polys,

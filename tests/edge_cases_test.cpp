@@ -70,7 +70,7 @@ TEST(EdgeCaseTest, BatchVssWithM0IsVacuous) {
   std::vector<char> accepted(n, false);
   Cluster cluster(n, t, 4);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> none;
+    const PolyBlock<F> none;
     accepted[io.id()] =
         batch_vss<F>(io, 0, t, 0, none, coins[io.id()][0]).accepted;
   }));

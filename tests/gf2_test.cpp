@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gf/gf2.h"
+#include "gf/zq_simd.h"
 #include "rng/chacha.h"
 
 namespace dprbg {
@@ -150,9 +152,7 @@ template <unsigned M>
 void clmul_hw_differential(std::uint64_t seed) {
   if (!gf2_detail::clmul_hw) GTEST_SKIP() << "no hardware PCLMUL path";
   Chacha rng(seed);
-  const std::uint64_t mask = GF2<M>::kBits == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << M) - 1;
+  const std::uint64_t mask = (std::uint64_t{1} << M) - 1;
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t a = rng.next_u64() & mask;
     const std::uint64_t b = rng.next_u64() & mask;
@@ -177,7 +177,100 @@ TEST(Gf2ClmulHwTest, M32) { clmul_hw_differential<32>(32); }
 TEST(Gf2ClmulHwTest, M40) { clmul_hw_differential<40>(40); }
 TEST(Gf2ClmulHwTest, M48) { clmul_hw_differential<48>(48); }
 TEST(Gf2ClmulHwTest, M56) { clmul_hw_differential<56>(56); }
-TEST(Gf2ClmulHwTest, M64) { clmul_hw_differential<64>(64); }
+
+// GF(2^64) takes the fixed two-fold routine, not the loop above. It is
+// tested whenever the CPU has PCLMUL — also under DPRBG_FORCE_SCALAR,
+// which only stops gf2.h from dispatching to it. GF2_64's operator*, on
+// whichever path this process dispatches to, is checked the same way.
+
+// Software 64x64 -> 128-bit carry-less product, as (hi, lo).
+std::pair<std::uint64_t, std::uint64_t> clmul128(std::uint64_t a,
+                                                 std::uint64_t b) {
+  std::uint64_t hi = 0, lo = 0;
+  for (unsigned i = 0; i < 64; ++i) {
+    if ((b >> i) & 1u) {
+      lo ^= a << i;
+      if (i != 0) hi ^= a >> (64 - i);
+    }
+  }
+  return {hi, lo};
+}
+
+// True iff reducing a*b needs the second fold: the first fold's product
+// hi * (x^4+x^3+x+1) spills past x^64.
+bool second_fold_fires(std::uint64_t a, std::uint64_t b) {
+  return clmul128(clmul128(a, b).first, gf2_detail::modulus<64>()).first != 0;
+}
+
+std::vector<std::uint64_t> fold_edge_operands() {
+  return {0,
+          1,
+          2,
+          0x1B,
+          ~std::uint64_t{0},
+          std::uint64_t{1} << 63,
+          (std::uint64_t{1} << 63) | 1,
+          0xF000000000000000ull,
+          0xFFFFFFFF00000000ull,
+          0x8000000080000000ull,
+          0xAAAAAAAAAAAAAAAAull,
+          0x5555555555555555ull,
+          0xFEDCBA9876543210ull};
+}
+
+TEST(Gf2Clmul64Test, FixedFoldMatchesSoftwareOnFoldEdges) {
+  if (!simd::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
+  const auto ops = fold_edge_operands();
+  unsigned both_folds = 0;
+  for (const std::uint64_t a : ops) {
+    for (const std::uint64_t b : ops) {
+      ASSERT_EQ(gf2_detail::clmul_hw_mul64(a, b),
+                gf2_detail::clmul_reduce<64>(a, b))
+          << std::hex << "a=" << a << " b=" << b;
+      if (second_fold_fires(a, b)) ++both_folds;
+    }
+  }
+  // The edge set really exercises the second fold (top bits, all-ones).
+  EXPECT_TRUE(second_fold_fires(~std::uint64_t{0}, ~std::uint64_t{0}));
+  EXPECT_TRUE(
+      second_fold_fires(std::uint64_t{1} << 63, std::uint64_t{1} << 63));
+  EXPECT_GT(both_folds, 10u);
+  // Identities.
+  for (const std::uint64_t a : ops) {
+    EXPECT_EQ(gf2_detail::clmul_hw_mul64(a, 0), 0u);
+    EXPECT_EQ(gf2_detail::clmul_hw_mul64(0, a), 0u);
+    EXPECT_EQ(gf2_detail::clmul_hw_mul64(a, 1), a);
+    EXPECT_EQ(gf2_detail::clmul_hw_mul64(1, a), a);
+  }
+}
+
+TEST(Gf2Clmul64Test, DispatchedMultiplyMatchesSoftware) {
+  Chacha rng(64065);
+  std::vector<std::uint64_t> ops = fold_edge_operands();
+  for (int i = 0; i < 1000; ++i) ops.push_back(rng.next_u64());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::uint64_t a = ops[i];
+    const std::uint64_t b = ops[(i * 7 + 3) % ops.size()];
+    ASSERT_EQ((GF2_64::from_uint(a) * GF2_64::from_uint(b)).to_uint(),
+              gf2_detail::clmul_reduce<64>(a, b))
+        << std::hex << "a=" << a << " b=" << b
+        << " clmul_hw=" << gf2_detail::clmul_hw;
+  }
+}
+
+// 10^5 random pairs through the fixed two-fold routine that GF2_64's
+// operator* dispatches to when clmul_hw is set.
+TEST(Gf2ClmulHwTest, M64) {
+  if (!simd::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
+  Chacha rng(64064);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t a = rng.next_u64();
+    const std::uint64_t b = rng.next_u64();
+    ASSERT_EQ(gf2_detail::clmul_hw_mul64(a, b),
+              gf2_detail::clmul_reduce<64>(a, b))
+        << std::hex << "a=" << a << " b=" << b;
+  }
+}
 
 TEST(Gf2MetricsTest, OperationsAreCounted) {
   const FieldCounters before = field_counters();

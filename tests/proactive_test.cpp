@@ -19,10 +19,13 @@ using F = GF2_64;
 
 TEST(ProactiveTest, ZeroSecretPolynomialShape) {
   Chacha rng(1);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto p = random_zero_secret<F>(4, rng);
+  const auto block = random_zero_secrets<F>(50, 4, rng);
+  ASSERT_EQ(block.size(), 50u);
+  for (std::size_t j = 0; j < block.size(); ++j) {
+    const auto p = block.poly(j);
     EXPECT_TRUE(p(F::zero()).is_zero());
     EXPECT_LE(p.degree(), 4);
+    EXPECT_FALSE(p.is_zero());
   }
 }
 

@@ -80,8 +80,8 @@ TYPED_TEST(FieldGenericTest, BatchVssCatchesBadPolynomial) {
   std::vector<char> accepted(n, true);
   Cluster cluster(n, t, 3);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     accepted[io.id()] =
         batch_vss<F>(io, 0, t, 8, mine, coins[io.id()][0]).accepted;
   }));

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/serial.h"
@@ -105,6 +108,67 @@ TYPED_TEST(FieldIoTest, WireSizeMatchesSecurityParameter) {
   // A k-bit share costs ceil(k/8) bytes on the wire, matching the paper's
   // "messages of size k" accounting.
   EXPECT_EQ(TypeParam::kBytes, (TypeParam::kBits + 7) / 8);
+}
+
+// The memcpy row path is taken exactly for the 8-byte field on a
+// little-endian host; every narrower field keeps the byte loop.
+static_assert(kRowIsWireLayout<GF2_64> ==
+              (std::endian::native == std::endian::little));
+static_assert(!kRowIsWireLayout<GF2_8> && !kRowIsWireLayout<GF2_16> &&
+              !kRowIsWireLayout<GF2_32> && !kRowIsWireLayout<GF2<40>>);
+
+// write_elem_row emits the bytes of the per-element write_elem loop, and
+// decode_elem_row inverts it, on whichever path the field takes.
+TYPED_TEST(FieldIoTest, RowCodecMatchesPerElementLoop) {
+  using F = TypeParam;
+  Chacha rng(2);
+  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                            std::size_t{4097}}) {
+    std::vector<F> row(count);
+    for (auto& e : row) e = random_element<F>(rng);
+    if (count > 1) {
+      row[0] = F::zero();
+      row[1] = F::from_uint(~std::uint64_t{0});  // every bit of the field
+    }
+    ByteWriter loop;
+    loop.u8(0x5A);  // rows are appended after whatever is already written
+    for (const F& e : row) write_elem(loop, e);
+    ByteWriter bulk;
+    bulk.u8(0x5A);
+    write_elem_row<F>(bulk, row);
+    ASSERT_EQ(bulk.data(), loop.data()) << "count=" << count;
+
+    const std::span<const std::uint8_t> body =
+        std::span(bulk.data()).subspan(1);
+    const auto back = decode_elem_row<F>(body, count);
+    ASSERT_TRUE(back.has_value()) << "count=" << count;
+    EXPECT_EQ(*back, row);
+  }
+}
+
+TYPED_TEST(FieldIoTest, RowDecodeRejectsWrongLength) {
+  using F = TypeParam;
+  Chacha rng(3);
+  const std::size_t count = 9;
+  std::vector<F> row(count);
+  for (auto& e : row) e = random_element<F>(rng);
+  ByteWriter w;
+  write_elem_row<F>(w, row);
+  const std::vector<std::uint8_t>& bytes = w.data();
+  ASSERT_TRUE(decode_elem_row<F>(bytes, count).has_value());
+  // Short by one byte, short by one element, long by one byte.
+  EXPECT_FALSE(
+      decode_elem_row<F>(std::span(bytes).first(bytes.size() - 1), count));
+  EXPECT_FALSE(decode_elem_row<F>(
+      std::span(bytes).first(bytes.size() - F::kBytes), count));
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  EXPECT_FALSE(decode_elem_row<F>(longer, count));
+  // The right byte count for a different element count is rejected too.
+  EXPECT_FALSE(decode_elem_row<F>(bytes, count - 1));
+  EXPECT_FALSE(decode_elem_row<F>(bytes, count + 1));
+  EXPECT_FALSE(decode_elem_row<F>({}, 1));
+  EXPECT_TRUE(decode_elem_row<F>({}, 0).has_value());
 }
 
 TEST(FieldIoTest, TruncatedElementFails) {

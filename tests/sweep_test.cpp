@@ -46,8 +46,8 @@ TEST_P(BatchVssGrid, AcceptsGoodRejectsBad) {
   std::vector<char> accepted(n, false);
   Cluster cluster(n, t, seed);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    PolyBlock<F> mine;
+    if (io.id() == 0) mine = PolyBlock<F>::from_polys(polys);
     accepted[io.id()] =
         batch_vss<F>(io, 0, t, m, mine, coins[io.id()][0]).accepted;
   }));
@@ -89,8 +89,8 @@ TEST_P(BitGenGrid, EveryDealerPositionWorks) {
     std::vector<char> accepted(n, false);
     Cluster cluster(n, t, seed);
     cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-      std::span<const Polynomial<F>> mine;
-      if (io.id() == dealer) mine = polys;
+      PolyBlock<F> mine;
+      if (io.id() == dealer) mine = PolyBlock<F>::from_polys(polys);
       accepted[io.id()] = bit_gen_single<F>(io, dealer, m, t, mine,
                                             coins[io.id()][0])
                               .accepted();

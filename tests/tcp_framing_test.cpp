@@ -97,15 +97,34 @@ std::vector<Msg> sample_msgs(int from) {
   return msgs;
 }
 
+// encode_round_frame returns a whole wire frame; the decoder takes the
+// payload after the fixed prefix.
+std::span<const std::uint8_t> payload_of(
+    const std::vector<std::uint8_t>& frame) {
+  return std::span(frame).subspan(kTcpFramePrefixBytes);
+}
+
 class TcpFramingWireTest : public ::testing::TestWithParam<WireVersion> {};
+
+// The single-buffer round frame is byte-for-byte frame_bytes(kRound, .)
+// around its payload: same length prefix, same type byte.
+TEST_P(TcpFramingWireTest, RoundFrameEqualsFrameBytesOfItsPayload) {
+  const WireVersion wire = GetParam();
+  for (const auto& msgs : {sample_msgs(/*from=*/2), std::vector<Msg>{}}) {
+    const auto frame = encode_round_frame(/*stream=*/300, /*round=*/1u << 20,
+                                          msgs, wire);
+    ASSERT_GT(frame.size(), kTcpFramePrefixBytes);
+    EXPECT_EQ(frame, frame_bytes(FrameType::kRound, payload_of(frame)));
+  }
+}
 
 TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
   const WireVersion wire = GetParam();
   const auto msgs = sample_msgs(/*from=*/2);
-  const auto bytes =
+  const auto frame =
       encode_round_frame(/*stream=*/5, /*round=*/41, msgs, wire);
-  const auto back =
-      decode_round_frame(bytes, wire, /*expected_from=*/2, /*max_body=*/64);
+  const auto back = decode_round_frame(payload_of(frame), wire,
+                                       /*expected_from=*/2, /*max_body=*/64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 5u);
   EXPECT_EQ(back->round, 41u);
@@ -120,8 +139,8 @@ TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
 
 TEST_P(TcpFramingWireTest, EmptyRoundFrameIsABarrierMarker) {
   const WireVersion wire = GetParam();
-  const auto bytes = encode_round_frame(/*stream=*/0, /*round=*/0, {}, wire);
-  const auto back = decode_round_frame(bytes, wire, 1, 64);
+  const auto frame = encode_round_frame(/*stream=*/0, /*round=*/0, {}, wire);
+  const auto back = decode_round_frame(payload_of(frame), wire, 1, 64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 0u);
   EXPECT_EQ(back->round, 0u);
@@ -131,7 +150,9 @@ TEST_P(TcpFramingWireTest, EmptyRoundFrameIsABarrierMarker) {
 TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
   const WireVersion wire = GetParam();
   const auto msgs = sample_msgs(/*from=*/2);
-  const auto good = encode_round_frame(5, 41, msgs, wire);
+  const auto frame = encode_round_frame(5, 41, msgs, wire);
+  const std::vector<std::uint8_t> good(payload_of(frame).begin(),
+                                       payload_of(frame).end());
   ASSERT_TRUE(decode_round_frame(good, wire, 2, 64).has_value());
 
   // A sender id other than the handshaken peer fails the whole frame —

@@ -157,11 +157,9 @@ TEST_F(TraceBudgetTest, VssPerPhaseBudget) {
 TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
   const auto phases = trace_run([&](PartyIo& io) {
     auto pool = pool_for(io.id());
-    std::vector<Polynomial<F>> polys;
+    PolyBlock<F> polys;
     if (io.id() == 0) {
-      for (unsigned j = 0; j < kM; ++j) {
-        polys.push_back(Polynomial<F>::random(kT, io.rng()));
-      }
+      polys = PolyBlock<F>::random(kM, kT, io.rng());
     }
     const auto out =
         batch_vss<F>(io, /*dealer=*/0, kT, kM, polys, pool.take());
@@ -180,10 +178,7 @@ TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
 TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
   const auto phases = trace_run([&](PartyIo& io) {
     auto pool = pool_for(io.id());
-    std::vector<Polynomial<F>> polys;
-    for (unsigned j = 0; j < kM; ++j) {
-      polys.push_back(Polynomial<F>::random(kT, io.rng()));
-    }
+    const auto polys = PolyBlock<F>::random(kM, kT, io.rng());
     const auto out = bit_gen_all<F>(io, polys, kM, kT, pool.take());
     for (int dealer = 0; dealer < kN; ++dealer) {
       ASSERT_TRUE(out.views[dealer].accepted());

@@ -38,17 +38,22 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels) ==="
+echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels / gf2 / row codec) ==="
 # The SIMD-vs-scalar differentials in both dispatch modes: once with the
 # runtime dispatcher free to pick AVX2/PCLMUL, once with
 # DPRBG_FORCE_SCALAR=1 pinning every kernel to the portable path. The
 # force-scalar rerun is what certifies the scalar fallback actually runs
-# green on this host, not just that it exists.
+# green on this host, not just that it exists. gf2_test holds the
+# fixed-fold GF(2^64) multiply differential, block_kernels_test the
+# PolyBlock equivalences, serial_test the memcpy row codec.
 ./build/tests/zq_simd_test
 ./build/tests/block_kernels_test
+./build/tests/gf2_test
+./build/tests/serial_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/zq_simd_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/fft_field_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="

@@ -62,22 +62,15 @@ bool run_traced(const std::string& protocol, std::uint64_t seed) {
     program = [&](PartyIo& io) {
       CoinPool<F> pool;
       for (auto& c : genesis[io.id()]) pool.add(std::move(c));
-      std::vector<Polynomial<F>> polys;
-      if (io.id() == 0) {
-        for (unsigned j = 0; j < kM; ++j) {
-          polys.push_back(Polynomial<F>::random(kT, io.rng()));
-        }
-      }
+      PolyBlock<F> polys;
+      if (io.id() == 0) polys = PolyBlock<F>::random(kM, kT, io.rng());
       (void)batch_vss<F>(io, /*dealer=*/0, kT, kM, polys, pool.take());
     };
   } else if (protocol == "bitgen") {
     program = [&](PartyIo& io) {
       CoinPool<F> pool;
       for (auto& c : genesis[io.id()]) pool.add(std::move(c));
-      std::vector<Polynomial<F>> polys;
-      for (unsigned j = 0; j < kM; ++j) {
-        polys.push_back(Polynomial<F>::random(kT, io.rng()));
-      }
+      const auto polys = PolyBlock<F>::random(kM, kT, io.rng());
       (void)bit_gen_all<F>(io, polys, kM, kT, pool.take());
     };
   } else if (protocol == "coin-gen") {
