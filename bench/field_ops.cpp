@@ -34,8 +34,6 @@
 #include "gf/gf2.h"
 #include "gf/zq.h"
 #include "gf/zq_simd.h"
-#include "gradecast/gradecast.h"
-#include "net/msg.h"
 #include "poly/interpolate.h"
 #include "rng/chacha.h"
 
@@ -479,47 +477,5 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // Wire-format savings (deterministic byte arithmetic, no timing): the
-  // v1 varint framing vs the legacy v0 fixed-width framing, for the two
-  // places it bites — the per-envelope header and the Grade-Cast echo
-  // body, where v0 spends 5 bytes of overhead per sender against v1's 1
-  // byte for values under 127 bytes (GF(2^8)..GF(2^64) values are 1-8).
-  {
-    print_header("wire v0 vs v1: envelope + Grade-Cast echo bytes",
-                 "the versioned varint framing's dividend at small field "
-                 "values; v0 stays the default and golden-pinned");
-    Table wt({"n", "value_B", "echo_v0_B", "echo_v1_B", "hdr_v0_B",
-              "hdr_v1_B", "echo_savings_%"});
-    wt.context("table", "wire_savings");
-    for (const int n : {7, 13, 31}) {
-      for (const std::size_t value_size : {2u, 8u, 64u}) {
-        std::vector<gradecast_detail::MaybeValue> per_sender(
-            static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          // One absent slot (a silent sender) keeps the layout honest.
-          if (i == n - 1) continue;
-          per_sender[static_cast<std::size_t>(i)].emplace(value_size,
-                                                          0x5A);
-        }
-        const auto v0 = gradecast_detail::encode_echoes(
-            per_sender, WireVersion::kV0);
-        const auto v1 = gradecast_detail::encode_echoes(
-            per_sender, WireVersion::kV1);
-        EnvelopeHeader h;
-        h.from = static_cast<std::uint32_t>(n - 1);
-        h.tag = make_tag(ProtoId::kGradeCast, 1, 2);
-        h.batch = 3;
-        h.body_len = static_cast<std::uint32_t>(v1.size());
-        const std::size_t h0 = envelope_header_bytes(h, WireVersion::kV0);
-        const std::size_t h1 = envelope_header_bytes(h, WireVersion::kV1);
-        const double savings =
-            100.0 * (1.0 - static_cast<double>(v1.size() + h1) /
-                               static_cast<double>(v0.size() + h0));
-        wt.row({fmt(n), fmt(value_size), fmt(v0.size()), fmt(v1.size()),
-                fmt(h0), fmt(h1), fmt(savings)});
-      }
-    }
-    wt.print();
-  }
   return 0;
 }

@@ -1,4 +1,4 @@
-// libFuzzer entry point for the v0/v1 envelope header codec (net/msg.h).
+// libFuzzer entry point for the envelope header codec (net/msg.h).
 
 #include "fuzz/fuzz_targets.h"
 

@@ -1,5 +1,5 @@
 // libFuzzer entry point dispatching over every length-validated protocol
-// decoder (Grade-Cast echoes v0/v1, Coin-Gen clique messages, Bit-Gen
+// decoder (Grade-Cast echoes, Coin-Gen clique messages, Bit-Gen
 // combination batches, field-element rows, and the defensive ByteReader).
 
 #include "fuzz/fuzz_targets.h"

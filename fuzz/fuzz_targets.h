@@ -72,27 +72,22 @@ inline int varint_one(const std::uint8_t* data, std::size_t size) {
 
 // --- envelope header ------------------------------------------------------
 //
-// Both framings must decode arbitrary bytes cleanly; any accepted header
-// must re-encode to exactly the consumed bytes and agree with
+// Arbitrary bytes must decode cleanly; any accepted header must
+// re-encode to exactly the consumed bytes and agree with
 // envelope_header_bytes.
 inline int envelope_header_one(const std::uint8_t* data, std::size_t size) {
-  if (size == 0) return 0;
-  const WireVersion v =
-      (data[0] & 1) != 0 ? WireVersion::kV1 : WireVersion::kV0;
-  const std::span<const std::uint8_t> payload(data + 1, size - 1);
+  const std::span<const std::uint8_t> payload(data, size);
   ByteReader r(payload);
-  const auto h = decode_envelope_header(r, v);
+  const auto h = decode_envelope_header(r);
   if (h) {
     const std::size_t consumed = payload.size() - r.remaining();
     ByteWriter w;
-    encode_envelope_header(w, *h, v);
+    encode_envelope_header(w, *h);
     FUZZ_CHECK(w.size() == consumed);
-    FUZZ_CHECK(envelope_header_bytes(*h, v) == consumed);
+    FUZZ_CHECK(envelope_header_bytes(*h) == consumed);
     for (std::size_t i = 0; i < consumed; ++i) {
       FUZZ_CHECK(w.data()[i] == payload[i]);
     }
-    if (v == WireVersion::kV1) FUZZ_CHECK(h->flags == 0);
-    if (v == WireVersion::kV0) FUZZ_CHECK(consumed == kV0HeaderBytes);
     FUZZ_CHECK(unwire_tag(wire_tag(h->tag)) == h->tag);
   }
   return 0;
@@ -101,48 +96,38 @@ inline int envelope_header_one(const std::uint8_t* data, std::size_t size) {
 // --- protocol decoders ----------------------------------------------------
 //
 // One dispatching target over every length-validated protocol decoder:
-// the Grade-Cast echo batch (both wire versions), the Coin-Gen clique
-// message, the Bit-Gen combination batch, the field-element row, and the
-// defensive ByteReader itself. data[0] selects the decoder, data[1]
-// parameterizes it, the rest is the hostile body.
+// the Grade-Cast echo batch, the Coin-Gen clique message, the Bit-Gen
+// combination batch, the field-element row, and the defensive
+// ByteReader itself. data[0] selects the decoder, data[1] parameterizes
+// it, the rest is the hostile body.
 inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
   using F = GF2_64;
   if (size < 2) return 0;
-  const std::uint8_t sel = data[0] % 6;
+  const std::uint8_t sel = data[0] % 5;
   const std::uint8_t param = data[1];
   const std::vector<std::uint8_t> body(data + 2, data + size);
   constexpr std::size_t kMaxValue = 1u << 10;
   switch (sel) {
-    case 0:
-    case 1: {
-      const WireVersion wire = sel == 0 ? WireVersion::kV0 : WireVersion::kV1;
+    case 0: {
       const int n = 1 + param % 16;
       const auto decoded =
-          gradecast_detail::decode_echoes(body, n, kMaxValue, wire);
+          gradecast_detail::decode_echoes(body, n, kMaxValue);
       if (decoded) {
         FUZZ_CHECK(static_cast<int>(decoded->size()) == n);
-        std::size_t present = 0;
         for (const auto& v : *decoded) {
-          if (v) {
-            FUZZ_CHECK(v->size() <= kMaxValue);
-            ++present;
-          }
+          if (v) FUZZ_CHECK(v->size() <= kMaxValue);
         }
-        // v1 is canonical: re-encoding reproduces the exact bytes. (v0 is
-        // not — any nonzero flag byte means "present", and an absent
-        // entry may still carry ignored value bytes.)
-        if (wire == WireVersion::kV1) {
-          const auto re = gradecast_detail::encode_echoes(*decoded, wire);
-          FUZZ_CHECK(re.size() == body.size());
-          for (std::size_t i = 0; i < re.size(); ++i) {
-            FUZZ_CHECK(re[i] == body[i]);
-          }
+        // The layout is canonical: every accepted batch re-encodes to
+        // exactly the bytes it was decoded from.
+        const auto re = gradecast_detail::encode_echoes(*decoded);
+        FUZZ_CHECK(re.size() == body.size());
+        for (std::size_t i = 0; i < re.size(); ++i) {
+          FUZZ_CHECK(re[i] == body[i]);
         }
-        (void)present;
       }
       break;
     }
-    case 2: {
+    case 1: {
       const int n = 13;
       const unsigned t = 2;
       const auto msg = coin_gen_detail::decode_clique_msg<F>(body, n, t);
@@ -156,7 +141,7 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
       }
       break;
     }
-    case 3: {
+    case 2: {
       const int n = 7;
       const auto batch = bitgen_detail::decode_combo_batch<F>(body, n);
       // Shape-validated: accepted iff exactly n entries of 1 + kBytes.
@@ -164,14 +149,14 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
                  (body.size() == static_cast<std::size_t>(n) * (1 + F::kBytes)));
       break;
     }
-    case 4: {
+    case 3: {
       const std::size_t count = param % 9;
       const auto row = decode_elem_row<F>(body, count);
       FUZZ_CHECK(row.has_value() == (body.size() == count * F::kBytes));
       if (row) FUZZ_CHECK(row->size() == count);
       break;
     }
-    case 5: {
+    case 4: {
       // The defensive reader itself: arbitrary interleaved reads never
       // read out of bounds and fail permanently once failed.
       ByteReader r(body);

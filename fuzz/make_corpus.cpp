@@ -3,9 +3,9 @@
 //   make_corpus <corpus-root>
 //
 // Seeds are deterministic: boundary varints, valid and malformed
-// envelope headers of both wire versions, and well-formed protocol
-// bodies for every decoder the dispatching target covers — so the
-// fuzzers start from inputs that already reach the deep accept paths,
+// envelope headers, and well-formed protocol bodies for every decoder
+// the dispatching target covers — so the fuzzers start from inputs that
+// already reach the deep accept paths,
 // and the plain-build corpus replay (tests/fuzz_corpus_test.cpp)
 // exercises both accept and reject branches of every decoder.
 
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   const fs::path root = argv[1];
   using dprbg::ByteWriter;
   using dprbg::EnvelopeHeader;
-  using dprbg::WireVersion;
 
   // --- varint -------------------------------------------------------------
   {
@@ -68,68 +67,61 @@ int main(int argc, char** argv) {
   // --- envelope_header ----------------------------------------------------
   {
     const fs::path dir = root / "envelope_header";
+    const auto encoded = [](const EnvelopeHeader& h) {
+      ByteWriter w;
+      dprbg::encode_envelope_header(w, h);
+      return std::move(w).take();
+    };
     EnvelopeHeader h;
     h.from = 3;
     h.tag = dprbg::make_tag(dprbg::ProtoId::kGradeCast, 2, 1);
     h.batch = 7;
     h.body_len = 96;
-    for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
-      ByteWriter w;
-      // The target reads data[0] & 1 as the version selector.
-      w.u8(v == WireVersion::kV1 ? 1 : 0);
-      dprbg::encode_envelope_header(w, h, v);
-      write_seed(dir,
-                 v == WireVersion::kV1 ? "v1_gradecast" : "v0_gradecast",
-                 w.data());
-    }
+    const auto gradecast = encoded(h);
+    write_seed(dir, "gradecast", gradecast);
+    write_seed(dir, "truncated",
+               std::vector<std::uint8_t>(gradecast.begin(),
+                                         gradecast.begin() + 4));
+    // The golden-test header: a 3-byte tag and 2-byte batch and length.
     {
-      ByteWriter w;
-      w.u8(1);
-      w.u8(0x17);  // v1 with nonzero reserved flags: must be rejected
-      w.u8(3);
-      write_seed(dir, "v1_bad_flags", w.data());
+      EnvelopeHeader g;
+      g.from = 5;
+      g.tag = dprbg::make_tag(dprbg::ProtoId::kVss, 1, 2, 3);
+      g.batch = 300;
+      g.body_len = 130;
+      write_seed(dir, "multibyte_fields", encoded(g));
     }
-    {
-      ByteWriter w;
-      w.u8(1);
-      w.u8(0x20);  // unknown version nibble
-      write_seed(dir, "v1_bad_version", w.data());
-    }
-    write_seed(dir, "v0_truncated", {0x00, 0x01, 0x02, 0x03});
-    {
-      ByteWriter w;
-      w.u8(1);
-      w.u8(0x10);
-      w.bytes(varint_of(5));
-      w.u8(0x80);  // truncated varint tag
-      write_seed(dir, "v1_truncated_tag", w.data());
-    }
-    // Maximal field values: every header field at its 32-bit ceiling.
+    // Maximal field values: every header field at its ceiling.
     {
       EnvelopeHeader big;
       big.from = 0xFFFFFFFFu;
       big.tag = 0xFFFFFFFFu;
       big.batch = 0xFFFFu;
       big.body_len = 0xFFFFFFFFu;
-      for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
-        ByteWriter w;
-        w.u8(v == WireVersion::kV1 ? 1 : 0);
-        dprbg::encode_envelope_header(w, big, v);
-        write_seed(dir, v == WireVersion::kV1 ? "v1_max_fields"
-                                              : "v0_max_fields",
-                   w.data());
-      }
+      write_seed(dir, "max_fields", encoded(big));
     }
-    // v1 header whose varint `from` overflows 32 bits: must be rejected.
+    // Nonzero reserved low nibble: must be rejected.
+    write_seed(dir, "bad_flags", {0x17, 0x03});
+    // Unknown version nibble.
+    write_seed(dir, "bad_version", {0x20});
+    // Non-canonical (overlong) varint sender: must be rejected.
+    write_seed(dir, "overlong_from", {0x10, 0x83, 0x00, 0x01, 0x02, 0x03});
     {
       ByteWriter w;
-      w.u8(1);
-      w.u8(0x10);
+      w.u8(dprbg::kEnvelopeVersionByte);
+      w.bytes(varint_of(5));
+      w.u8(0x80);  // truncated varint tag
+      write_seed(dir, "truncated_tag", w.data());
+    }
+    // Varint `from` overflowing 32 bits: must be rejected.
+    {
+      ByteWriter w;
+      w.u8(dprbg::kEnvelopeVersionByte);
       w.bytes(varint_of(0x1FFFFFFFFull));
       w.bytes(varint_of(1));
       w.bytes(varint_of(1));
       w.bytes(varint_of(1));
-      write_seed(dir, "v1_from_overflow", w.data());
+      write_seed(dir, "from_overflow", w.data());
     }
   }
 
@@ -144,20 +136,15 @@ int main(int argc, char** argv) {
       out.insert(out.end(), body.begin(), body.end());
       return out;
     };
-    // Grade-Cast echoes, both versions, n == 4 (param 3 -> 1 + 3 % 16).
+    // Grade-Cast echoes, n == 4 (param 3 -> 1 + 3 % 16).
     std::vector<dprbg::gradecast_detail::MaybeValue> echoes(4);
     echoes[0] = std::vector<std::uint8_t>{0xAA, 0xBB};
     echoes[2] = std::vector<std::uint8_t>{};
     echoes[3] = std::vector<std::uint8_t>(8, 0x42);
-    write_seed(dir, "echoes_v0",
+    write_seed(dir, "echoes",
                with_prefix(0, 3,
-                           dprbg::gradecast_detail::encode_echoes(
-                               echoes, WireVersion::kV0)));
-    write_seed(dir, "echoes_v1",
-               with_prefix(1, 3,
-                           dprbg::gradecast_detail::encode_echoes(
-                               echoes, WireVersion::kV1)));
-    write_seed(dir, "echoes_v1_short", with_prefix(1, 3, {0, 0, 0}));
+                           dprbg::gradecast_detail::encode_echoes(echoes)));
+    write_seed(dir, "echoes_short", with_prefix(0, 3, {0, 0, 0}));
     // Clique message for n == 13, t == 2: two entries of 1 + 3*8 bytes.
     {
       ByteWriter w;
@@ -168,9 +155,9 @@ int main(int argc, char** argv) {
           w.u64(0x0101010101010101ull * (j + 1) + static_cast<unsigned>(c));
         }
       }
-      write_seed(dir, "clique_two_entries", with_prefix(2, 0, w.data()));
+      write_seed(dir, "clique_two_entries", with_prefix(1, 0, w.data()));
     }
-    write_seed(dir, "clique_bad_count", with_prefix(2, 0, {0xFF, 0x00}));
+    write_seed(dir, "clique_bad_count", with_prefix(1, 0, {0xFF, 0x00}));
     // Combo batch for n == 7: exactly 7 * (1 + kBytes) bytes.
     {
       std::vector<std::uint8_t> body(7 * (1 + F::kBytes), 0);
@@ -178,13 +165,13 @@ int main(int argc, char** argv) {
         body[static_cast<std::size_t>(i) * (1 + F::kBytes)] =
             static_cast<std::uint8_t>(i % 2);
       }
-      write_seed(dir, "combo_batch_exact", with_prefix(3, 0, body));
+      write_seed(dir, "combo_batch_exact", with_prefix(2, 0, body));
       body.pop_back();
-      write_seed(dir, "combo_batch_short", with_prefix(3, 0, body));
+      write_seed(dir, "combo_batch_short", with_prefix(2, 0, body));
     }
     // Field-element row: param 4 -> count 4, body exactly 4 elements.
     write_seed(dir, "elem_row_exact",
-               with_prefix(4, 4, std::vector<std::uint8_t>(4 * F::kBytes, 7)));
+               with_prefix(3, 4, std::vector<std::uint8_t>(4 * F::kBytes, 7)));
     // ByteReader torture: u8 + uvarint + u64_vec + bytes.
     {
       ByteWriter w;
@@ -192,10 +179,10 @@ int main(int argc, char** argv) {
       w.uvarint(300);
       w.u64_vec(std::vector<std::uint64_t>{1, 2, 3});
       w.bytes(std::vector<std::uint8_t>(5, 0xEE));
-      write_seed(dir, "reader_mixed", with_prefix(5, 5, w.data()));
+      write_seed(dir, "reader_mixed", with_prefix(4, 5, w.data()));
     }
     write_seed(dir, "reader_hostile_len",
-               with_prefix(5, 64, {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF}));
+               with_prefix(4, 64, {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF}));
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

@@ -45,7 +45,7 @@ class ByteWriter {
     return std::span<std::uint8_t>(buf_).subspan(at);
   }
 
-  // Canonical unsigned varint (wire v1 integer encoding, common/varint.h).
+  // Canonical unsigned varint (the wire's integer encoding, common/varint.h).
   void uvarint(std::uint64_t v) { append_varint(buf_, v); }
 
   // Length-prefixed vector of u64 (the common share-list payload).

@@ -1,10 +1,10 @@
-// Canonical unsigned varints (LEB128 layout) — the wire-v1 integer
+// Canonical unsigned varints (LEB128 layout) — the wire's integer
 // encoding.
 //
 // Encoding: little-endian base-128 groups, low group first; bit 7 of
 // each byte is the continuation flag. A uint64 takes 1..10 bytes; values
-// below 128 take exactly one byte, which is what makes the v1 envelope
-// header and the Grade-Cast echo layout shrink at small field values
+// below 128 take exactly one byte, which is what keeps the envelope
+// header and the Grade-Cast echo layout small at small field values
 // (net/msg.h, gradecast/gradecast.h).
 //
 // Decoding is *canonical*: exactly one byte string encodes each value.

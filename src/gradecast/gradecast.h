@@ -44,29 +44,14 @@ namespace gradecast_detail {
 
 using MaybeValue = std::optional<std::vector<std::uint8_t>>;
 
-// One batched echo message. Two wire layouts (net/msg.h picks the
-// process default):
-//   v0 — per sender, a presence flag byte and a u32 length: 5 bytes of
-//        overhead per sender, which dominates echo bytes at small field
-//        values (a GF(2^16) value is 2 bytes).
-//   v1 — per sender, one canonical varint key: 0 = absent, else
-//        value length + 1, followed by the raw value bytes. 1 byte of
-//        overhead for values under 127 bytes — the byte-savings row in
-//        bench/field_ops measures exactly this delta.
+// One batched echo message: per sender, one canonical varint key
+// (0 = absent, else value length + 1) followed by the raw value bytes —
+// 1 byte of overhead for values under 127 bytes. The decoder accepts
+// only this canonical form, so every accepted batch re-encodes to the
+// same bytes.
 inline std::vector<std::uint8_t> encode_echoes(
-    const std::vector<MaybeValue>& per_sender,
-    WireVersion wire = wire_version()) {
+    const std::vector<MaybeValue>& per_sender) {
   ByteWriter w;
-  if (wire == WireVersion::kV0) {
-    for (const auto& v : per_sender) {
-      w.u8(v.has_value() ? 1 : 0);
-      const std::uint32_t len =
-          v ? static_cast<std::uint32_t>(v->size()) : 0;
-      w.u32(len);
-      if (v) w.bytes(*v);
-    }
-    return std::move(w).take();
-  }
   for (const auto& v : per_sender) {
     if (!v) {
       w.uvarint(0);
@@ -80,29 +65,14 @@ inline std::vector<std::uint8_t> encode_echoes(
 
 inline std::optional<std::vector<MaybeValue>> decode_echoes(
     const std::vector<std::uint8_t>& bytes, int n,
-    std::size_t max_value_size, WireVersion wire = wire_version()) {
-  // Every sender entry occupies at least 5 bytes under v0 (flag + u32
-  // length) and at least 1 byte under v1 (the key varint); reject
+    std::size_t max_value_size) {
+  // Every sender entry occupies at least 1 byte (the key varint); reject
   // batches that cannot possibly hold n entries before touching them,
   // so length validation always precedes allocation.
-  const std::size_t min_entry = wire == WireVersion::kV0 ? 5 : 1;
-  if (bytes.size() < static_cast<std::size_t>(n) * min_entry) {
-    return std::nullopt;
-  }
+  if (bytes.size() < static_cast<std::size_t>(n)) return std::nullopt;
   ByteReader r(bytes);
   std::vector<MaybeValue> out(n);
   for (int s = 0; s < n; ++s) {
-    if (wire == WireVersion::kV0) {
-      const bool present = r.u8() != 0;
-      const std::uint32_t len = r.u32();
-      if (!r.ok() || len > max_value_size || len > r.remaining()) {
-        return std::nullopt;
-      }
-      std::vector<std::uint8_t> value = r.bytes(len, max_value_size);
-      if (!r.ok()) return std::nullopt;
-      if (present) out[s] = std::move(value);
-      continue;
-    }
     const std::uint64_t key = r.uvarint();
     if (!r.ok()) return std::nullopt;
     if (key == 0) continue;  // absent
@@ -133,9 +103,6 @@ std::vector<GradeCastResult> grade_cast_all(
   using gradecast_detail::MaybeValue;
   const int n = io.n();
   const int t = io.t();
-  // Pin the wire version for the whole invocation so a mid-protocol flip
-  // of the process default cannot desynchronize encode and decode.
-  const WireVersion wire = wire_version();
   const std::uint32_t send_tag =
       make_tag(ProtoId::kGradeCast, instance, 0);
   const std::uint32_t echo_tag =
@@ -157,14 +124,14 @@ std::vector<GradeCastResult> grade_cast_all(
 
   // Round 2: echo what we received from each sender (batched).
   TraceSpan echo_span(io, "gradecast", "echo");
-  io.send_all(echo_tag, gradecast_detail::encode_echoes(received, wire));
+  io.send_all(echo_tag, gradecast_detail::encode_echoes(received));
   const Inbox& in2 = io.sync();
   echo_span.close();
   // echoes[s]: value -> count of players echoing it for sender s.
   std::vector<std::map<std::vector<std::uint8_t>, int>> echoes(n);
   for (const Msg* m : in2.with_tag(echo_tag)) {
     const auto decoded =
-        gradecast_detail::decode_echoes(m->body, n, max_value_size, wire);
+        gradecast_detail::decode_echoes(m->body, n, max_value_size);
     if (!decoded) {
       // Malformed batch: drop the sender entirely, and score it.
       io.note_decode_failure(m->from);
@@ -187,7 +154,7 @@ std::vector<GradeCastResult> grade_cast_all(
     }
   }
   TraceSpan support_span(io, "gradecast", "support");
-  io.send_all(support_tag, gradecast_detail::encode_echoes(supports, wire));
+  io.send_all(support_tag, gradecast_detail::encode_echoes(supports));
   const Inbox& in3 = io.sync();
   support_span.close();
 
@@ -195,7 +162,7 @@ std::vector<GradeCastResult> grade_cast_all(
   std::vector<std::map<std::vector<std::uint8_t>, int>> votes(n);
   for (const Msg* m : in3.with_tag(support_tag)) {
     const auto decoded =
-        gradecast_detail::decode_echoes(m->body, n, max_value_size, wire);
+        gradecast_detail::decode_echoes(m->body, n, max_value_size);
     if (!decoded) {
       io.note_decode_failure(m->from);
       continue;

@@ -10,22 +10,6 @@
 
 namespace dprbg {
 
-namespace {
-
-// Exact wire overhead per message under the active wire version, used
-// for byte accounting: the shared transport rule in net/lockstep.h (v0
-// is the historical fixed 14-byte header — batch rides a uint16 there,
-// a bound enforced by a DPRBG_CHECK in instance_io; v1 charges the
-// varint-framed header, which is what the byte-savings rows in
-// bench/field_ops measure).
-std::uint64_t envelope_overhead(int from, std::uint32_t tag,
-                                std::uint32_t batch, std::size_t body_len,
-                                WireVersion v) {
-  return lockstep_envelope_overhead(from, tag, batch, body_len, v);
-}
-
-}  // namespace
-
 int PartyIo::n() const { return cluster_.n(); }
 int PartyIo::t() const { return cluster_.t(); }
 
@@ -43,7 +27,7 @@ void PartyIo::send(int to, std::uint32_t tag,
   if (to < 0 || to >= cluster_.n()) return;
   if (to != id_) {
     const std::uint64_t overhead =
-        envelope_overhead(id_, tag, stream_, body.size(), wire_version());
+        lockstep_envelope_overhead(id_, tag, stream_, body.size());
     ++sent_.messages;
     sent_.bytes += body.size() + overhead;
     if (tracer().enabled()) {
@@ -264,12 +248,14 @@ void Cluster::set_domain_round_latency_us(std::uint32_t committee, int us) {
 }
 
 PartyIo& Cluster::instance_io(int player, std::uint32_t batch) {
-  // The v0 wire header encodes the stream id as a uint16 (kV0HeaderBytes
-  // in net/msg.h); every nonzero-stream envelope is staged via a handle created
-  // here, so checking at this choke point enforces the claim for all
-  // traffic. Batch ids grow monotonically without reuse (DPrbg never
-  // recycles them), so a long-running instance hits this loudly instead
-  // of silently breaking the byte accounting.
+  // Stream ids are capped at 0xFFFF on both transports. The cap bounds
+  // the per-stream state a peer can make a node allocate (the TCP reader
+  // refuses frames beyond it) and is the space committee domains are
+  // strided over (net/committee.h). Every nonzero-stream envelope is
+  // staged via a handle created here, so checking at this choke point
+  // covers all traffic. Batch ids grow monotonically without reuse
+  // (DPrbg never recycles them), so a long-running instance hits this
+  // loudly instead of running past what a TCP peer would accept.
   DPRBG_CHECK(batch <= 0xFFFF);
   std::lock_guard lk(mu_);
   StreamDomain& dom = domain_of(batch);
@@ -339,7 +325,6 @@ void Cluster::do_exchange(RoundStream& st) {
   const FaultInjector* inj =
       dom.injector != nullptr ? dom.injector.get() : injector_.get();
   MisbehaviorManager* mgr = misbehavior_.get();
-  const WireVersion wv = wire_version();
   // Demux guard shared by delayed and fresh traffic: an envelope may
   // only surface in the stream it was sent on, and only between roster
   // members of the stream's domain. PartyIo stamps Msg::batch, the delay
@@ -424,10 +409,8 @@ void Cluster::do_exchange(RoundStream& st) {
     for (auto& env : p->staged_buffer()) {
       if (env.to != env.msg.from) {
         ++comm_.messages;
-        comm_.bytes += env.msg.body.size() +
-                       envelope_overhead(env.msg.from, env.msg.tag,
-                                         env.msg.batch, env.msg.body.size(),
-                                         wv);
+        comm_.bytes +=
+            env.msg.body.size() + lockstep_envelope_overhead(env.msg);
       }
       if (inj != nullptr && env.to != env.msg.from) {
         // Self-deliveries are not links and are never faulted.

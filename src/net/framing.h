@@ -7,18 +7,17 @@
 // on top of which four frame types implement the whole peer protocol:
 //
 //   kHello     dialer -> listener, first bytes after connect. Carries the
-//              magic, the framing protocol version, the envelope wire
-//              version the sender will encode round frames with
-//              (net/msg.h v0/v1), the roster hash (both ends must be
-//              configured with the same player list), and the dialer's
-//              player id. The listener validates every field and answers
-//              kHelloAck or closes the connection (a handshake reject).
+//              magic, the framing protocol version, the roster hash (both
+//              ends must be configured with the same player list), and
+//              the dialer's player id. The listener validates every field
+//              and answers kHelloAck or closes the connection (a
+//              handshake reject).
 //   kHelloAck  listener -> dialer; same layout, listener's id.
 //   kRound     one (stream, round, sender -> receiver) bundle: every
 //              envelope the sender staged for this receiver during that
 //              lockstep round, in send order, each encoded with the
-//              envelope codec of the handshaken wire version. An empty
-//              bundle is still sent — it is the round barrier marker.
+//              envelope codec of net/msg.h. An empty bundle is still
+//              sent — it is the round barrier marker.
 //   kBye       the sender's program returned; barriers stop waiting for
 //              it on every stream (the transport equivalent of
 //              Cluster::drop()).
@@ -43,8 +42,10 @@ namespace dprbg {
 
 // "DPRB" — first bytes of every handshake payload.
 inline constexpr std::uint32_t kTcpMagic = 0x42525044u;
-// Version of the framing layout itself (frame header + payload shapes).
-inline constexpr std::uint8_t kTcpProtoVersion = 1;
+// Version of the framing layout itself (frame header + payload shapes);
+// bumped on any change to them. Version 2 Hellos have no envelope
+// wire-version byte, so a version-1 node (22-byte Hello) is refused.
+inline constexpr std::uint8_t kTcpProtoVersion = 2;
 // Frames larger than this are a protocol violation (DoS guard): the
 // reader drops the connection without allocating the payload.
 inline constexpr std::size_t kTcpMaxFrameBytes = 1u << 24;
@@ -88,9 +89,6 @@ enum class FrameType : std::uint8_t {
 
 struct HelloFrame {
   std::uint8_t proto_version = kTcpProtoVersion;
-  // Envelope codec for kRound frames on this connection, as a raw byte
-  // of WireVersion. Both ends must agree or decode would silently skew.
-  std::uint8_t wire_version = 0;
   // Hash of the roster (host:port list) both ends were configured with;
   // a mismatch means the two processes disagree about who the n players
   // are, and the connection is rejected before any protocol byte flows.
@@ -106,7 +104,6 @@ struct HelloFrame {
   ByteWriter w;
   w.u32(kTcpMagic);
   w.u8(h.proto_version);
-  w.u8(h.wire_version);
   w.u64(h.roster_hash);
   w.u32(h.node_id);
   w.u32(h.n);
@@ -119,7 +116,6 @@ struct HelloFrame {
   if (r.u32() != kTcpMagic) return std::nullopt;
   HelloFrame h;
   h.proto_version = r.u8();
-  h.wire_version = r.u8();
   h.roster_hash = r.u64();
   h.node_id = r.u32();
   h.n = r.u32();
@@ -133,17 +129,15 @@ struct HelloFrame {
 enum class HandshakeReject : std::uint8_t {
   kMalformed = 0,      // frame did not decode as a Hello at all
   kProtoVersion = 1,   // framing layout version mismatch
-  kWireVersion = 2,    // envelope codec version mismatch
-  kRosterHash = 3,     // the two ends disagree about the player list
-  kBadId = 4,          // id out of range, self, or wrong dial direction
+  kRosterHash = 2,     // the two ends disagree about the player list
+  kBadId = 3,          // id out of range, self, or wrong dial direction
 };
-inline constexpr std::size_t kHandshakeRejectReasons = 5;
+inline constexpr std::size_t kHandshakeRejectReasons = 4;
 
 [[nodiscard]] inline const char* to_string(HandshakeReject r) {
   switch (r) {
     case HandshakeReject::kMalformed: return "malformed";
     case HandshakeReject::kProtoVersion: return "proto_version";
-    case HandshakeReject::kWireVersion: return "wire_version";
     case HandshakeReject::kRosterHash: return "roster_hash";
     case HandshakeReject::kBadId: return "bad_id";
   }
@@ -154,7 +148,7 @@ inline constexpr std::size_t kHandshakeRejectReasons = 5;
 // Round payload (kRound).
 //
 //     uvarint stream | uvarint round | uvarint count |
-//     count * (envelope header under `wire` | body bytes)
+//     count * (envelope header | body bytes)
 //
 // The frame carries one sender's envelopes for ONE receiver and one
 // (stream, round); the receiver learned the sender's id at handshake
@@ -175,8 +169,7 @@ struct RoundFrame {
 // a bundle carrying a ~32 KB share row is copied once, not once more to
 // prefix it. decode_round_frame takes the bytes after the prefix.
 [[nodiscard]] inline std::vector<std::uint8_t> encode_round_frame(
-    std::uint32_t stream, std::uint64_t round, std::span<const Msg> msgs,
-    WireVersion wire) {
+    std::uint32_t stream, std::uint64_t round, std::span<const Msg> msgs) {
   const auto header = [](const Msg& m) {
     EnvelopeHeader h;
     h.from = static_cast<std::uint32_t>(m.from);
@@ -188,7 +181,7 @@ struct RoundFrame {
   std::size_t payload =
       varint_size(stream) + varint_size(round) + varint_size(msgs.size());
   for (const Msg& m : msgs) {
-    payload += envelope_header_bytes(header(m), wire) + m.body.size();
+    payload += envelope_header_bytes(header(m)) + m.body.size();
   }
   ByteWriter w(kTcpFramePrefixBytes + payload);
   w.u32(static_cast<std::uint32_t>(1 + payload));
@@ -197,7 +190,7 @@ struct RoundFrame {
   w.uvarint(round);
   w.uvarint(msgs.size());
   for (const Msg& m : msgs) {
-    encode_envelope_header(w, header(m), wire);
+    encode_envelope_header(w, header(m));
     w.bytes(m.body);
   }
   return std::move(w).take();
@@ -209,8 +202,8 @@ struct RoundFrame {
 // bounds a single envelope body so a hostile peer cannot force a huge
 // allocation from a small frame.
 [[nodiscard]] inline std::optional<RoundFrame> decode_round_frame(
-    std::span<const std::uint8_t> payload, WireVersion wire,
-    int expected_from, std::size_t max_body) {
+    std::span<const std::uint8_t> payload, int expected_from,
+    std::size_t max_body) {
   ByteReader r(payload);
   const std::uint64_t stream = r.uvarint();
   const std::uint64_t round = r.uvarint();
@@ -224,7 +217,7 @@ struct RoundFrame {
   f.round = round;
   f.msgs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto h = decode_envelope_header(r, wire);
+    const auto h = decode_envelope_header(r);
     if (!h) return std::nullopt;
     if (static_cast<int>(h->from) != expected_from) return std::nullopt;
     if (h->body_len > max_body) return std::nullopt;

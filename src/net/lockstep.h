@@ -102,27 +102,23 @@ template <typename InRosterFn>
   return std::nullopt;
 }
 
-// The wire overhead one envelope is charged in the comm ledgers, under
-// the active wire version: the historical fixed 14-byte header for v0,
-// the varint-framed header for v1. Both transports charge exactly this
-// (the TCP transport's physical framing — length prefix, bundle header —
-// appears only in its own TcpStats/telemetry), which is what keeps
-// comm() totals bit-for-bit identical across backends.
+// The wire overhead one envelope is charged in the comm ledgers: the
+// size of its envelope header (net/msg.h). Both transports charge
+// exactly this (the TCP transport's physical framing — length prefix,
+// bundle header — appears only in its own TcpStats/telemetry), which is
+// what keeps comm() totals bit-for-bit identical across backends.
 [[nodiscard]] inline std::uint64_t lockstep_envelope_overhead(
-    int from, std::uint32_t tag, std::uint32_t batch, std::size_t body_len,
-    WireVersion v) {
-  if (v == WireVersion::kV0) return kV0HeaderBytes;
+    int from, std::uint32_t tag, std::uint32_t batch, std::size_t body_len) {
   EnvelopeHeader h;
   h.from = static_cast<std::uint32_t>(from);
   h.tag = tag;
   h.batch = batch;
   h.body_len = static_cast<std::uint32_t>(body_len);
-  return envelope_header_bytes(h, v);
+  return envelope_header_bytes(h);
 }
-[[nodiscard]] inline std::uint64_t lockstep_envelope_overhead(
-    const Msg& msg, WireVersion v) {
+[[nodiscard]] inline std::uint64_t lockstep_envelope_overhead(const Msg& msg) {
   return lockstep_envelope_overhead(msg.from, msg.tag, msg.batch,
-                                    msg.body.size(), v);
+                                    msg.body.size());
 }
 
 // Canonical delivery order for one round's inbox: stable by arrival

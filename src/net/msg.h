@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -49,13 +48,16 @@ struct Msg {
   // Round-stream (batch/instance) id stamped by the sending PartyIo
   // handle: 0 is the root lockstep stream, nonzero ids name per-batch
   // streams opened via PartyIo::instance() (pipelined Coin-Gen). On the
-  // wire this rides in the envelope header alongside sender and tag (u16
-  // under v0, varint under v1; see EnvelopeHeader below) — enforced by a
-  // DPRBG_CHECK(batch <= 0xFFFF) where stream handles are created, since
-  // batch ids grow monotonically and are never reused. The demux
-  // delivers an envelope only to the round stream it was sent on, so
-  // traffic from batch k can never surface in batch k' — even delayed or
-  // duplicated by a link fault.
+  // wire this rides in the envelope header alongside sender and tag (a
+  // varint; see EnvelopeHeader below). Both transports cap it at 0xFFFF
+  // where stream handles are created (DPRBG_CHECK), and the TCP reader
+  // refuses frames beyond the cap: it bounds how many per-stream states
+  // a hostile peer can make a node allocate, and it is the stride
+  // committee domains are laid out on (net/committee.h). Batch ids grow
+  // monotonically and are never reused, so a run that outgrows the cap
+  // fails loudly. The demux delivers an envelope only to the round stream
+  // it was sent on, so traffic from batch k can never surface in batch
+  // k' — even delayed or duplicated by a link fault.
   std::uint32_t batch = 0;
   std::vector<std::uint8_t> body;
 };
@@ -104,45 +106,17 @@ class Inbox {
 };
 
 // ---------------------------------------------------------------------------
-// Versioned wire framing.
+// Envelope wire framing.
 //
-// v0 is the historical fixed-width envelope header: u32 from | u32 tag |
-// u16 batch | u32 body_len = 14 bytes, all little-endian. It has no
-// version byte — 14 bytes was simply the constant the byte accounting
-// charged per envelope — so versioning is introduced *around* it: v0
-// stays the default and stays bit-for-bit identical (golden tests pin the
-// layout), while v1 is opt-in per process via set_wire_version().
-//
-// v1 framing: one version byte (high nibble = version 1, low nibble =
-// flags, all reserved-zero today), then canonical varints for sender,
-// tag, batch and body length. The tag is byte-rotated before encoding
-// (`wire_tag`) so the proto id — the only byte that is always nonzero —
-// lands in the low bits and a bare tag like make_tag(kGradeCast,0,1)
-// costs 2 varint bytes instead of 5. Typical v1 header: 5-7 bytes vs 14.
+// One version byte (0x10: version 1 in the high nibble, the low nibble
+// reserved and zero), then canonical varints for sender, tag, batch and
+// body length. The tag is byte-rotated before encoding (`wire_tag`) so
+// the proto id — the only byte that is always nonzero — lands in the low
+// bits and a bare tag like make_tag(kGradeCast,0,1) costs 2 varint bytes
+// instead of 5. A typical header is 5-7 bytes. The version byte is what a
+// future layout change would bump; today the decoder accepts only 0x10.
 
-enum class WireVersion : std::uint8_t { kV0 = 0, kV1 = 1 };
-
-namespace wire_detail {
-inline std::atomic<WireVersion>& version_flag() noexcept {
-  static std::atomic<WireVersion> v{WireVersion::kV0};
-  return v;
-}
-}  // namespace wire_detail
-
-// Process-wide wire version. Relaxed atomics (same pattern as the
-// telemetry enable flag): cheap to poll on the send path. Must not be
-// flipped while a Cluster::run is in flight — byte accounting and echo
-// codecs read it per call.
-[[nodiscard]] inline WireVersion wire_version() noexcept {
-  return wire_detail::version_flag().load(std::memory_order_relaxed);
-}
-inline void set_wire_version(WireVersion v) noexcept {
-  wire_detail::version_flag().store(v, std::memory_order_relaxed);
-}
-
-inline constexpr std::size_t kV0HeaderBytes = 14;
-// v1 byte 0 for flags == 0: version 1 in the high nibble.
-inline constexpr std::uint8_t kV1VersionByte = 0x10;
+inline constexpr std::uint8_t kEnvelopeVersionByte = 0x10;
 
 // Rotates the proto byte (bits 31..24 of a tag) into the low byte so the
 // varint encoding of a small tag is short. Self-inverse-paired helpers;
@@ -155,48 +129,28 @@ inline constexpr std::uint8_t kV1VersionByte = 0x10;
 }
 
 struct EnvelopeHeader {
-  std::uint8_t flags = 0;  // v1 only; reserved, must be zero
   std::uint32_t from = 0;
   std::uint32_t tag = 0;
-  std::uint32_t batch = 0;  // <= 0xFFFF under v0 (u16 on the wire)
+  std::uint32_t batch = 0;
   std::uint32_t body_len = 0;
 };
 
-inline void encode_envelope_header(ByteWriter& w, const EnvelopeHeader& h,
-                                   WireVersion v) {
-  if (v == WireVersion::kV0) {
-    w.u32(h.from);
-    w.u32(h.tag);
-    w.u16(static_cast<std::uint16_t>(h.batch));
-    w.u32(h.body_len);
-    return;
-  }
-  w.u8(static_cast<std::uint8_t>(kV1VersionByte | (h.flags & 0x0Fu)));
+inline void encode_envelope_header(ByteWriter& w, const EnvelopeHeader& h) {
+  w.u8(kEnvelopeVersionByte);
   w.uvarint(h.from);
   w.uvarint(wire_tag(h.tag));
   w.uvarint(h.batch);
   w.uvarint(h.body_len);
 }
 
-// Decodes one envelope header; nullopt on malformed input (truncation,
-// wrong version nibble, nonzero reserved flags, non-canonical varints, or
-// a field overflowing its 32-bit range). The reader is left positioned
+// Decodes one envelope header; nullopt on malformed input (truncation, a
+// first byte other than kEnvelopeVersionByte, non-canonical varints, or a
+// field overflowing its 32-bit range). The reader is left positioned
 // after the header on success so the body can be read next.
 [[nodiscard]] inline std::optional<EnvelopeHeader> decode_envelope_header(
-    ByteReader& r, WireVersion v) {
-  EnvelopeHeader h;
-  if (v == WireVersion::kV0) {
-    h.from = r.u32();
-    h.tag = r.u32();
-    h.batch = r.u16();
-    h.body_len = r.u32();
-    if (!r.ok()) return std::nullopt;
-    return h;
-  }
+    ByteReader& r) {
   const std::uint8_t b0 = r.u8();
-  if (!r.ok() || (b0 >> 4) != 1) return std::nullopt;
-  h.flags = b0 & 0x0Fu;
-  if (h.flags != 0) return std::nullopt;  // reserved bits must be zero
+  if (!r.ok() || b0 != kEnvelopeVersionByte) return std::nullopt;
   const std::uint64_t from = r.uvarint();
   const std::uint64_t tagw = r.uvarint();
   const std::uint64_t batch = r.uvarint();
@@ -205,6 +159,7 @@ inline void encode_envelope_header(ByteWriter& w, const EnvelopeHeader& h,
       batch > 0xFFFFFFFFull || len > 0xFFFFFFFFull) {
     return std::nullopt;
   }
+  EnvelopeHeader h;
   h.from = static_cast<std::uint32_t>(from);
   h.tag = unwire_tag(static_cast<std::uint32_t>(tagw));
   h.batch = static_cast<std::uint32_t>(batch);
@@ -212,11 +167,10 @@ inline void encode_envelope_header(ByteWriter& w, const EnvelopeHeader& h,
   return h;
 }
 
-// Exact on-wire size of the header under `v` — what the per-envelope byte
-// accounting in net/cluster.cpp charges.
-[[nodiscard]] inline std::size_t envelope_header_bytes(const EnvelopeHeader& h,
-                                                       WireVersion v) {
-  if (v == WireVersion::kV0) return kV0HeaderBytes;
+// Exact on-wire size of the header — what the per-envelope byte
+// accounting of both transports charges (net/lockstep.h).
+[[nodiscard]] inline std::size_t envelope_header_bytes(
+    const EnvelopeHeader& h) {
   return 1 + varint_size(h.from) + varint_size(wire_tag(h.tag)) +
          varint_size(h.batch) + varint_size(h.body_len);
 }

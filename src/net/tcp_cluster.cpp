@@ -22,10 +22,10 @@ static_assert(NetEndpoint<TcpPartyIo>);
 namespace {
 
 // Stream ids over TCP are bounded like the simulated cluster's
-// (DPRBG_CHECK(batch <= 0xFFFF) at instance creation, for v0 wire
-// parity); a frame claiming a stream beyond the bound is a violation,
-// which also caps how many StreamStates a hostile peer can make us
-// allocate.
+// (DPRBG_CHECK(batch <= 0xFFFF) at instance creation). A frame claiming
+// a stream beyond the bound is a violation: the cap limits how many
+// StreamStates a hostile peer can make us allocate, and it is the space
+// committee domains are strided over (net/committee.h).
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
 
 }  // namespace
@@ -69,8 +69,8 @@ void TcpPartyIo::send(int to, std::uint32_t tag,
                       std::vector<std::uint8_t> body) {
   if (to < 0 || to >= cluster_.n_) return;
   if (to != id()) {
-    const std::uint64_t overhead = lockstep_envelope_overhead(
-        id(), tag, stream_, body.size(), wire_version());
+    const std::uint64_t overhead =
+        lockstep_envelope_overhead(id(), tag, stream_, body.size());
     ++sent_.messages;
     sent_.bytes += body.size() + overhead;
     if (tracer().enabled()) {
@@ -176,7 +176,6 @@ bool TcpCluster::start() {
   DPRBG_CHECK(wake_fd_ >= 0);
 
   local_hello_.proto_version = kTcpProtoVersion;
-  local_hello_.wire_version = static_cast<std::uint8_t>(wire_version());
   local_hello_.roster_hash = roster_hash_;
   local_hello_.node_id = static_cast<std::uint32_t>(id_);
   local_hello_.n = static_cast<std::uint32_t>(n_);
@@ -445,8 +444,6 @@ bool TcpCluster::check_hello(FrameType type, FrameType want,
     *why = HandshakeReject::kMalformed;
   } else if (h->proto_version != local_hello_.proto_version) {
     *why = HandshakeReject::kProtoVersion;
-  } else if (h->wire_version != local_hello_.wire_version) {
-    *why = HandshakeReject::kWireVersion;
   } else if (h->roster_hash != roster_hash_) {
     *why = HandshakeReject::kRosterHash;
   } else if (h->n != static_cast<std::uint32_t>(n_) ||
@@ -606,8 +603,7 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed) {
     // a barrier marker, so the only safe response is to cut the
     // connection — the peer lapses and barriers proceed without it.
     auto frame = type == FrameType::kRound
-                     ? decode_round_frame(payload, wire_version(), peer,
-                                          kTcpMaxFrameBytes)
+                     ? decode_round_frame(payload, peer, kTcpMaxFrameBytes)
                      : std::nullopt;
     if (!frame || frame->stream > kTcpMaxStreamId) {
       violation = true;
@@ -679,7 +675,6 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed) {
 void TcpCluster::sync_stream(TcpPartyIo& io) {
   const std::uint32_t stream = io.stream_;
   const std::uint64_t round = io.sent_.rounds;
-  const WireVersion wv = wire_version();
 
   // Partition this round's staged envelopes by destination, preserving
   // send order; self-deliveries stay local (never touch a socket, never
@@ -694,7 +689,7 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
     } else {
       ++msg_count;
       byte_count +=
-          env.msg.body.size() + lockstep_envelope_overhead(env.msg, wv);
+          env.msg.body.size() + lockstep_envelope_overhead(env.msg);
       outgoing[static_cast<std::size_t>(env.to)].push_back(
           std::move(env.msg));
     }
@@ -718,7 +713,7 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   for (int j = 0; j < n_; ++j) {
     if (j == id_ || departed[static_cast<std::size_t>(j)] != 0) continue;
     wake |= peers_[static_cast<std::size_t>(j)]->send(encode_round_frame(
-        stream, round, outgoing[static_cast<std::size_t>(j)], wv));
+        stream, round, outgoing[static_cast<std::size_t>(j)]));
   }
   if (wake) wake_reactor();
 
@@ -825,8 +820,8 @@ void TcpCluster::note_decode_failure(std::uint32_t stream, int from) {
 }
 
 TcpPartyIo& TcpCluster::instance_io(std::uint32_t batch) {
-  // Same v0-wire bound the simulated cluster enforces at its instance
-  // choke point (batch rides a uint16 in the v0 envelope header).
+  // Same stream cap the simulated cluster enforces at its instance choke
+  // point; the reader refuses frames beyond it (see kTcpMaxStreamId).
   DPRBG_CHECK(batch <= kTcpMaxStreamId);
   std::lock_guard lk(instances_mu_);
   auto it = instances_.find(batch);

@@ -7,7 +7,7 @@
 // the reactor thread that drives them (deterministic roles — this node
 // dials every lower id and accepts every higher id, so each pair has
 // exactly one link), the handshake
-// (roster hash + framing/wire versions + claimed id, all validated on
+// (roster hash + framing version + claimed id, all validated on
 // both ends), and the demux that turns arriving kRound frames back into
 // the per-(stream, round) inboxes the protocols expect.
 //
@@ -30,8 +30,8 @@
 //     batch != stream), foreign, and banned-suppression verdicts score
 //     and count exactly as in the simulated demux, with the same
 //     self-delivery ban exemption;
-//   * comm accounting — send() charges body + envelope_overhead under
-//     the active wire version, identical to the simulated ledger; the
+//   * comm accounting — send() charges body + the envelope header size
+//     (lockstep_envelope_overhead), identical to the simulated ledger; the
 //     physical frame bytes (length prefix, bundle header) appear only
 //     in the transport's own TcpStats/telemetry.
 //
@@ -182,7 +182,7 @@ struct TcpStats {
   };
   std::vector<PeerStats> peers;  // indexed by player id; [self] is zeroed
   // Listener-side handshake rejects by reason (kHandshakeRejectReasons).
-  std::uint64_t accept_rejects[kHandshakeRejectReasons] = {0, 0, 0, 0, 0};
+  std::uint64_t accept_rejects[kHandshakeRejectReasons] = {0, 0, 0, 0};
   std::uint64_t frame_decode_failures = 0;  // kRound payloads that failed
   std::uint64_t lapsed_frames = 0;  // frames from lapsed/unknown peers
   std::uint64_t stale_rejections = 0;
@@ -348,7 +348,7 @@ class TcpCluster {
   std::vector<char> lapsed_;  // latched per run on disconnect
   std::vector<char> bye_;     // peer's program finished cleanly
   bool run_active_ = false;
-  std::uint64_t accept_rejects_[kHandshakeRejectReasons] = {0, 0, 0, 0, 0};
+  std::uint64_t accept_rejects_[kHandshakeRejectReasons] = {0, 0, 0, 0};
   std::uint64_t frame_decode_failures_ = 0;
   std::uint64_t lapsed_frames_ = 0;
   std::uint64_t stale_rejections_ = 0;

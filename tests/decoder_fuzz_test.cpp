@@ -74,8 +74,7 @@ TEST(DecoderFuzzTest, DecodeEchoesNeverOverAllocates) {
   // alloc-size path): claim 4 GiB of value in a 40-byte message.
   const int n = 1;
   ByteWriter w;
-  w.u8(1);
-  w.u32(0xFFFFFFFFu);
+  w.uvarint(0xFFFFFFFFull + 1);  // key = length + 1
   auto bytes = std::move(w).take();
   bytes.resize(40, 0xAB);
   EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, n, 1u << 20));

@@ -29,49 +29,33 @@ TEST(GoldenTest, TagLayout) {
 }
 
 TEST(GoldenTest, EnvelopeHeaderLayouts) {
-  // Both envelope framings are golden: v0 is the fixed 14-byte header
-  // every transcript since PR 1 was charged with; v1 is the varint
-  // framing introduced with wire versioning (version byte 0x10, then
-  // from / rotated tag / batch / body_len as canonical varints).
+  // The envelope framing is golden: version byte 0x10, then from /
+  // rotated tag / batch / body_len as canonical varints.
   EnvelopeHeader h;
   h.from = 5;
   h.tag = make_tag(ProtoId::kVss, 1, 2, 3);  // 0x03001023
   h.batch = 300;
   h.body_len = 130;
 
-  ByteWriter v0;
-  encode_envelope_header(v0, h, WireVersion::kV0);
-  const std::vector<std::uint8_t> expect_v0 = {
-      0x05, 0x00, 0x00, 0x00,  // from (u32 LE)
-      0x23, 0x10, 0x00, 0x03,  // tag (u32 LE)
-      0x2C, 0x01,              // batch (u16 LE)
-      0x82, 0x00, 0x00, 0x00,  // body_len (u32 LE)
-  };
-  EXPECT_EQ(v0.data(), expect_v0);
-  EXPECT_EQ(v0.size(), kV0HeaderBytes);
-
-  ByteWriter v1;
-  encode_envelope_header(v1, h, WireVersion::kV1);
-  const std::vector<std::uint8_t> expect_v1 = {
-      0x10,              // version 1, flags 0
+  ByteWriter w;
+  encode_envelope_header(w, h);
+  const std::vector<std::uint8_t> expect = {
+      0x10,              // version 1, low nibble reserved zero
       0x05,              // from
       0x83, 0xC6, 0x40,  // wire_tag(tag) = 0x00102303, 3-byte varint
       0xAC, 0x02,        // batch = 300
       0x82, 0x01,        // body_len = 130
   };
-  EXPECT_EQ(v1.data(), expect_v1);
+  EXPECT_EQ(w.data(), expect);
+  EXPECT_EQ(envelope_header_bytes(h), expect.size());
 
-  for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
-    ByteWriter w;
-    encode_envelope_header(w, h, v);
-    ByteReader r(w.data());
-    const auto back = decode_envelope_header(r, v);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->from, h.from);
-    EXPECT_EQ(back->tag, h.tag);
-    EXPECT_EQ(back->batch, h.batch);
-    EXPECT_EQ(back->body_len, h.body_len);
-  }
+  ByteReader r(w.data());
+  const auto back = decode_envelope_header(r);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->from, h.from);
+  EXPECT_EQ(back->tag, h.tag);
+  EXPECT_EQ(back->batch, h.batch);
+  EXPECT_EQ(back->body_len, h.body_len);
 }
 
 TEST(GoldenTest, FieldElementWireFormat) {

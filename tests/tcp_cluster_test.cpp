@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "coin/coin_pipeline.h"
+#include "common/serial.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
@@ -39,14 +40,6 @@ namespace {
 using F = GF2_64;
 
 constexpr std::uint32_t kTag = make_tag(ProtoId::kApp, 0, 0);
-
-struct WireGuard {
-  WireVersion saved;
-  explicit WireGuard(WireVersion v) : saved(wire_version()) {
-    set_wire_version(v);
-  }
-  ~WireGuard() { set_wire_version(saved); }
-};
 
 bool wait_until(const std::function<bool()>& pred, unsigned timeout_ms = 5000) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -195,19 +188,6 @@ TEST(TcpClusterTest, EchoMatchesSimulatedClusterBitForBit) {
       EXPECT_EQ(st.peers[static_cast<std::size_t>(j)].reconnects, 0u);
     }
   }
-}
-
-TEST(TcpClusterTest, EchoMatchesUnderV1Wire) {
-  WireGuard guard(WireVersion::kV1);
-  const int n = 4, t = 1, rounds = 3;
-  const std::uint64_t seed = 31;
-  const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
-  const EchoRun sim = run_sim_echo(n, t, seed, uniform);
-
-  TcpLoopback loop(n, t, seed);
-  ASSERT_TRUE(loop.start());
-  const EchoRun tcp = run_tcp_echo(loop, n, uniform);
-  expect_echo_runs_equal(sim, tcp, n);
 }
 
 TEST(TcpClusterTest, EarlyReturnMatchesSimulatedDrop) {
@@ -463,7 +443,6 @@ TEST(TcpClusterTest, PeerKillDuringRunLapsesAndOthersComplete) {
 HelloFrame valid_hello_for(const TcpLoopback& loop, int n, int t) {
   HelloFrame h;
   h.proto_version = kTcpProtoVersion;
-  h.wire_version = static_cast<std::uint8_t>(wire_version());
   h.roster_hash = roster_hash(n, t, loop.roster());
   h.node_id = 1;
   h.n = static_cast<std::uint32_t>(n);
@@ -487,15 +466,35 @@ TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
   ASSERT_TRUE(loop.start());
   const std::uint16_t port = loop.node(0).listen_port();
   const HelloFrame good = valid_hello_for(loop, n, t);
+  const auto rejects = [&](HandshakeReject why) {
+    return loop.node(0).stats().accept_rejects[static_cast<int>(why)];
+  };
+
+  // A framing-protocol-version-1 node: its Hello carries an extra
+  // envelope wire-version byte, a 22-byte payload. That byte is trailing
+  // garbage to the current layout, so the Hello is refused as malformed
+  // before its version is ever compared.
+  {
+    ByteWriter w;
+    w.u32(kTcpMagic);
+    w.u8(1);  // proto_version
+    w.u8(1);  // envelope wire version
+    w.u64(good.roster_hash);
+    w.u32(good.node_id);
+    w.u32(good.n);
+    const auto old_hello = std::move(w).take();
+    ASSERT_EQ(old_hello.size(), 22u);
+    ASSERT_TRUE(probe(port, FrameType::kHello, old_hello));
+  }
+  ASSERT_TRUE(wait_until(
+      [&] { return rejects(HandshakeReject::kMalformed) >= 1; }))
+      << "pre-change Hello not rejected";
+  EXPECT_EQ(rejects(HandshakeReject::kMalformed), 1u);
+  EXPECT_EQ(rejects(HandshakeReject::kProtoVersion), 0u);
 
   // Wrong framing-protocol version.
   HelloFrame h = good;
   h.proto_version = kTcpProtoVersion + 1;
-  ASSERT_TRUE(probe(port, FrameType::kHello, encode_hello(h)));
-
-  // Wrong envelope wire version.
-  h = good;
-  h.wire_version ^= 1;
   ASSERT_TRUE(probe(port, FrameType::kHello, encode_hello(h)));
 
   // Wrong roster hash (a fleet configured with a different player list).
@@ -520,16 +519,10 @@ TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
   ASSERT_TRUE(probe(port, FrameType::kRound, encode_hello(good)));
 
   ASSERT_TRUE(wait_until([&] {
-    const TcpStats st = loop.node(0).stats();
-    return st.accept_rejects[static_cast<int>(
-               HandshakeReject::kProtoVersion)] >= 1 &&
-           st.accept_rejects[static_cast<int>(
-               HandshakeReject::kWireVersion)] >= 1 &&
-           st.accept_rejects[static_cast<int>(
-               HandshakeReject::kRosterHash)] >= 1 &&
-           st.accept_rejects[static_cast<int>(HandshakeReject::kBadId)] >= 3 &&
-           st.accept_rejects[static_cast<int>(HandshakeReject::kMalformed)] >=
-               2;
+    return rejects(HandshakeReject::kProtoVersion) >= 1 &&
+           rejects(HandshakeReject::kRosterHash) >= 1 &&
+           rejects(HandshakeReject::kBadId) >= 3 &&
+           rejects(HandshakeReject::kMalformed) >= 3;
   })) << "handshake rejects not all counted";
 
   // None of this disturbed the real mesh: the run still works.

@@ -1,6 +1,6 @@
 // Tests for the TCP frame codec (net/framing.h): frame wrapping, the
-// handshake payload, and the round-bundle payload under both envelope
-// wire versions — plus the fail-closed behavior every decoder must have
+// handshake payload, and the round-bundle payload — plus the fail-closed
+// behavior every decoder must have
 // on attacker-controlled bytes (wrong magic, truncation, trailing bytes,
 // spoofed sender ids, oversized bodies).
 
@@ -42,7 +42,6 @@ TEST(TcpFramingTest, FrameBytesLayout) {
 TEST(TcpFramingTest, HelloRoundTrips) {
   HelloFrame h;
   h.proto_version = kTcpProtoVersion;
-  h.wire_version = static_cast<std::uint8_t>(WireVersion::kV1);
   h.roster_hash = 0xDEADBEEFCAFEF00Dull;
   h.node_id = 3;
   h.n = 7;
@@ -50,7 +49,6 @@ TEST(TcpFramingTest, HelloRoundTrips) {
   const auto back = decode_hello(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->proto_version, h.proto_version);
-  EXPECT_EQ(back->wire_version, h.wire_version);
   EXPECT_EQ(back->roster_hash, h.roster_hash);
   EXPECT_EQ(back->node_id, h.node_id);
   EXPECT_EQ(back->n, h.n);
@@ -104,27 +102,22 @@ std::span<const std::uint8_t> payload_of(
   return std::span(frame).subspan(kTcpFramePrefixBytes);
 }
 
-class TcpFramingWireTest : public ::testing::TestWithParam<WireVersion> {};
-
 // The single-buffer round frame is byte-for-byte frame_bytes(kRound, .)
 // around its payload: same length prefix, same type byte.
-TEST_P(TcpFramingWireTest, RoundFrameEqualsFrameBytesOfItsPayload) {
-  const WireVersion wire = GetParam();
+TEST(TcpFramingTest, RoundFrameEqualsFrameBytesOfItsPayload) {
   for (const auto& msgs : {sample_msgs(/*from=*/2), std::vector<Msg>{}}) {
-    const auto frame = encode_round_frame(/*stream=*/300, /*round=*/1u << 20,
-                                          msgs, wire);
+    const auto frame =
+        encode_round_frame(/*stream=*/300, /*round=*/1u << 20, msgs);
     ASSERT_GT(frame.size(), kTcpFramePrefixBytes);
     EXPECT_EQ(frame, frame_bytes(FrameType::kRound, payload_of(frame)));
   }
 }
 
-TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
-  const WireVersion wire = GetParam();
+TEST(TcpFramingTest, RoundFrameRoundTrips) {
   const auto msgs = sample_msgs(/*from=*/2);
-  const auto frame =
-      encode_round_frame(/*stream=*/5, /*round=*/41, msgs, wire);
-  const auto back = decode_round_frame(payload_of(frame), wire,
-                                       /*expected_from=*/2, /*max_body=*/64);
+  const auto frame = encode_round_frame(/*stream=*/5, /*round=*/41, msgs);
+  const auto back = decode_round_frame(payload_of(frame), /*expected_from=*/2,
+                                       /*max_body=*/64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 5u);
   EXPECT_EQ(back->round, 41u);
@@ -137,43 +130,40 @@ TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
   }
 }
 
-TEST_P(TcpFramingWireTest, EmptyRoundFrameIsABarrierMarker) {
-  const WireVersion wire = GetParam();
-  const auto frame = encode_round_frame(/*stream=*/0, /*round=*/0, {}, wire);
-  const auto back = decode_round_frame(payload_of(frame), wire, 1, 64);
+TEST(TcpFramingTest, EmptyRoundFrameIsABarrierMarker) {
+  const auto frame = encode_round_frame(/*stream=*/0, /*round=*/0, {});
+  const auto back = decode_round_frame(payload_of(frame), 1, 64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 0u);
   EXPECT_EQ(back->round, 0u);
   EXPECT_TRUE(back->msgs.empty());
 }
 
-TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
-  const WireVersion wire = GetParam();
+TEST(TcpFramingTest, RoundFrameFailsClosed) {
   const auto msgs = sample_msgs(/*from=*/2);
-  const auto frame = encode_round_frame(5, 41, msgs, wire);
+  const auto frame = encode_round_frame(5, 41, msgs);
   const std::vector<std::uint8_t> good(payload_of(frame).begin(),
                                        payload_of(frame).end());
-  ASSERT_TRUE(decode_round_frame(good, wire, 2, 64).has_value());
+  ASSERT_TRUE(decode_round_frame(good, 2, 64).has_value());
 
   // A sender id other than the handshaken peer fails the whole frame —
   // this is the spoofing gate.
-  EXPECT_FALSE(decode_round_frame(good, wire, 3, 64).has_value());
+  EXPECT_FALSE(decode_round_frame(good, 3, 64).has_value());
 
   // Truncation at every prefix length.
   for (std::size_t len = 0; len < good.size(); ++len) {
     EXPECT_FALSE(
-        decode_round_frame(std::span(good.data(), len), wire, 2, 64)
-            .has_value())
+        decode_round_frame(std::span(good.data(), len), 2, 64).has_value())
         << "prefix length " << len;
   }
 
   // Trailing bytes.
   auto trailing = good;
   trailing.push_back(0x7F);
-  EXPECT_FALSE(decode_round_frame(trailing, wire, 2, 64).has_value());
+  EXPECT_FALSE(decode_round_frame(trailing, 2, 64).has_value());
 
   // Body larger than max_body: the 4-byte body fails a 3-byte cap.
-  EXPECT_FALSE(decode_round_frame(good, wire, 2, /*max_body=*/3).has_value());
+  EXPECT_FALSE(decode_round_frame(good, 2, /*max_body=*/3).has_value());
 
   // A count claiming more envelopes than the frame has bytes.
   {
@@ -183,29 +173,9 @@ TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
     w.uvarint(1000);  // only a handful of bytes follow
     w.u8(0);
     const auto bytes = std::move(w).take();
-    EXPECT_FALSE(decode_round_frame(bytes, wire, 2, 64).has_value());
-  }
-
-  // Decoding with the wrong wire version must not "work by accident"
-  // into the same bundle.
-  const WireVersion other =
-      wire == WireVersion::kV0 ? WireVersion::kV1 : WireVersion::kV0;
-  const auto cross = decode_round_frame(good, other, 2, 64);
-  if (cross.has_value()) {
-    bool same = cross->msgs.size() == msgs.size();
-    if (same) {
-      for (std::size_t i = 0; i < msgs.size(); ++i) {
-        same = same && cross->msgs[i].tag == msgs[i].tag &&
-               cross->msgs[i].body == msgs[i].body;
-      }
-    }
-    EXPECT_FALSE(same);
+    EXPECT_FALSE(decode_round_frame(bytes, 2, 64).has_value());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(WireVersions, TcpFramingWireTest,
-                         ::testing::Values(WireVersion::kV0,
-                                           WireVersion::kV1));
 
 }  // namespace
 }  // namespace dprbg

@@ -147,9 +147,9 @@ TEST_F(TraceBudgetTest, VssPerPhaseBudget) {
   // the challenge exposure, one in the final decode).
   check_budgets(phases, {
       // proto, phase, rounds, adds, muls, interps, msgs, bytes
-      {"vss", "deal", 0, 28, 28, 0, 6, 168},
-      {"vss", "challenge", 1, 798, 987, 7, 42, 840},
-      {"vss", "respond", 1, 7, 7, 0, 42, 840},
+      {"vss", "deal", 0, 28, 28, 0, 6, 126},
+      {"vss", "challenge", 1, 798, 987, 7, 42, 546},
+      {"vss", "respond", 1, 7, 7, 0, 42, 588},
       {"vss", "interpolate", 0, 882, 1071, 7, 0, 0},
   });
 }
@@ -168,9 +168,9 @@ TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
   // Lemma 4: the batch costs what a single VSS costs — 2 rounds, 2
   // interpolations — independent of M (only deal bytes grow with M).
   check_budgets(phases, {
-      {"batch-vss", "deal", 0, 56, 56, 0, 6, 264},
-      {"batch-vss", "challenge", 1, 798, 987, 7, 42, 840},
-      {"batch-vss", "combine", 1, 28, 28, 0, 42, 840},
+      {"batch-vss", "deal", 0, 56, 56, 0, 6, 222},
+      {"batch-vss", "challenge", 1, 798, 987, 7, 42, 546},
+      {"batch-vss", "combine", 1, 28, 28, 0, 42, 588},
       {"batch-vss", "interpolate", 0, 882, 1071, 7, 0, 0},
   });
 }
@@ -187,9 +187,9 @@ TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
   // Lemma 6: 2 rounds; n messages of size Mk (deal) + n^2 of size k
   // (challenge coin) + n^2 of size ~kn (batched combinations).
   check_budgets(phases, {
-      {"bitgen", "deal", 0, 392, 392, 0, 42, 1848},
-      {"bitgen", "challenge", 1, 798, 987, 7, 42, 840},
-      {"bitgen", "combine", 1, 196, 196, 0, 42, 3150},
+      {"bitgen", "deal", 0, 392, 392, 0, 42, 1554},
+      {"bitgen", "challenge", 1, 798, 987, 7, 42, 546},
+      {"bitgen", "combine", 1, 196, 196, 0, 42, 2898},
       {"bitgen", "decode", 0, 6174, 7497, 49, 0, 0},
   });
 }
@@ -205,12 +205,12 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
   // 3, one leader exposure (1) + one Phase-King BA (2(t+1) = 4) when the
   // first leader is honest: 10 rounds total.
   check_budgets(phases, {
-      {"coin-gen", "deal", 2, 7707, 9219, 56, 126, 6174},
+      {"coin-gen", "deal", 2, 7707, 9219, 56, 126, 5334},
       {"coin-gen", "graph", 0, 588, 588, 0, 0, 0},
       {"coin-gen", "clique", 0, 0, 0, 0, 0, 0},
-      {"coin-gen", "gradecast", 3, 0, 0, 0, 126, 80052},
-      {"coin-gen", "leader", 1, 798, 987, 7, 42, 840},
-      {"coin-gen", "ba", 4, 0, 0, 0, 96, 1248},
+      {"coin-gen", "gradecast", 3, 0, 0, 0, 126, 76986},
+      {"coin-gen", "leader", 1, 798, 987, 7, 42, 630},
+      {"coin-gen", "ba", 4, 0, 0, 0, 96, 630},
       {"coin-gen", "output", 0, 455, 343, 0, 0, 0},
   });
   // Lemma-8 sanity: the whole run fits in 10 rounds at one iteration.

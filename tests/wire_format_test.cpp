@@ -1,28 +1,19 @@
-// Versioned wire framing (net/msg.h) and the Grade-Cast echo layouts
-// (gradecast/gradecast.h): v0 stays bit-for-bit the historical format,
-// v1 round-trips canonically and measurably shrinks echo bytes at small
-// field values, and protocol results are identical under either framing.
+// Envelope wire framing (net/msg.h) and the Grade-Cast echo layout
+// (gradecast/gradecast.h): both round-trip canonically, the golden bytes
+// are pinned, and every malformed or non-canonical input is rejected.
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/serial.h"
-#include "common/trace.h"
 #include "gradecast/gradecast.h"
 #include "gtest/gtest.h"
-#include "net/cluster.h"
 #include "net/msg.h"
 #include "rng/chacha.h"
 
 namespace dprbg {
 namespace {
-
-// Every test leaves the process default at v0 (the tier-1 contract).
-class WireFormatTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_wire_version(WireVersion::kV0); }
-};
 
 EnvelopeHeader sample_header() {
   EnvelopeHeader h;
@@ -33,42 +24,25 @@ EnvelopeHeader sample_header() {
   return h;
 }
 
-TEST_F(WireFormatTest, V0HeaderGoldenBytes) {
-  // The exact 14-byte little-endian layout charged as kHeaderBytes since
-  // PR 1 — pinned so wire versioning can never silently reframe v0.
+TEST(WireFormatTest, V1HeaderGoldenBytesAndShorter) {
   ByteWriter w;
-  encode_envelope_header(w, sample_header(), WireVersion::kV0);
-  const std::vector<std::uint8_t> expect{
-      0x03, 0x00, 0x00, 0x00,  // from  = 3        (u32)
-      0x10, 0x20, 0x00, 0x06,  // tag               (u32, proto kGradeCast)
-      0x07, 0x00,              // batch = 7        (u16)
-      0x60, 0x00, 0x00, 0x00,  // body_len = 96    (u32)
-  };
-  EXPECT_EQ(w.data(), expect);
-  EXPECT_EQ(w.size(), kV0HeaderBytes);
-  EXPECT_EQ(envelope_header_bytes(sample_header(), WireVersion::kV0),
-            kV0HeaderBytes);
-}
-
-TEST_F(WireFormatTest, V1HeaderGoldenBytesAndShorter) {
-  ByteWriter w;
-  encode_envelope_header(w, sample_header(), WireVersion::kV1);
+  encode_envelope_header(w, sample_header());
   // tag 0x06002010 rotates to 0x00201006 (proto byte low) and varints to
   // 4 bytes; from/batch/body_len are single-byte varints.
   const std::vector<std::uint8_t> expect{
-      0x10,                    // version 1, flags 0
+      0x10,                    // version 1, low nibble reserved zero
       0x03,                    // from = 3
       0x86, 0xA0, 0x80, 0x01,  // wire_tag(tag) = 0x00201006
       0x07,                    // batch = 7
       0x60,                    // body_len = 96
   };
   EXPECT_EQ(w.data(), expect);
-  EXPECT_LT(w.size(), kV0HeaderBytes);
-  EXPECT_EQ(envelope_header_bytes(sample_header(), WireVersion::kV1),
-            w.size());
+  // Shorter than the four header fields would be as raw u32s.
+  EXPECT_LT(w.size(), 4 * sizeof(std::uint32_t));
+  EXPECT_EQ(envelope_header_bytes(sample_header()), w.size());
 }
 
-TEST_F(WireFormatTest, HeadersRoundTripBothVersions) {
+TEST(WireFormatTest, HeadersRoundTrip) {
   Chacha rng(0xC0FFEE, 1);
   for (int i = 0; i < 2000; ++i) {
     EnvelopeHeader h;
@@ -76,69 +50,53 @@ TEST_F(WireFormatTest, HeadersRoundTripBothVersions) {
     h.tag = static_cast<std::uint32_t>(rng.next_u64());
     h.batch = static_cast<std::uint32_t>(rng.next_u64() % 0x10000);
     h.body_len = static_cast<std::uint32_t>(rng.next_u64());
-    for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
-      ByteWriter w;
-      encode_envelope_header(w, h, v);
-      ASSERT_EQ(w.size(), envelope_header_bytes(h, v));
-      ByteReader r(w.data());
-      const auto back = decode_envelope_header(r, v);
-      ASSERT_TRUE(back.has_value());
-      EXPECT_EQ(back->from, h.from);
-      EXPECT_EQ(back->tag, h.tag);
-      EXPECT_EQ(back->batch, h.batch);
-      EXPECT_EQ(back->body_len, h.body_len);
-      EXPECT_TRUE(r.done());
-    }
+    ByteWriter w;
+    encode_envelope_header(w, h);
+    ASSERT_EQ(w.size(), envelope_header_bytes(h));
+    ByteReader r(w.data());
+    const auto back = decode_envelope_header(r);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->from, h.from);
+    EXPECT_EQ(back->tag, h.tag);
+    EXPECT_EQ(back->batch, h.batch);
+    EXPECT_EQ(back->body_len, h.body_len);
+    EXPECT_TRUE(r.done());
   }
 }
 
-TEST_F(WireFormatTest, V0StaysDecodableWhileProcessRunsV1) {
-  // "Legacy framing kept decodable": the decoder takes the version
-  // explicitly, so a v1 process still reads v0 transcripts.
-  ByteWriter w;
-  encode_envelope_header(w, sample_header(), WireVersion::kV0);
-  set_wire_version(WireVersion::kV1);
-  ByteReader r(w.data());
-  const auto h = decode_envelope_header(r, WireVersion::kV0);
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->tag, sample_header().tag);
-  EXPECT_TRUE(r.done());
-}
-
-TEST_F(WireFormatTest, V1RejectsMalformedHeaders) {
+TEST(WireFormatTest, V1RejectsMalformedHeaders) {
   ByteWriter good;
-  encode_envelope_header(good, sample_header(), WireVersion::kV1);
+  encode_envelope_header(good, sample_header());
   // Truncation: every strict prefix fails.
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
     std::vector<std::uint8_t> prefix(good.data().begin(),
                                      good.data().begin() + cut);
     ByteReader r(prefix);
-    EXPECT_FALSE(decode_envelope_header(r, WireVersion::kV1).has_value())
-        << "cut " << cut;
+    EXPECT_FALSE(decode_envelope_header(r).has_value()) << "cut " << cut;
   }
-  // Nonzero reserved flags.
+  // Nonzero reserved low nibble.
   std::vector<std::uint8_t> bad_flags = good.data();
   bad_flags[0] = 0x13;
   {
     ByteReader r(bad_flags);
-    EXPECT_FALSE(decode_envelope_header(r, WireVersion::kV1).has_value());
+    EXPECT_FALSE(decode_envelope_header(r).has_value());
   }
   // Wrong version nibble.
   std::vector<std::uint8_t> bad_version = good.data();
   bad_version[0] = 0x20;
   {
     ByteReader r(bad_version);
-    EXPECT_FALSE(decode_envelope_header(r, WireVersion::kV1).has_value());
+    EXPECT_FALSE(decode_envelope_header(r).has_value());
   }
   // Overlong varint in the sender field.
   std::vector<std::uint8_t> overlong{0x10, 0x83, 0x00, 0x01, 0x02, 0x03};
   {
     ByteReader r(overlong);
-    EXPECT_FALSE(decode_envelope_header(r, WireVersion::kV1).has_value());
+    EXPECT_FALSE(decode_envelope_header(r).has_value());
   }
 }
 
-TEST_F(WireFormatTest, TagRotationIsLossless) {
+TEST(WireFormatTest, TagRotationIsLossless) {
   Chacha rng(0x7A6, 2);
   for (int i = 0; i < 1000; ++i) {
     const auto tag = static_cast<std::uint32_t>(rng.next_u64());
@@ -149,7 +107,7 @@ TEST_F(WireFormatTest, TagRotationIsLossless) {
   EXPECT_EQ(varint_size(wire_tag(bare)), 1u);
 }
 
-TEST_F(WireFormatTest, EchoCodecV1RoundTripsAndShrinks) {
+TEST(WireFormatTest, EchoCodecV1RoundTripsAndShrinks) {
   using gradecast_detail::MaybeValue;
   std::vector<MaybeValue> per_sender(7);
   per_sender[0] = std::vector<std::uint8_t>{1, 2};        // GF(2^16)-sized
@@ -157,114 +115,32 @@ TEST_F(WireFormatTest, EchoCodecV1RoundTripsAndShrinks) {
   per_sender[3] = std::vector<std::uint8_t>{};            // present, empty
   per_sender[6] = std::vector<std::uint8_t>(200, 0x42);   // 2-byte varint
 
-  const auto v0 = gradecast_detail::encode_echoes(per_sender,
-                                                  WireVersion::kV0);
-  const auto v1 = gradecast_detail::encode_echoes(per_sender,
-                                                  WireVersion::kV1);
-  // v0: 5 bytes/sender overhead; v1: 1 byte for absent or small, 2 for
-  // the 200-byte value.
-  EXPECT_EQ(v0.size(), 7 * 5 + 2 + 8 + 0 + 200);
-  EXPECT_EQ(v1.size(), 6 * 1 + 2 + 2 + 8 + 0 + 200);
-  EXPECT_LT(v1.size(), v0.size());
+  const auto bytes = gradecast_detail::encode_echoes(per_sender);
+  // 1 key byte per sender when absent or small, 2 for the 200-byte value.
+  EXPECT_EQ(bytes.size(), 6 * 1 + 2 + 2 + 8 + 0 + 200);
 
-  const auto d0 =
-      gradecast_detail::decode_echoes(v0, 7, 1u << 10, WireVersion::kV0);
-  const auto d1 =
-      gradecast_detail::decode_echoes(v1, 7, 1u << 10, WireVersion::kV1);
-  ASSERT_TRUE(d0.has_value());
-  ASSERT_TRUE(d1.has_value());
+  const auto decoded = gradecast_detail::decode_echoes(bytes, 7, 1u << 10);
+  ASSERT_TRUE(decoded.has_value());
   for (int s = 0; s < 7; ++s) {
-    EXPECT_EQ((*d0)[s], per_sender[s]) << "sender " << s;
-    EXPECT_EQ((*d1)[s], per_sender[s]) << "sender " << s;
+    EXPECT_EQ((*decoded)[s], per_sender[s]) << "sender " << s;
   }
-  // Cross-version decoding fails shape validation rather than
-  // misinterpreting (v1 bytes are far too short for v0's minimum).
-  EXPECT_FALSE(gradecast_detail::decode_echoes(v1, 7, 1u << 10,
-                                               WireVersion::kV0)
-                   .has_value());
+  EXPECT_EQ(gradecast_detail::encode_echoes(*decoded), bytes);
 }
 
-TEST_F(WireFormatTest, EchoV1RejectsOversizeAndTrailing) {
+TEST(WireFormatTest, EchoV1RejectsOversizeAndTrailing) {
   using gradecast_detail::MaybeValue;
   std::vector<MaybeValue> per_sender(2);
   per_sender[0] = std::vector<std::uint8_t>(16, 1);
-  auto bytes = gradecast_detail::encode_echoes(per_sender, WireVersion::kV1);
+  auto bytes = gradecast_detail::encode_echoes(per_sender);
   // Cap below the value size: rejected before allocation.
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 8,
-                                               WireVersion::kV1)
-                   .has_value());
+  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 8).has_value());
   // Trailing garbage: rejected by the done() check.
   bytes.push_back(0x00);
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 1u << 10,
-                                               WireVersion::kV1)
-                   .has_value());
+  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 1u << 10).has_value());
   // Key varint overlong: rejected by canonical decoding.
   const std::vector<std::uint8_t> overlong{0x80, 0x00, 0x00};
-  EXPECT_FALSE(gradecast_detail::decode_echoes(overlong, 2, 1u << 10,
-                                               WireVersion::kV1)
-                   .has_value());
-}
-
-// Runs a 3-round all-sender Grade-Cast on a fresh cluster and returns
-// (results at every player, echo-phase bytes, total comm bytes).
-struct GradeCastRun {
-  std::vector<std::vector<GradeCastResult>> results;
-  std::uint64_t echo_bytes = 0;
-  std::uint64_t total_bytes = 0;
-};
-
-GradeCastRun run_gradecast(WireVersion v) {
-  set_wire_version(v);
-  constexpr int kN = 7;
-  constexpr int kT = 2;
-  Cluster cluster(kN, kT, /*seed=*/0x6C0DE);
-  GradeCastRun out;
-  out.results.resize(kN);
-  tracer().set_enabled(true);
-  tracer().clear();
-  cluster.run([&](PartyIo& io) {
-    // Small values: two bytes, the size a GF(2^16) share would have —
-    // where the 5-byte v0 echo overhead dominates.
-    const std::vector<std::uint8_t> mine{
-        static_cast<std::uint8_t>(io.id()),
-        static_cast<std::uint8_t>(io.id() + 100)};
-    out.results[io.id()] = grade_cast_all(io, mine);
-  }, {}, nullptr);
-  for (const TraceEvent& ev : tracer().events()) {
-    if (ev.protocol == "gradecast" &&
-        (ev.phase == "echo" || ev.phase == "support")) {
-      out.echo_bytes += ev.comm.bytes;
-    }
-  }
-  tracer().set_enabled(false);
-  tracer().clear();
-  out.total_bytes = cluster.comm().bytes;
-  set_wire_version(WireVersion::kV0);
-  return out;
-}
-
-TEST_F(WireFormatTest, GradeCastIdenticalResultsFewerBytesUnderV1) {
-  const GradeCastRun r0 = run_gradecast(WireVersion::kV0);
-  const GradeCastRun r1 = run_gradecast(WireVersion::kV1);
-  // Bit-for-bit identical protocol outcome...
-  ASSERT_EQ(r0.results.size(), r1.results.size());
-  for (std::size_t p = 0; p < r0.results.size(); ++p) {
-    ASSERT_EQ(r0.results[p].size(), r1.results[p].size());
-    for (std::size_t s = 0; s < r0.results[p].size(); ++s) {
-      EXPECT_EQ(r0.results[p][s].value, r1.results[p][s].value);
-      EXPECT_EQ(r0.results[p][s].confidence, r1.results[p][s].confidence);
-      EXPECT_EQ(r0.results[p][s].confidence, 2);  // all honest senders
-    }
-  }
-  // ... at measurably fewer bytes: the echo+support phases carry 7
-  // entries x 5 bytes of v0 overhead per message vs ~1 byte under v1,
-  // and every envelope header shrinks from 14 bytes to ~6.
-  EXPECT_GT(r0.echo_bytes, 0u);
-  EXPECT_LT(r1.echo_bytes, r0.echo_bytes);
-  EXPECT_LT(r1.total_bytes, r0.total_bytes);
-  // The echo layout alone saves at least 4 bytes/sender-entry on most
-  // entries; assert a conservative floor (>25% off the echo phases).
-  EXPECT_LT(r1.echo_bytes * 4, r0.echo_bytes * 3);
+  EXPECT_FALSE(
+      gradecast_detail::decode_echoes(overlong, 2, 1u << 10).has_value());
 }
 
 }  // namespace

@@ -117,9 +117,9 @@ echo "=== [check] beacon failover chaos suite ==="
 
 echo "=== [check] adversarial hardening suite (misbehavior / DoS / wire) ==="
 # The stalling-peer DoS scenario (hostage detected, scored, banned;
-# survivors bit-for-bit equal to a from-scratch run) plus the wire
-# versioning and varint codec suites in the plain build. All four run
-# again under the sanitizer matrix via ctest.
+# survivors bit-for-bit equal to a from-scratch run) plus the envelope
+# and echo codec suite and the varint suite in the plain build. All four
+# run again under the sanitizer matrix via ctest.
 ./build/tests/misbehavior_test
 ./build/tests/dos_stall_test
 ./build/tests/wire_format_test
@@ -202,6 +202,20 @@ trap 'rm -rf "$metrics_dir"' EXIT
 if [[ "$mode" == "full" ]]; then
   echo "=== [check] sanitizer matrix ==="
   tools/sanitize.sh all
+
+  echo "=== [check] fuzz corpus drift (make_corpus vs fuzz/corpus) ==="
+  # The checked-in seeds must be exactly what make_corpus writes from the
+  # current codecs: a codec edit that forgets to regenerate them, or a
+  # stale seed left behind, fails here.
+  corpus_dir="$(mktemp -d)"
+  ./build-san-asan/fuzz/make_corpus "$corpus_dir" >/dev/null
+  if ! diff -r "$corpus_dir" fuzz/corpus; then
+    rm -rf "$corpus_dir"
+    echo "check.sh: fuzz/corpus drifted; regenerate it with" \
+      "make_corpus fuzz/corpus" >&2
+    exit 1
+  fi
+  rm -rf "$corpus_dir"
 
   echo "=== [check] fuzz smoke (60s per target under ASan+UBSan) ==="
   # sanitize.sh configured build-san-asan with -DDPRBG_FUZZ=ON, so the

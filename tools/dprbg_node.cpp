@@ -24,8 +24,6 @@
 //   --m=N           coins per batch (default 4)
 //   --batches=N     Coin-Gen batches to mint (default 2)
 //   --depth=N       pipeline depth (default 2)
-//   --wire=v0|v1    envelope wire version (default v1; all nodes must
-//                   match — the handshake rejects a mismatch)
 //   --connect-wait-ms=N  mesh bring-up timeout (default 15000)
 //   --metrics=FILE  enable telemetry; write the registry snapshot here
 //
@@ -35,7 +33,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -64,7 +61,6 @@ struct NodeConfig {
   unsigned m = 4;
   unsigned batches = 2;
   unsigned depth = 2;
-  WireVersion wire = WireVersion::kV1;
   unsigned connect_wait_ms = 15000;
   std::string metrics_path;
 };
@@ -127,15 +123,6 @@ bool parse_flags(int argc, char** argv, NodeConfig* cfg) {
       cfg->batches = static_cast<unsigned>(std::atoi(v));
     } else if (const char* v = val("--depth=")) {
       cfg->depth = static_cast<unsigned>(std::atoi(v));
-    } else if (const char* v = val("--wire=")) {
-      if (std::strcmp(v, "v0") == 0) {
-        cfg->wire = WireVersion::kV0;
-      } else if (std::strcmp(v, "v1") == 0) {
-        cfg->wire = WireVersion::kV1;
-      } else {
-        std::fprintf(stderr, "dprbg_node: --wire must be v0 or v1\n");
-        return false;
-      }
     } else if (const char* v = val("--connect-wait-ms=")) {
       cfg->connect_wait_ms = static_cast<unsigned>(std::atoi(v));
     } else if (const char* v = val("--metrics=")) {
@@ -159,7 +146,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: dprbg_node --roster=FILE --id=N [--listen=H:P] "
                  "[--t=N] [--seed=N] [--m=N] [--batches=N] [--depth=N] "
-                 "[--wire=v0|v1] [--connect-wait-ms=N] [--metrics=FILE]\n");
+                 "[--connect-wait-ms=N] [--metrics=FILE]\n");
     return 1;
   }
   const auto roster = read_roster(cfg.roster_path);
@@ -175,7 +162,6 @@ int main(int argc, char** argv) {
                  cfg.id, t, n);
     return 1;
   }
-  set_wire_version(cfg.wire);
   if (!cfg.metrics_path.empty()) set_telemetry_enabled(true);
 
   TcpClusterOptions opts;
@@ -202,14 +188,13 @@ int main(int argc, char** argv) {
     const TcpStats st = node.stats();
     std::fprintf(stderr,
                  "dprbg_node: mesh did not come up within %u ms "
-                 "(accept rejects: malformed=%llu proto=%llu wire=%llu "
-                 "roster=%llu bad_id=%llu)\n",
+                 "(accept rejects: malformed=%llu proto=%llu roster=%llu "
+                 "bad_id=%llu)\n",
                  cfg.connect_wait_ms,
                  static_cast<unsigned long long>(st.accept_rejects[0]),
                  static_cast<unsigned long long>(st.accept_rejects[1]),
                  static_cast<unsigned long long>(st.accept_rejects[2]),
-                 static_cast<unsigned long long>(st.accept_rejects[3]),
-                 static_cast<unsigned long long>(st.accept_rejects[4]));
+                 static_cast<unsigned long long>(st.accept_rejects[3]));
     return 2;
   }
   std::fprintf(stderr, "dprbg_node: mesh up (port %u), minting %u batches\n",
