@@ -15,16 +15,20 @@
 // --sweep-M (E20, DESIGN.md §14) switches to the wide-batch kernel
 // sweep: batch Z_q mul/axpy (element-wise loop vs scalar kernel vs
 // dispatched SIMD kernel), GF(2^64) software vs hardware CLMUL, the
-// blocked Horner combine, and the NTT-vs-schoolbook crossover, at
-// M = 4 ... 4096. Every SIMD timing is hard-asserted against the scalar
-// output in-run. --json emits one JSON row per table line
+// blocked Horner combine, the inline-PCLMUL share-row kernels (small-x
+// evaluation and Coin-Gen-shaped combine) against the per-element loop,
+// ChaCha20 one block vs four blocks per call, and the NTT-vs-schoolbook
+// crossover, at M = 4 ... 4096. Every fast-path timing is hard-asserted
+// against the reference output in-run. --json emits one JSON row per table line
 // (BENCH_field_kernels.json is this output verbatim); --smoke trims the
 // M list for CI.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <span>
 #include <cstdio>
 #include <string_view>
 #include <vector>
@@ -35,6 +39,7 @@
 #include "gf/zq.h"
 #include "gf/zq_simd.h"
 #include "poly/interpolate.h"
+#include "poly/polynomial.h"
 #include "rng/chacha.h"
 
 namespace dprbg {
@@ -170,8 +175,9 @@ int run_kernel_sweep(bool smoke) {
       "the wide-batch engine's speed comes from executing the same ops "
       "faster: PCLMUL GF(2^64) mul >> 4x over the shift-XOR loop (the "
       "protocol field's hot op), blocked Horner combines over SoA rows, "
-      "NTT past the l-crossover; batch Z_q kernels feed the NTT stages "
-      "and are bit-asserted against the scalar loop");
+      "inline-PCLMUL share-row kernels, four-block ChaCha refills, NTT "
+      "past the l-crossover; batch Z_q kernels feed the NTT stages and "
+      "are bit-asserted against the scalar loop");
 
   const std::vector<std::size_t> ms =
       smoke ? std::vector<std::size_t>{4, 64, 1024}
@@ -327,7 +333,123 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 4) NTT crossover: locates FftField::kNttCrossoverL (the constant
+  // 4) Share-row evaluation at a small point (the dealer's deal loop at
+  // t=1: M degree-1 polynomials at x = 7 = eval_point(6)): the
+  // per-element Horner loop with one out-of-line multiply per step vs
+  // eval_polys_block, which takes the inline one-fold PCLMUL kernel when
+  // clmul_hw is set.
+  {
+    using F = GF2_64;
+    Table t({"M", "loop_ns_per_poly", "block_ns_per_poly", "speedup",
+             "match"});
+    t.context("table", "eval_small_x");
+    t.context("deg", "1");
+    t.context("x", "7");
+    t.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
+    const F x = F::from_uint(7);
+    for (const std::size_t m : ms) {
+      const int reps = static_cast<int>(
+          std::max<std::size_t>(1, budget / (8 * m)));
+      const auto block = PolyBlock<F>::random(m, 1, rng);
+      std::vector<F> exp(m), got(m);
+      const double loop = time_ns_per_elem(m, reps, [&] {
+        for (std::size_t j = 0; j < m; ++j) {
+          const auto c = block.coeffs(j);
+          F acc = F::zero();
+          for (std::size_t i = c.size(); i-- > 0;) acc = acc * x + c[i];
+          exp[j] = acc;
+        }
+      });
+      const double blk = time_ns_per_elem(
+          m, reps, [&] { eval_polys_block<F>(block, x, got); });
+      const bool match = got == exp;
+      ok = ok && match;
+      t.row({fmt(m), fmt(loop), fmt(blk), fmt(loop / blk),
+             match ? "yes" : "NO"});
+    }
+    t.print();
+  }
+
+  // 5) Coin-Gen's combination shape: n = 7 rows of M+1 shares (one per
+  // dealer) under one challenge. Per-row Horner loop with out-of-line
+  // multiplies vs batch_combine_block, which takes the inline PCLMUL
+  // kernel when clmul_hw is set.
+  {
+    using F = GF2_64;
+    Table t({"M", "loop_ns_per_elem", "block_ns_per_elem", "speedup",
+             "match"});
+    t.context("table", "combine_inline");
+    t.context("rows", "7");
+    t.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
+    const std::size_t rows = 7;
+    const F r = random_element<F>(rng);
+    for (const std::size_t m : ms) {
+      const std::size_t row_len = m + 1;
+      const std::size_t elems = rows * row_len;
+      const int reps = static_cast<int>(
+          std::max<std::size_t>(1, budget / (8 * elems)));
+      std::vector<std::vector<F>> mat(rows);
+      std::vector<const F*> ptrs(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        mat[i].resize(row_len);
+        for (auto& v : mat[i]) v = random_element<F>(rng);
+        ptrs[i] = mat[i].data();
+      }
+      std::vector<F> exp(rows), got(rows);
+      const double loop = time_ns_per_elem(elems, reps, [&] {
+        for (std::size_t i = 0; i < rows; ++i) {
+          F acc = F::zero();
+          for (std::size_t j = row_len; j-- > 0;) {
+            acc = (acc + mat[i][j]) * r;
+          }
+          exp[i] = acc;
+        }
+      });
+      const double blk = time_ns_per_elem(elems, reps, [&] {
+        batch_combine_block<F>(ptrs, row_len, r, got);
+      });
+      const bool match = got == exp;
+      ok = ok && match;
+      t.row({fmt(m), fmt(loop), fmt(blk), fmt(loop / blk),
+             match ? "yes" : "NO"});
+    }
+    t.print();
+  }
+
+  // 6) ChaCha20 keystream: M blocks one at a time (chacha_block) vs four
+  // per call (chacha_blocks4, the refill Chacha runs), bit-asserted.
+  {
+    Table t({"M", "one_ns_per_block", "four_ns_per_block", "speedup",
+             "match"});
+    t.context("table", "chacha_blocks");
+    std::array<std::uint32_t, 16> state{};
+    for (auto& w : state) w = rng.next_u32();
+    for (const std::size_t m : ms) {
+      const std::size_t blocks = (m + 3) / 4 * 4;
+      const int reps = static_cast<int>(
+          std::max<std::size_t>(1, budget / (16 * blocks)));
+      std::vector<std::uint32_t> one(16 * blocks), four(16 * blocks);
+      const double t1 = time_ns_per_elem(blocks, reps, [&] {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          chacha_block(state, b,
+                       std::span<std::uint32_t, 16>(one.data() + 16 * b, 16));
+        }
+      });
+      const double t4 = time_ns_per_elem(blocks, reps, [&] {
+        for (std::size_t b = 0; b < blocks; b += 4) {
+          chacha_blocks4(
+              state, b, std::span<std::uint32_t, 64>(four.data() + 16 * b, 64));
+        }
+      });
+      const bool match = one == four;
+      ok = ok && match;
+      t.row({fmt(blocks), fmt(t1), fmt(t4), fmt(t1 / t4),
+             match ? "yes" : "NO"});
+    }
+    t.print();
+  }
+
+  // 7) NTT crossover: locates FftField::kNttCrossoverL (the constant
   // mul_auto switches on) by timing both paths per l.
   {
     Table t({"l", "schoolbook_ns", "ntt_ns", "winner"});
@@ -361,17 +483,19 @@ int run_kernel_sweep(bool smoke) {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: SIMD/scalar differential mismatch in sweep\n");
+                 "FAIL: fast-path/reference mismatch in sweep\n");
     return 1;
   }
   if (!bench::json_mode()) {
     std::printf(
-        "\nshape check: every match column yes (SIMD == scalar == loop, "
-        "bit-for-bit); hw CLMUL >= 10x soft at every M; NTT wins from "
-        "l >= %u. The Z_q SIMD columns are host-dependent: a modern OoO "
-        "core runs the scalar Barrett loop near the multiplier-port "
-        "ceiling, so parity there is expected — the batch win is CLMUL "
-        "+ blocked combines, not generic modmul.\n",
+        "\nshape check: every match column yes (fast path == reference, "
+        "bit-for-bit); hw CLMUL >= 10x soft at every M; the inline "
+        "share-row kernels (eval_small_x, combine_inline) beat the "
+        "per-element loop from M = 64 and four-block ChaCha beats single "
+        "blocks; NTT wins from l >= %u. The Z_q SIMD columns are "
+        "host-dependent: a modern OoO core runs the scalar Barrett loop "
+        "near the multiplier-port ceiling, so parity there is expected — "
+        "the batch win is CLMUL + blocked combines, not generic modmul.\n",
         FftField::kNttCrossoverL);
   }
   return 0;

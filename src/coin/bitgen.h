@@ -59,6 +59,10 @@ struct BitGenView {
   // The row of shares this player received from the dealer (size M_total),
   // or empty when the dealer sent nothing/garbage to us.
   std::vector<F> my_row;
+  // This player's own combination share beta = batch_combine(my_row, r),
+  // as sent in step 3; nullopt when my_row is empty or r did not expose.
+  // Coin-Gen's qualification compares against it instead of recomputing.
+  std::optional<F> my_combo;
   // S: the combination shares received in step 3, keyed by sender.
   std::map<int, F> combos;
   // F(x): the decoded combined polynomial, or nullopt for "bottom".
@@ -167,8 +171,9 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
   // Step 3: send the Horner combination to all players.
   TraceSpan combine(io, "bitgen", "combine");
   if (!view.my_row.empty()) {
+    view.my_combo = batch_combine<F>(view.my_row, *r_val);
     ByteWriter w;
-    write_elem(w, batch_combine<F>(view.my_row, *r_val));
+    write_elem(w, *view.my_combo);
     io.send_all(combo_tag, w.data());
   }
   const Inbox& in = io.sync();
@@ -266,9 +271,10 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
     ByteWriter w(static_cast<std::size_t>(n) * (1 + F::kBytes));
     std::size_t next_beta = 0;
     for (int dealer = 0; dealer < n; ++dealer) {
-      const bool have = !out.views[dealer].my_row.empty();
-      w.u8(have ? 1 : 0);
-      write_elem(w, have ? betas[next_beta++] : F::zero());
+      auto& view = out.views[dealer];
+      if (!view.my_row.empty()) view.my_combo = betas[next_beta++];
+      w.u8(view.my_combo ? 1 : 0);
+      write_elem(w, view.my_combo.value_or(F::zero()));
     }
     io.send_all(combo_tag, w.data());
   }

@@ -298,28 +298,16 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
     // Qualification: my own rows satisfy F_k for every summed dealer...
     // for every clique member (condition (iii) quantifies over all of
     // C_l, and qualification must match what other players verified).
-    // All |C_l| Horner combinations run through the blocked kernel in
-    // one SoA pass (same per-row op sequence as the scalar loop); any
-    // missing row disqualifies outright, exactly as before.
-    result.qualified = bg.challenge.has_value();
+    // My combination of dealer k's row is the beta bit_gen_all already
+    // computed and sent under the same challenge; a missing row (hence
+    // no beta) disqualifies outright, before any evaluation.
+    result.qualified =
+        std::all_of(msg->clique.begin(), msg->clique.end(),
+                    [&](int k) { return bg.views[k].my_combo.has_value(); });
     for (int k : msg->clique) {
-      if (bg.views[k].my_row.empty()) result.qualified = false;
-    }
-    if (result.qualified) {
-      ArenaScope scope(scratch_arena());
-      ScratchVec<const F*> rows(scope, msg->clique.size());
-      for (std::size_t c = 0; c < msg->clique.size(); ++c) {
-        rows[c] = bg.views[msg->clique[c]].my_row.data();
-      }
-      ScratchVec<F> betas(scope, msg->clique.size());
-      batch_combine_block<F>(rows, m_total, *bg.challenge, betas);
-      for (std::size_t c = 0; c < msg->clique.size(); ++c) {
-        const int k = msg->clique[c];
-        if (msg->polys.at(k)(eval_point<F>(io.id())) != betas[c]) {
-          result.qualified = false;
-          break;
-        }
-      }
+      if (!result.qualified) break;
+      result.qualified =
+          msg->polys.at(k)(eval_point<F>(io.id())) == *bg.views[k].my_combo;
     }
     if (result.qualified) {
       ArenaScope scope(scratch_arena());

@@ -35,6 +35,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.h"
@@ -42,6 +43,7 @@
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "gf/field_concept.h"
+#include "gf/gf2.h"
 #include "poly/polynomial.h"
 
 namespace dprbg {
@@ -265,12 +267,19 @@ inline void tel_block(const char* op, std::size_t elems) {
 // each column once; the per-row operation sequence — (acc + x) * r from
 // j = m-1 down to 0 — is replayed verbatim, so outputs AND add/mul
 // counts are identical to the scalar loop (trace budgets unaffected).
-// Every row must have m elements.
+// GF2_64 rows run the inline-PCLMUL kernel when clmul_hw is set, with the
+// same values and counts. Every row must have m elements.
 template <FiniteField F>
 void batch_combine_block(std::span<const F* const> rows, std::size_t m, F r,
                          std::span<F> out) {
   DPRBG_CHECK(out.size() == rows.size());
   interp_detail::tel_block("combine_block", rows.size() * m);
+  if constexpr (std::is_same_v<F, GF2_64>) {
+    if (gf2_detail::clmul_hw) {
+      gf2_detail::clmul_combine_block64(rows, m, r, out);
+      return;
+    }
+  }
   constexpr std::size_t kTile = 32;
   F acc[kTile];
   for (std::size_t r0 = 0; r0 < rows.size(); r0 += kTile) {

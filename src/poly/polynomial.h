@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
 #include "gf/field_concept.h"
+#include "gf/gf2.h"
 #include "rng/chacha.h"
 
 namespace dprbg {
@@ -180,6 +182,8 @@ class PolyBlock {
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
+  // All size() * stride() coefficients, polynomial by polynomial.
+  [[nodiscard]] const F* data() const { return coeffs_.data(); }
 
   [[nodiscard]] std::span<F> coeffs(std::size_t j) {
     return std::span<F>(coeffs_).subspan(j * stride_, stride_);
@@ -216,9 +220,20 @@ class PolyBlock {
 // verbatim, so outputs and add/mul counts are identical to evaluating the
 // trimmed polynomials in a loop — the trace budgets can't tell the
 // difference (tests/block_kernels_test.cpp asserts both).
+//
+// GF2_64 blocks evaluated at a point below gf2_detail::kOneFoldBound
+// (every Shamir point) run the inline one-fold PCLMUL kernel when
+// clmul_hw is set: the same per-polynomial sequence, values and counts.
 template <FiniteField F>
 void eval_polys_block(const PolyBlock<F>& polys, F x, std::span<F> out) {
   DPRBG_CHECK(out.size() == polys.size());
+  if constexpr (std::is_same_v<F, GF2_64>) {
+    if (gf2_detail::clmul_hw && x.to_uint() < gf2_detail::kOneFoldBound) {
+      gf2_detail::clmul_eval_block64(polys.data(), polys.stride(),
+                                     polys.size(), x.to_uint(), out.data());
+      return;
+    }
+  }
   constexpr std::size_t kTile = 32;
   F acc[kTile];
   const F* rows[kTile];

@@ -1,5 +1,6 @@
 #include "rng/chacha.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -19,7 +20,75 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b,
   b = std::rotl(b ^ c, 7);
 }
 
+// Word i of four consecutive blocks, one block per lane. GCC and Clang
+// lower the element-wise ops to SSE2 on x86-64 and NEON on AArch64.
+using U32x4 = std::uint32_t __attribute__((vector_size(16)));
+
+inline U32x4 rotl4(U32x4 v, int s) noexcept {
+  return (v << s) | (v >> (32 - s));
+}
+
+inline void quarter_round4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) noexcept {
+  a += b;
+  d = rotl4(d ^ a, 16);
+  c += d;
+  b = rotl4(b ^ c, 12);
+  a += b;
+  d = rotl4(d ^ a, 8);
+  c += d;
+  b = rotl4(b ^ c, 7);
+}
+
 }  // namespace
+
+void chacha_block(const std::array<std::uint32_t, 16>& state,
+                  std::uint64_t counter,
+                  std::span<std::uint32_t, 16> out) noexcept {
+  std::array<std::uint32_t, 16> in = state;
+  in[12] = static_cast<std::uint32_t>(counter);
+  in[13] = static_cast<std::uint32_t>(counter >> 32);
+  std::array<std::uint32_t, 16> x = in;
+  for (int round = 0; round < 10; ++round) {  // 20 rounds: 10 double-rounds
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) out[i] = x[i] + in[i];
+}
+
+void chacha_blocks4(const std::array<std::uint32_t, 16>& state,
+                    std::uint64_t counter,
+                    std::span<std::uint32_t, 64> out) noexcept {
+  U32x4 in[16];
+  for (int i = 0; i < 16; ++i) in[i] = U32x4{} + state[i];
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t c = counter + static_cast<std::uint64_t>(k);
+    in[12][k] = static_cast<std::uint32_t>(c);
+    in[13][k] = static_cast<std::uint32_t>(c >> 32);
+  }
+  U32x4 x[16];
+  for (int i = 0; i < 16; ++i) x[i] = in[i];
+  for (int round = 0; round < 10; ++round) {
+    quarter_round4(x[0], x[4], x[8], x[12]);
+    quarter_round4(x[1], x[5], x[9], x[13]);
+    quarter_round4(x[2], x[6], x[10], x[14]);
+    quarter_round4(x[3], x[7], x[11], x[15]);
+    quarter_round4(x[0], x[5], x[10], x[15]);
+    quarter_round4(x[1], x[6], x[11], x[12]);
+    quarter_round4(x[2], x[7], x[8], x[13]);
+    quarter_round4(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) x[i] += in[i];
+  // Transpose lanes back to block order.
+  for (int k = 0; k < 4; ++k) {
+    for (int i = 0; i < 16; ++i) out[16 * k + i] = x[i][k];
+  }
+}
 
 Chacha::Chacha(std::uint64_t seed, std::uint64_t stream) noexcept {
   // "expand 32-byte k" constants.
@@ -40,39 +109,14 @@ Chacha::Chacha(std::uint64_t seed, std::uint64_t stream) noexcept {
     state_[5 + 2 * i] = static_cast<std::uint32_t>(z >> 32);
   }
   // Counter (words 12-13) starts at zero; nonce (words 14-15) = stream.
-  state_[12] = 0;
-  state_[13] = 0;
   state_[14] = static_cast<std::uint32_t>(stream);
   state_[15] = static_cast<std::uint32_t>(stream >> 32);
 }
 
 void Chacha::refill() noexcept {
-  block_ = state_;
-  for (int round = 0; round < 10; ++round) {  // 20 rounds: 10 double-rounds
-    quarter_round(block_[0], block_[4], block_[8], block_[12]);
-    quarter_round(block_[1], block_[5], block_[9], block_[13]);
-    quarter_round(block_[2], block_[6], block_[10], block_[14]);
-    quarter_round(block_[3], block_[7], block_[11], block_[15]);
-    quarter_round(block_[0], block_[5], block_[10], block_[15]);
-    quarter_round(block_[1], block_[6], block_[11], block_[12]);
-    quarter_round(block_[2], block_[7], block_[8], block_[13]);
-    quarter_round(block_[3], block_[4], block_[9], block_[14]);
-  }
-  for (int i = 0; i < 16; ++i) block_[i] += state_[i];
-  // 64-bit block counter.
-  if (++state_[12] == 0) ++state_[13];
+  chacha_blocks4(state_, counter_, buf_);
+  counter_ += 4;
   pos_ = 0;
-}
-
-std::uint32_t Chacha::next_u32() noexcept {
-  if (pos_ >= 16) refill();
-  return block_[pos_++];
-}
-
-std::uint64_t Chacha::next_u64() noexcept {
-  const std::uint64_t lo = next_u32();
-  const std::uint64_t hi = next_u32();
-  return lo | (hi << 32);
 }
 
 std::uint64_t Chacha::uniform(std::uint64_t bound) noexcept {

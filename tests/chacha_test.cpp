@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -114,6 +115,56 @@ TEST(ChachaTest, FieldElementDistributionRoughlyUniform) {
   }
   for (int v = 0; v < 16; ++v) {
     EXPECT_NEAR(double(counts[v]) / kDraws, 1.0 / 16, 0.01);
+  }
+}
+
+// RFC 8439 section 2.3.2's block-function test vector (key 00:01:..:1f,
+// nonce 00:00:00:09:00:00:00:4a:00:00:00:00, block count 1); Python's
+// `cryptography` ChaCha20 reproduces it offline. RFC 8439 splits words
+// 12-15 into a 32-bit counter and a 96-bit nonce; in this generator's
+// layout the counter is words 12-13, so the nonce's first word becomes
+// the 64-bit counter's high half.
+TEST(ChachaTest, Rfc8439BlockFunctionVector) {
+  const std::array<std::uint32_t, 16> state = {
+      0x61707865, 0x3320646e, 0x79622d32, 0x6b206574,  // constants
+      0x03020100, 0x07060504, 0x0b0a0908, 0x0f0e0d0c,  // key
+      0x13121110, 0x17161514, 0x1b1a1918, 0x1f1e1d1c,
+      0,          0,          0x4a000000, 0x00000000,  // counter, nonce
+  };
+  const std::uint64_t counter = 1 | (std::uint64_t{0x09000000} << 32);
+  const std::array<std::uint32_t, 16> expect = {
+      0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3,
+      0xc7f4d1c7, 0x0368c033, 0x9aaa2204, 0x4e6cd4c3,
+      0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9,
+      0xd19c12b5, 0xb94e16de, 0xe883d0cb, 0x4e3c50a2,
+  };
+  std::array<std::uint32_t, 16> one{};
+  chacha_block(state, counter, one);
+  EXPECT_EQ(one, expect);
+  std::array<std::uint32_t, 64> four{};
+  chacha_blocks4(state, counter, four);
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), four.begin()));
+}
+
+// The 4-block refill is four single blocks at consecutive counters,
+// including where the counter carries from word 12 into word 13 and
+// where it wraps at 2^64.
+TEST(ChachaTest, FourBlocksEqualFourSingleBlocks) {
+  Chacha rng(17);
+  std::array<std::uint32_t, 16> state{};
+  for (auto& w : state) w = rng.next_u32();
+  for (const std::uint64_t counter :
+       {std::uint64_t{0}, std::uint64_t{5}, std::uint64_t{0xFFFFFFFD},
+        std::uint64_t{0xFFFFFFFF}, std::uint64_t{0x1FFFFFFFE},
+        ~std::uint64_t{0} - 1}) {
+    std::array<std::uint32_t, 64> four{};
+    chacha_blocks4(state, counter, four);
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      std::array<std::uint32_t, 16> one{};
+      chacha_block(state, counter + k, one);
+      EXPECT_TRUE(std::equal(one.begin(), one.end(), four.begin() + 16 * k))
+          << "counter " << counter << " block " << k;
+    }
   }
 }
 

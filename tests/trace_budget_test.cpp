@@ -211,7 +211,7 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
       {"coin-gen", "gradecast", 3, 0, 0, 0, 126, 76986},
       {"coin-gen", "leader", 1, 798, 987, 7, 42, 630},
       {"coin-gen", "ba", 4, 0, 0, 0, 96, 630},
-      {"coin-gen", "output", 0, 455, 343, 0, 0, 0},
+      {"coin-gen", "output", 0, 210, 98, 0, 0, 0},
   });
   // Lemma-8 sanity: the whole run fits in 10 rounds at one iteration.
   std::uint64_t total_rounds = 0;

@@ -38,23 +38,30 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels / gf2 / row codec) ==="
+echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels / gf2 / row codec / chacha / golden) ==="
 # The SIMD-vs-scalar differentials in both dispatch modes: once with the
 # runtime dispatcher free to pick AVX2/PCLMUL, once with
 # DPRBG_FORCE_SCALAR=1 pinning every kernel to the portable path. The
 # force-scalar rerun is what certifies the scalar fallback actually runs
 # green on this host, not just that it exists. gf2_test holds the
 # fixed-fold GF(2^64) multiply differential, block_kernels_test the
-# PolyBlock equivalences, serial_test the memcpy row codec.
+# PolyBlock and inline-PCLMUL share-row kernel equivalences, serial_test
+# the memcpy row codec, chacha_test the 4-block keystream against single
+# blocks, golden_test the pinned keystream and the Coin-Gen and D-PRBG
+# transcript digests that both modes must reproduce.
 ./build/tests/zq_simd_test
 ./build/tests/block_kernels_test
 ./build/tests/gf2_test
 ./build/tests/serial_test
+./build/tests/chacha_test
+./build/tests/golden_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/zq_simd_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/fft_field_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/chacha_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M, depth 1 must match the serial loop
@@ -71,8 +78,9 @@ if echo "$sweep_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   echo "check.sh: M-sweep reported cross-batch stale deliveries" >&2
   exit 1
 fi
-# Kernel-level differential sweep (field_ops --sweep-M asserts
-# SIMD == scalar on every timed buffer and exits 1 on mismatch).
+# Kernel-level differential sweep (field_ops --sweep-M asserts every
+# fast path — SIMD, PCLMUL share-row kernels, 4-block ChaCha — equal to
+# its reference on every timed buffer and exits 1 on mismatch).
 ./build/bench/field_ops --sweep-M --smoke --json >/dev/null || {
   echo "check.sh: field_ops kernel sweep differential failed" >&2
   exit 1
