@@ -13,13 +13,12 @@
 // table locating the crossover.
 //
 // --sweep-M (E20, DESIGN.md §14) switches to the wide-batch kernel
-// sweep: batch Z_q mul/axpy (element-wise loop vs scalar kernel vs
-// dispatched SIMD kernel), GF(2^64) software vs hardware CLMUL, the
-// blocked Horner combine, the inline-PCLMUL share-row kernels (small-x
-// evaluation and Coin-Gen-shaped combine) against the per-element loop,
-// ChaCha20 one block vs four blocks per call, and the NTT-vs-schoolbook
-// crossover, at M = 4 ... 4096. Every fast-path timing is hard-asserted
-// against the reference output in-run. --json emits one JSON row per table line
+// sweep: GF(2^64) software vs hardware CLMUL, the blocked Horner
+// combine, the inline-PCLMUL share-row kernels (small-x evaluation and
+// Coin-Gen-shaped combine) against the per-element loop, ChaCha20 one
+// block vs four blocks per call, and the NTT-vs-schoolbook crossover, at
+// M = 4 ... 4096. Every fast-path timing is hard-asserted against the
+// reference output in-run. --json emits one JSON row per table line
 // (BENCH_field_kernels.json is this output verbatim); --smoke trims the
 // M list for CI.
 
@@ -36,8 +35,6 @@
 #include "bench_util.h"
 #include "gf/fft_field.h"
 #include "gf/gf2.h"
-#include "gf/zq.h"
-#include "gf/zq_simd.h"
 #include "poly/interpolate.h"
 #include "poly/polynomial.h"
 #include "rng/chacha.h"
@@ -159,25 +156,18 @@ double time_ns_per_elem(std::size_t elems, int reps, Fn&& fn) {
          (static_cast<double>(reps) * static_cast<double>(elems));
 }
 
-std::vector<std::uint32_t> sweep_residues(const Zq& zq, std::size_t n,
-                                          Chacha& rng) {
-  std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = rng.next_u32() % zq.q();
-  return v;
-}
-
 }  // namespace
 
 int run_kernel_sweep(bool smoke) {
   using namespace bench;
   print_header(
-      "E20: wide-batch field kernels, M-sweep",
+      "E20: GF(2^64) share-row kernels, M-sweep",
       "the wide-batch engine's speed comes from executing the same ops "
       "faster: PCLMUL GF(2^64) mul >> 4x over the shift-XOR loop (the "
       "protocol field's hot op), blocked Horner combines over SoA rows, "
-      "inline-PCLMUL share-row kernels, four-block ChaCha refills, NTT "
-      "past the l-crossover; batch Z_q kernels feed the NTT stages and "
-      "are bit-asserted against the scalar loop");
+      "inline-PCLMUL share-row kernels and four-block ChaCha refills, "
+      "each bit-asserted against its reference loop; the GF(q^l) NTT "
+      "beats schoolbook from l = 128");
 
   const std::vector<std::size_t> ms =
       smoke ? std::vector<std::size_t>{4, 64, 1024}
@@ -186,76 +176,7 @@ int run_kernel_sweep(bool smoke) {
   bool ok = true;
   Chacha rng(0xe20);
 
-  // 1) Batch Z_q kernels: element-wise Zq loop (the pre-kernel idiom) vs
-  // the scalar kernel vs the dispatched SIMD kernel, bit-asserted equal.
-  // Two prime regimes: q=1021 is tabulated (the FftField operating
-  // point — the pre-PR loop is a 4 MB random-access product-table walk,
-  // which the kernels replace with in-register Barrett math), and the
-  // largest prime < 2^31 exercises the Barrett scalar loop.
-  for (const std::uint32_t q : {1021u, 2147483629u}) {
-    const Zq zq(q);
-    const std::uint64_t br = zq.barrett();
-    const auto& sc = simd::select_kernels(false);
-    const auto& vec = simd::select_kernels(true);
-    Table t({"M", "op", "loop_ns", "scalar_ns", "simd_ns", "simd_vs_loop",
-             "match"});
-    t.context("q", fmt(zq.q()));
-    t.context("tabulated", zq.tabulated() ? "1" : "0");
-    t.context("dispatch", vec.name);
-    for (const std::size_t m : ms) {
-      const int reps =
-          static_cast<int>(std::max<std::size_t>(1, budget / m));
-      const auto a = sweep_residues(zq, m, rng);
-      const auto b = sweep_residues(zq, m, rng);
-      const std::uint32_t s = rng.next_u32() % zq.q();
-      std::vector<std::uint32_t> d_loop(m), d_sc(m), d_vec(m);
-
-      const double mul_loop = time_ns_per_elem(m, reps, [&] {
-        for (std::size_t i = 0; i < m; ++i) {
-          d_loop[i] = zq.mul(a[i], b[i]);
-        }
-      });
-      const double mul_sc = time_ns_per_elem(m, reps, [&] {
-        sc.mul(a.data(), b.data(), d_sc.data(), m, zq.q(), br);
-      });
-      const double mul_vec = time_ns_per_elem(m, reps, [&] {
-        vec.mul(a.data(), b.data(), d_vec.data(), m, zq.q(), br);
-      });
-      const bool mul_match = d_sc == d_loop && d_vec == d_loop;
-      ok = ok && mul_match;
-      t.row({fmt(m), "mul", fmt(mul_loop), fmt(mul_sc), fmt(mul_vec),
-             fmt(mul_loop / mul_vec), mul_match ? "yes" : "NO"});
-
-      // axpy: timed repeated application keeps values in-range (residues
-      // stay residues), so mutation across reps is harmless; the match
-      // check uses a single application from a fresh copy.
-      std::vector<std::uint32_t> acc_loop = a, acc_sc = a, acc_vec = a;
-      const double ax_loop = time_ns_per_elem(m, reps, [&] {
-        for (std::size_t i = 0; i < m; ++i) {
-          acc_loop[i] = zq.add(acc_loop[i], zq.mul(b[i], s));
-        }
-      });
-      const double ax_sc = time_ns_per_elem(m, reps, [&] {
-        sc.axpy(acc_sc.data(), b.data(), s, m, zq.q(), br);
-      });
-      const double ax_vec = time_ns_per_elem(m, reps, [&] {
-        vec.axpy(acc_vec.data(), b.data(), s, m, zq.q(), br);
-      });
-      std::vector<std::uint32_t> one_loop = a, one_sc = a, one_vec = a;
-      for (std::size_t i = 0; i < m; ++i) {
-        one_loop[i] = zq.add(one_loop[i], zq.mul(b[i], s));
-      }
-      sc.axpy(one_sc.data(), b.data(), s, m, zq.q(), br);
-      vec.axpy(one_vec.data(), b.data(), s, m, zq.q(), br);
-      const bool ax_match = one_sc == one_loop && one_vec == one_loop;
-      ok = ok && ax_match;
-      t.row({fmt(m), "axpy", fmt(ax_loop), fmt(ax_sc), fmt(ax_vec),
-             fmt(ax_loop / ax_vec), ax_match ? "yes" : "NO"});
-    }
-    t.print();
-  }
-
-  // 2) GF(2^64) multiply: software shift-XOR loop vs the PCLMUL path
+  // 1) GF(2^64) multiply: software shift-XOR loop vs the PCLMUL path
   // (bit-asserted; on hosts without PCLMUL both columns are the loop).
   {
     Table t({"M", "soft_ns", "hw_ns", "speedup", "match"});
@@ -291,7 +212,7 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 3) Blocked Horner combine (the Coin-Gen / Batch-VSS inner loop):
+  // 2) Blocked Horner combine (the Coin-Gen / Batch-VSS inner loop):
   // per-row scalar Horner vs batch_combine_block, M rows of the
   // protocol's m_total at n=7, M=4 (65 columns).
   {
@@ -333,7 +254,7 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 4) Share-row evaluation at a small point (the dealer's deal loop at
+  // 3) Share-row evaluation at a small point (the dealer's deal loop at
   // t=1: M degree-1 polynomials at x = 7 = eval_point(6)): the
   // per-element Horner loop with one out-of-line multiply per step vs
   // eval_polys_block, which takes the inline one-fold PCLMUL kernel when
@@ -370,7 +291,7 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 5) Coin-Gen's combination shape: n = 7 rows of M+1 shares (one per
+  // 4) Coin-Gen's combination shape: n = 7 rows of M+1 shares (one per
   // dealer) under one challenge. Per-row Horner loop with out-of-line
   // multiplies vs batch_combine_block, which takes the inline PCLMUL
   // kernel when clmul_hw is set.
@@ -416,7 +337,7 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 6) ChaCha20 keystream: M blocks one at a time (chacha_block) vs four
+  // 5) ChaCha20 keystream: M blocks one at a time (chacha_block) vs four
   // per call (chacha_blocks4, the refill Chacha runs), bit-asserted.
   {
     Table t({"M", "one_ns_per_block", "four_ns_per_block", "speedup",
@@ -449,7 +370,7 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 7) NTT crossover: locates FftField::kNttCrossoverL (the constant
+  // 6) NTT crossover: locates FftField::kNttCrossoverL (the constant
   // mul_auto switches on) by timing both paths per l.
   {
     Table t({"l", "schoolbook_ns", "ntt_ns", "winner"});
@@ -492,10 +413,7 @@ int run_kernel_sweep(bool smoke) {
         "bit-for-bit); hw CLMUL >= 10x soft at every M; the inline "
         "share-row kernels (eval_small_x, combine_inline) beat the "
         "per-element loop from M = 64 and four-block ChaCha beats single "
-        "blocks; NTT wins from l >= %u. The Z_q SIMD columns are "
-        "host-dependent: a modern OoO core runs the scalar Barrett loop "
-        "near the multiplier-port ceiling, so parity there is expected — "
-        "the batch win is CLMUL + blocked combines, not generic modmul.\n",
+        "blocks; NTT wins from l >= %u.\n",
         FftField::kNttCrossoverL);
   }
   return 0;

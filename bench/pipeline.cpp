@@ -45,7 +45,6 @@
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
-#include "gf/zq_simd.h"
 #include "net/cluster.h"
 
 namespace dprbg {
@@ -289,7 +288,6 @@ int main(int argc, char** argv) {
     table.context("t", fmt(kT));
     table.context("rtt_us", fmt(rtt_us));
     table.context("batches", fmt(sweep_batches));
-    table.context("zq_dispatch", simd::dispatch_name());
     table.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
     bool clean = true;
     for (const unsigned m : ms) {

@@ -66,7 +66,6 @@ enum class CommitteeHealth : std::uint8_t { kLive, kLagging, kEvicted };
 
 enum class EvictionReason : std::uint8_t {
   kNone,         // not evicted
-  kOverBudget,   // reserved: per-round budget overrun
   kStalled,      // wall-clock budget exceeded after partial progress
   kCrashed,      // no batch ever completed
   kMisbehavior,  // fault-ledger score crossed the threshold
@@ -85,7 +84,6 @@ inline const char* to_string(CommitteeHealth h) {
 inline const char* to_string(EvictionReason r) {
   switch (r) {
     case EvictionReason::kNone: return "none";
-    case EvictionReason::kOverBudget: return "over-budget";
     case EvictionReason::kStalled: return "stalled";
     case EvictionReason::kCrashed: return "crashed";
     case EvictionReason::kMisbehavior: return "misbehavior";

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "gf/zq_simd.h"
 
 namespace dprbg {
 
@@ -150,8 +149,8 @@ FftField::FftField(unsigned l, std::uint64_t seed) : l_(l), zq_([&] {
 
   // Per-stage dense twiddle tables (header comment): stage s covers
   // len = 2^(s+1), needing len/2 twiddles w^(j * N/len). These replace
-  // the strided roots[j*step] gathers so each stage is one contiguous
-  // batch-butterfly call per block.
+  // the strided roots[j*step] gathers so each block of a stage walks one
+  // contiguous table.
   for (unsigned len = 2; len <= ntt_size_; len <<= 1) {
     const unsigned step = ntt_size_ / len;
     std::vector<std::uint32_t> fwd(len / 2), inv(len / 2);
@@ -297,11 +296,18 @@ void FftField::ntt(std::span<std::uint32_t> a, bool inverse) const {
     const unsigned half = len / 2;
     const std::uint32_t* tw = stages[s].data();
     for (unsigned i = 0; i < n; i += len) {
-      simd::zq_butterfly(zq_, a.data() + i, a.data() + i + half, tw, half);
+      std::uint32_t* lo = a.data() + i;
+      std::uint32_t* hi = lo + half;
+      for (unsigned j = 0; j < half; ++j) {
+        const std::uint32_t u = lo[j];
+        const std::uint32_t v = zq_.reduce(std::uint64_t{hi[j]} * tw[j]);
+        lo[j] = zq_.add(u, v);
+        hi[j] = zq_.sub(u, v);
+      }
     }
   }
   if (inverse) {
-    simd::zq_scale(zq_, a.data(), ntt_size_inv_, a.data(), n);
+    for (auto& x : a) x = zq_.reduce(std::uint64_t{x} * ntt_size_inv_);
   }
 }
 
@@ -333,7 +339,9 @@ FftElem FftField::mul_impl(const FftElem& a, const FftElem& b,
     }
     ntt(std::span(fa), /*inverse=*/false);
     ntt(std::span(fb), /*inverse=*/false);
-    simd::zq_mul(zq_, fa.data(), fb.data(), fa.data(), ntt_size_);
+    for (unsigned i = 0; i < ntt_size_; ++i) {
+      fa[i] = zq_.reduce(std::uint64_t{fa[i]} * fb[i]);
+    }
     ntt(std::span(fa), /*inverse=*/true);
   } else {
     fa.assign(2 * l_ - 1, 0);

@@ -92,18 +92,19 @@ class FftField {
   [[nodiscard]] FftElem inv(const FftElem& a) const;
   [[nodiscard]] FftElem pow(const FftElem& a, std::uint64_t e) const;
 
-  // Smallest l where the NTT multiply beats schoolbook end-to-end,
-  // located by `bench/field_ops --sweep-M` (EXPERIMENTS.md E20):
-  // schoolbook's tight O(l^2) inner loop wins through l = 64 on its
-  // constant factors; from l = 128 up the O(l log l) path is ahead
-  // (1.2x at 128, 3.5x at 256) and the gap widens with l. Matches E1's
-  // crossover at k ~ 1-3 x 10^3 bits (k ~ 31 l).
+  // Smallest l where the NTT multiply beats schoolbook end-to-end in
+  // every recording of `bench/field_ops --sweep-M` (EXPERIMENTS.md E20):
+  // schoolbook's tight O(l^2) inner loop wins through l = 32 on its
+  // constant factors, l = 64 goes either way by host, and from l = 128
+  // up the O(l log l) path is ahead (1.6-2.4x at 128, 4.5-6.3x at 256)
+  // and the gap widens with l. Matches E1's crossover at
+  // k ~ 1-3 x 10^3 bits (k ~ 31 l).
   static constexpr unsigned kNttCrossoverL = 128;
 
   // In-place radix-2 NTT over Z_q; a.size() must equal ntt_size().
   // Public so the property tests can exercise round-trips and the size
-  // contract directly; butterflies run through the dispatched batch
-  // kernels (gf/zq_simd.h) over per-stage contiguous twiddle tables.
+  // contract directly. Butterflies are plain Barrett loops (Zq::reduce)
+  // over per-stage contiguous twiddle tables.
   void ntt(std::span<std::uint32_t> a, bool inverse) const;
   [[nodiscard]] unsigned ntt_size() const { return ntt_size_; }
 
@@ -126,8 +127,7 @@ class FftField {
   std::uint32_t ntt_size_inv_ = 0;            // 1/N mod q
   // Per-stage contiguous twiddles: stage_twiddles_[s][j] = w^(j * N/len)
   // for stage s (len = 2^(s+1)), so each butterfly stage walks a dense
-  // table instead of the strided roots[j*step] gather — the layout the
-  // batch butterfly kernel wants.
+  // table instead of the strided roots[j*step] gather.
   std::vector<std::vector<std::uint32_t>> stage_twiddles_;
   std::vector<std::vector<std::uint32_t>> stage_inv_twiddles_;
   // reduction_[i] = x^(l+i) mod f, for i in [0, l-2], stored as sparse

@@ -1,10 +1,10 @@
 #include "gf/gf2_clmul.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/metrics.h"
 #include "gf/gf2.h"
-#include "gf/zq_simd.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -13,8 +13,20 @@
 
 namespace dprbg::gf2_detail {
 
+bool pclmul_supported() {
+#ifdef DPRBG_X86
+  return __builtin_cpu_supports("pclmul") != 0 &&
+         __builtin_cpu_supports("sse4.1") != 0;
+#else
+  return false;
+#endif
+}
+
 bool clmul_hw_probe() {
-  return simd::pclmul_supported() && !simd::force_scalar();
+  const char* e = std::getenv("DPRBG_FORCE_SCALAR");
+  const bool forced =
+      e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
+  return pclmul_supported() && !forced;
 }
 
 #ifdef DPRBG_X86

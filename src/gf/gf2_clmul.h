@@ -33,7 +33,8 @@
 // and tests/block_kernels_test.cpp assert the differentials.
 //
 // Dispatch: `clmul_hw` latches once per process — CPU support (PCLMUL +
-// SSE4.1) and not DPRBG_FORCE_SCALAR (env var or CMake option). gf2.h
+// SSE4.1) and not forced scalar by the DPRBG_FORCE_SCALAR environment
+// variable (any value but "0" pins the portable path). gf2.h
 // consults it on the m > 16 multiply path, poly/polynomial.h and
 // poly/interpolate.h before the block kernels. The inline variable
 // zero-initializes to false, so any multiplication that races static
@@ -52,18 +53,23 @@ class GF2;  // gf/gf2.h
 
 namespace gf2_detail {
 
-// True iff the PCLMUL path should be used: hardware support and not
-// forced scalar. Reads the environment once.
+// True iff the CPU has PCLMUL and SSE4.1, regardless of
+// DPRBG_FORCE_SCALAR. Tests gate hardware-vs-software differentials on it
+// so they also run when the latch is forced off.
+[[nodiscard]] bool pclmul_supported();
+
+// True iff the PCLMUL path should be used: pclmul_supported() and
+// DPRBG_FORCE_SCALAR unset, empty or "0". Reads the environment once.
 [[nodiscard]] bool clmul_hw_probe();
 
 inline const bool clmul_hw = clmul_hw_probe();
 
 // (a * b) mod (x^64 + x^4 + x^3 + x + 1). Call only on a CPU with PCLMUL
-// (clmul_hw, or simd::pclmul_supported() in tests).
+// (clmul_hw, or pclmul_supported() in tests).
 [[nodiscard]] std::uint64_t clmul_hw_mul64(std::uint64_t a, std::uint64_t b);
 
 // (a * b) mod (x^m + mod) with deg a, deg b < m and 16 < m < 64.
-// Canonical result (degree < m). Call only when clmul_hw is true.
+// Canonical result (degree < m). Same CPU requirement as clmul_hw_mul64.
 [[nodiscard]] std::uint64_t clmul_hw_mul(std::uint64_t a, std::uint64_t b,
                                          unsigned m, std::uint64_t mod);
 

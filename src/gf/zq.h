@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,17 +22,16 @@ class Zq {
 
   [[nodiscard]] std::uint32_t q() const { return q_; }
   [[nodiscard]] bool tabulated() const { return !mul_table_.empty(); }
-  // The Barrett reciprocal floor((2^64 - 1) / q). Exposed for the batch
-  // kernels in gf/zq_simd.h, which reduce whole vectors with the same
-  // constant (and therefore produce the same canonical residues).
-  [[nodiscard]] std::uint64_t barrett() const { return barrett_; }
 
+  // add and sub are branch-free: for q < 2^31 the wrapped candidate is
+  // the larger one (as unsigned), so min picks the canonical residue. On
+  // random residues a compare-and-branch mispredicts about half the time,
+  // which doubled the cost of the NTT butterflies that call these.
   [[nodiscard]] std::uint32_t add(std::uint32_t a, std::uint32_t b) const {
-    const std::uint32_t s = a + b;
-    return s >= q_ ? s - q_ : s;
+    return std::min(a + b, a + b - q_);
   }
   [[nodiscard]] std::uint32_t sub(std::uint32_t a, std::uint32_t b) const {
-    return a >= b ? a - b : a + q_ - b;
+    return std::min(a - b, a - b + q_);
   }
   [[nodiscard]] std::uint32_t neg(std::uint32_t a) const {
     return a == 0 ? 0 : q_ - a;
@@ -56,13 +56,12 @@ class Zq {
 
   static bool is_prime(std::uint32_t n);
 
- private:
-  // Barrett reduction of p < 2^64 modulo q on the non-tabulated hot path
-  // (NTT butterflies call mul() in a tight loop): with the precomputed
-  // reciprocal m = floor((2^64-1) / q), q_hat = mulhi64(p, m) satisfies
-  // floor(p/q) - 1 <= q_hat <= floor(p/q), so r = p - q_hat*q < 2q and
-  // one conditional subtract finishes — no hardware divide, for every
-  // q >= 1.
+  // p mod q by Barrett reduction, for any p < 2^64. The NTT loops call it
+  // directly (mul() would add a table branch per element). With the
+  // precomputed reciprocal m = floor((2^64-1) / q), q_hat = mulhi64(p, m)
+  // satisfies floor(p/q) - 1 <= q_hat <= floor(p/q), so r = p - q_hat*q
+  // < 2q and one conditional subtract finishes — no hardware divide, for
+  // every q >= 1.
   [[nodiscard]] std::uint32_t reduce(std::uint64_t p) const {
 #ifdef __SIZEOF_INT128__
     const std::uint64_t q_hat = static_cast<std::uint64_t>(
@@ -75,6 +74,7 @@ class Zq {
 #endif
   }
 
+ private:
   std::uint32_t q_;
   std::uint64_t barrett_ = 0;             // floor((2^64 - 1) / q)
   std::vector<std::uint32_t> mul_table_;  // q*q entries when q <= kTableLimit

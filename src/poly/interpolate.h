@@ -248,8 +248,8 @@ F interpolate_at(std::span<const PointValue<F>> points, F target) {
 
 namespace interp_detail {
 
-// field_kernel_* telemetry for the generic-field blocked kernels (the
-// Zq-specific kernels in gf/zq_simd.cpp publish under the same names).
+// field_kernel_* telemetry for the blocked share-row kernels: elements
+// per op and a block-length histogram, published only when telemetry is on.
 inline void tel_block(const char* op, std::size_t elems) {
   if (!telemetry_enabled()) return;
   MetricsRegistry& reg = metrics();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "gf/fft_field.h"
 #include "gf/zq.h"
 #include "rng/chacha.h"
@@ -34,6 +37,36 @@ TEST(ZqTest, TabulatedArithmeticMatchesDirect) {
       EXPECT_EQ(small.add(a, b), (a + b) % 257);
       EXPECT_EQ(small.sub(a, b), (a + 257 - b) % 257);
     }
+  }
+}
+
+// Above the table limit Zq multiplies by Barrett reduction, which the
+// l = 256 NTT runs in every butterfly. Check it, and the branch-free add
+// and sub, against % for primes up to the largest below 2^31, on
+// residues that include 0, 1, q-2 and q-1, and on arbitrary 64-bit
+// inputs to reduce().
+TEST(ZqTest, UntabulatedArithmeticMatchesModulo) {
+  for (const std::uint32_t q : {1031u, 7681u, 65537u, 2147483629u}) {
+    const Zq zq(q);
+    ASSERT_FALSE(zq.tabulated()) << "q=" << q;
+    Chacha rng(q);
+    std::vector<std::uint32_t> vals = {0, 1, q - 2, q - 1};
+    for (int i = 0; i < 100; ++i) vals.push_back(rng.next_u32() % q);
+    for (const std::uint32_t a : vals) {
+      for (const std::uint32_t b : vals) {
+        ASSERT_EQ(zq.mul(a, b), std::uint64_t{a} * b % q)
+            << "q=" << q << " a=" << a << " b=" << b;
+        ASSERT_EQ(zq.add(a, b), (std::uint64_t{a} + b) % q)
+            << "q=" << q << " a=" << a << " b=" << b;
+        ASSERT_EQ(zq.sub(a, b), (std::uint64_t{a} + q - b) % q)
+            << "q=" << q << " a=" << a << " b=" << b;
+      }
+    }
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t p = rng.next_u64();
+      ASSERT_EQ(zq.reduce(p), p % q) << "q=" << q << " p=" << p;
+    }
+    EXPECT_EQ(zq.reduce(~std::uint64_t{0}), ~std::uint64_t{0} % q);
   }
 }
 
@@ -104,7 +137,10 @@ TEST_P(FftFieldTest, InverseRoundTrip) {
   const unsigned l = GetParam();
   const FftField f(l);
   Chacha rng(99 + l);
-  for (int i = 0; i < 20; ++i) {
+  // A Fermat inverse is ~l * 2 log2(q) multiplies, about 1 s at l = 256;
+  // four of them cover the largest field.
+  const int reps = l >= 256 ? 4 : 20;
+  for (int i = 0; i < reps; ++i) {
     FftElem a = random_elem(f, rng);
     if (f.is_zero(a)) continue;
     EXPECT_EQ(f.mul(a, f.inv(a)), f.one());
@@ -123,8 +159,12 @@ TEST_P(FftFieldTest, NoZeroDivisors) {
   }
 }
 
+// l = 256 is the one supported size whose prime (q = 7681) is too large
+// for Zq's tables, so it is the only instantiation whose NTT and
+// schoolbook multiply run untabulated Barrett arithmetic.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftFieldTest,
-                         ::testing::Values(2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u));
+                         ::testing::Values(2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u,
+                                           256u));
 
 TEST(FftFieldTest, SecurityParameterGrowsWithL) {
   const FftField small(8);
@@ -175,6 +215,23 @@ TEST_P(FftFieldTest, NttRoundTripIsIdentity) {
     f.ntt(a, /*inverse=*/true);
     EXPECT_EQ(a, orig) << "l=" << l;
   }
+}
+
+// Inputs whose every coefficient is q - 1, the largest residue: every
+// butterfly and pointwise product then reduces (q - 1)^2 or (q - 1) * w,
+// the values that sit closest to the Barrett step's bounds.
+TEST_P(FftFieldTest, ValuesHuggingQ) {
+  const unsigned l = GetParam();
+  const FftField f(l);
+  const std::uint32_t top = f.q() - 1;
+  std::vector<std::uint32_t> a(f.ntt_size(), top);
+  f.ntt(a, /*inverse=*/false);
+  f.ntt(a, /*inverse=*/true);
+  EXPECT_EQ(a, std::vector<std::uint32_t>(f.ntt_size(), top)) << "l=" << l;
+  FftElem x;
+  for (unsigned i = 0; i < l; ++i) x.c[i] = top;
+  EXPECT_EQ(f.mul(x, x), f.mul_naive(x, x)) << "l=" << l;
+  EXPECT_EQ(f.mul(x, f.one()), x) << "l=" << l;
 }
 
 // mul_auto agrees with both explicit paths on both sides of the

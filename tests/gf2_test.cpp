@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "gf/gf2.h"
-#include "gf/zq_simd.h"
 #include "rng/chacha.h"
 
 namespace dprbg {
@@ -146,11 +145,11 @@ TEST(Gf2SmallFieldTest, TableAndGenericAgree) {
 
 // Hardware PCLMUL vs the software shift-XOR loop: both must produce the
 // same canonical remainder for every wide field (gf2_clmul.h contract).
-// Skipped (vacuously green) on hosts without PCLMUL or when forced
-// scalar, where mul_raw takes the software path anyway.
+// Gated on the CPU, not on the clmul_hw latch, so the differential also
+// runs under DPRBG_FORCE_SCALAR; skipped only on hosts without PCLMUL.
 template <unsigned M>
 void clmul_hw_differential(std::uint64_t seed) {
-  if (!gf2_detail::clmul_hw) GTEST_SKIP() << "no hardware PCLMUL path";
+  if (!gf2_detail::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
   Chacha rng(seed);
   const std::uint64_t mask = (std::uint64_t{1} << M) - 1;
   for (int i = 0; i < 2000; ++i) {
@@ -219,7 +218,7 @@ std::vector<std::uint64_t> fold_edge_operands() {
 }
 
 TEST(Gf2Clmul64Test, FixedFoldMatchesSoftwareOnFoldEdges) {
-  if (!simd::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
+  if (!gf2_detail::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
   const auto ops = fold_edge_operands();
   unsigned both_folds = 0;
   for (const std::uint64_t a : ops) {
@@ -261,7 +260,7 @@ TEST(Gf2Clmul64Test, DispatchedMultiplyMatchesSoftware) {
 // 10^5 random pairs through the fixed two-fold routine that GF2_64's
 // operator* dispatches to when clmul_hw is set.
 TEST(Gf2ClmulHwTest, M64) {
-  if (!simd::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
+  if (!gf2_detail::pclmul_supported()) GTEST_SKIP() << "CPU has no PCLMUL";
   Chacha rng(64064);
   for (int i = 0; i < 100000; ++i) {
     const std::uint64_t a = rng.next_u64();

@@ -38,24 +38,23 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels / gf2 / row codec / chacha / golden) ==="
-# The SIMD-vs-scalar differentials in both dispatch modes: once with the
-# runtime dispatcher free to pick AVX2/PCLMUL, once with
-# DPRBG_FORCE_SCALAR=1 pinning every kernel to the portable path. The
-# force-scalar rerun is what certifies the scalar fallback actually runs
-# green on this host, not just that it exists. gf2_test holds the
-# fixed-fold GF(2^64) multiply differential, block_kernels_test the
-# PolyBlock and inline-PCLMUL share-row kernel equivalences, serial_test
-# the memcpy row codec, chacha_test the 4-block keystream against single
-# blocks, golden_test the pinned keystream and the Coin-Gen and D-PRBG
-# transcript digests that both modes must reproduce.
-./build/tests/zq_simd_test
+echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / chacha / golden) ==="
+# The hardware-vs-portable differentials, run twice: once with the PCLMUL
+# latch free to pick the hardware path, once with DPRBG_FORCE_SCALAR=1
+# pinning the GF(2^64) multiply and the share-row kernels to portable
+# code. The forced rerun certifies that the portable path runs green on
+# this host, not just that it exists. gf2_test holds the PCLMUL
+# differentials (gated on the CPU, so they run in both modes),
+# block_kernels_test the PolyBlock and inline-PCLMUL share-row kernel
+# equivalences, serial_test the memcpy row codec, chacha_test the 4-block
+# keystream against single blocks, golden_test the pinned keystream and
+# the Coin-Gen and D-PRBG transcript digests that both modes must
+# reproduce.
 ./build/tests/block_kernels_test
 ./build/tests/gf2_test
 ./build/tests/serial_test
 ./build/tests/chacha_test
 ./build/tests/golden_test
-DPRBG_FORCE_SCALAR=1 ./build/tests/zq_simd_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
