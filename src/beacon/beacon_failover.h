@@ -93,9 +93,6 @@ inline const char* to_string(EvictionReason r) {
 }
 
 struct FailoverPolicy {
-  // Master switch: disabled = every gate is open and no eviction ever
-  // happens (bit-for-bit the pre-failover beacon).
-  bool enabled = true;
   // Hard floor: the board refuses to evict below this many non-evicted
   // committees, so the beacon never goes silent.
   unsigned min_live = 1;
@@ -190,13 +187,12 @@ class HealthBoard {
     State& s = state(c);
     if (auto it = s.gates.find(b); it != s.gates.end()) return it->second;
     if (s.health != CommitteeHealth::kEvicted && score_fn_ &&
-        policy_.enabled && policy_.misbehavior_threshold != 0 &&
+        policy_.misbehavior_threshold != 0 &&
         score_fn_(c) >= policy_.misbehavior_threshold) {
       evict_locked(s, c, b, EvictionReason::kMisbehavior);
     }
-    const bool open = !policy_.enabled ||
-                      s.health != CommitteeHealth::kEvicted ||
-                      b < s.evicted_at;
+    const bool open =
+        s.health != CommitteeHealth::kEvicted || b < s.evicted_at;
     if (!open) {
       ++counters_.cancelled_batches;
       if (telemetry_enabled()) {
@@ -222,8 +218,7 @@ class HealthBoard {
     std::lock_guard lk(mu_);
     State& s = state(c);
     if (s.expose.has_value()) return *s.expose;
-    const bool ok =
-        !policy_.enabled || s.health != CommitteeHealth::kEvicted;
+    const bool ok = s.health != CommitteeHealth::kEvicted;
     s.expose = ok;
     return ok;
   }
@@ -356,9 +351,7 @@ class HealthBoard {
     // Never override an already-latched exposure verdict: if some member
     // has read "expose" and entered the exposure rounds, every other
     // member must follow it through or the roster barrier deadlocks.
-    // With the policy disabled the eviction is bookkeeping only — the
-    // launch gates ignore it, so the exposure gate must stay open too.
-    if (policy_.enabled && !s.expose.has_value()) s.expose = false;
+    if (!s.expose.has_value()) s.expose = false;
     ++counters_.evictions;
     tel_health(c, CommitteeHealth::kEvicted);
     if (telemetry_enabled()) {

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/trace.h"
 #include "gf/field_concept.h"
 #include "gf/field_io.h"
@@ -141,8 +140,7 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
     TraceSpan deal(io, "bitgen", "deal");
     if (io.id() == dealer) {
       DPRBG_CHECK(dealer_polys.size() == m_total);
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, m_total);
+      std::vector<F> vals(m_total);
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(m_total * F::kBytes);
@@ -224,8 +222,7 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
   // Everyone deals (step 1 of its own instance).
   {
     TraceSpan deal(io, "bitgen", "deal");
-    ArenaScope scope(scratch_arena());
-    ScratchVec<F> vals(scope, m_total);
+    std::vector<F> vals(m_total);
     for (int i = 0; i < n; ++i) {
       eval_polys_block<F>(my_polys, eval_point<F>(i), vals);
       ByteWriter w(m_total * F::kBytes);
@@ -258,14 +255,13 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
   // per-row op counts are identical to the scalar per-dealer loop.
   TraceSpan combine(io, "bitgen", "combine");
   {
-    ArenaScope scope(scratch_arena());
-    ScratchVec<const F*> rows(scope, n);
+    std::vector<const F*> rows(n);
     std::size_t present = 0;
     for (int dealer = 0; dealer < n; ++dealer) {
       const auto& row = out.views[dealer].my_row;
       if (!row.empty()) rows[present++] = row.data();
     }
-    ScratchVec<F> betas(scope, present);
+    std::vector<F> betas(present);
     batch_combine_block<F>(std::span<const F* const>(rows.data(), present),
                            m_total, *r_val, betas);
     ByteWriter w(static_cast<std::size_t>(n) * (1 + F::kBytes));

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/trace.h"
 #include "gf/field_concept.h"
 #include "gf/field_io.h"
@@ -55,11 +54,8 @@ std::optional<F> coin_expose(Io& io, const SealedCoin<F>& coin,
   }
   const Inbox& in = io.sync();
 
-  // The share points live in per-thread arena scratch: one exposure runs
-  // per coin per round, so the round loop reuses the same warm chunk
-  // instead of mallocing a fresh vector every time.
-  ArenaScope scope(scratch_arena());
-  ScratchVec<PointValue<F>> points(scope, static_cast<std::size_t>(io.n()));
+  // One slot per player; points past n are dropped.
+  std::vector<PointValue<F>> points(static_cast<std::size_t>(io.n()));
   std::size_t n_points = 0;
   for (const Msg* m : in.with_tag(tag)) {
     // Exactly one field element, validated before use; anything else is

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "ba/binary_ba.h"
-#include "common/arena.h"
 #include "common/trace.h"
 #include "gf/field_concept.h"
 #include "gf/field_io.h"
@@ -310,13 +309,12 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
           msg->polys.at(k)(eval_point<F>(io.id())) == *bg.views[k].my_combo;
     }
     if (result.qualified) {
-      ArenaScope scope(scratch_arena());
       result.coin_shares.assign(m, F::zero());
       // Row offset +1 skips the blinding polynomial at index 0. The
       // blocked row sum performs the same m * |S| additions as the
       // scalar h-outer/j-inner loop (addition is associative and exact,
       // so the reordering is bit-for-bit invisible).
-      ScratchVec<const F*> rows(scope, result.summed_dealers.size());
+      std::vector<const F*> rows(result.summed_dealers.size());
       for (std::size_t c = 0; c < result.summed_dealers.size(); ++c) {
         rows[c] = bg.views[result.summed_dealers[c]].my_row.data() + 1;
       }

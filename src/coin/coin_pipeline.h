@@ -180,10 +180,7 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
     fl.th = std::thread([&fl, &io, &opts, &ba, m, stream, gen_us] {
       // field_counters() is thread_local; measure this worker's delta so
       // the driver can fold it back into the driving thread's counters
-      // (keeping Cluster::per_player_field_ops exact). scratch_arena()
-      // (common/arena.h) is likewise thread_local: every round of this
-      // batch reuses this worker's bump chunks, and no arena memory is
-      // ever shared across the window's threads.
+      // (keeping Cluster::per_player_field_ops exact).
       const FieldCounters before = field_counters();
       TelemetryClock::time_point t0;
       if (gen_us != nullptr) t0 = TelemetryClock::now();

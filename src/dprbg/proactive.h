@@ -114,13 +114,12 @@ RefreshResult<F> proactive_refresh(Io& io,
     // Share-holding players (the common case) sum the refreshers' rows
     // in one blocked pass; the add count per coin is the same t+1 adds
     // the scalar loop performs.
-    ArenaScope scope(scratch_arena());
-    ScratchVec<const F*> row_ptrs(scope, result.refreshers.size());
+    std::vector<const F*> row_ptrs(result.refreshers.size());
     for (std::size_t c = 0; c < result.refreshers.size(); ++c) {
       // Row offset +1 skips the zero-secret blinder at index 0.
       row_ptrs[c] = bg.views[result.refreshers[c]].my_row.data() + 1;
     }
-    ScratchVec<F> delta(scope, m);
+    std::vector<F> delta(m);
     accumulate_rows_block<F>(row_ptrs, delta);
     for (unsigned h = 0; h < m; ++h) {
       SealedCoin<F> refreshed = coins[h];
@@ -228,8 +227,7 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
       for (unsigned h = 0; h < m; ++h) {
         polys.coeffs(h + 1)[0] = *coins[h].share;
       }
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, m_total);
+      std::vector<F> vals(m_total);
       for (int j = 0; j < n_new; ++j) {
         eval_polys_block<F>(polys, eval_point<F>(j), vals);
         ByteWriter w(m_total * F::kBytes);
@@ -269,14 +267,13 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
     // Blocked Horner combinations over the present dealers' rows, same
     // wire format and per-row op counts as the scalar loop (bitgen.h has
     // the same shape).
-    ArenaScope scope(scratch_arena());
-    ScratchVec<const F*> row_ptrs(scope, static_cast<std::size_t>(n_old));
+    std::vector<const F*> row_ptrs(static_cast<std::size_t>(n_old));
     std::size_t present = 0;
     for (int dealer = 0; dealer < n_old; ++dealer) {
       const auto& row = rows[static_cast<std::size_t>(dealer)];
       if (!row.empty()) row_ptrs[present++] = row.data();
     }
-    ScratchVec<F> betas(scope, present);
+    std::vector<F> betas(present);
     batch_combine_block<F>(
         std::span<const F* const>(row_ptrs.data(), present), m_total,
         *r_val, betas);

@@ -18,9 +18,6 @@
 //    VSS/Bit-Gen/expose interpolation on that grid reuses them. Inputs
 //    off the grid (e.g. Berlekamp-Welch over a share subset under
 //    faults) fall back to the generic path.
-//  * Per-call scratch (numerators, local weights, quotients) lives on
-//    the thread's bump arena (common/arena.h) instead of the heap, so
-//    repeated rounds allocate nothing after warm-up.
 //  * Blocked SoA kernels at the bottom of this header evaluate all M
 //    columns of a round's share matrix in one pass (batch_combine_block,
 //    accumulate_rows_block, interpolate_at_block). The first two replay
@@ -38,7 +35,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
@@ -63,8 +59,7 @@ template <FiniteField F>
 void batch_invert(std::span<F> vals) {
   const std::size_t n = vals.size();
   if (n == 0) return;
-  ArenaScope scope(scratch_arena());
-  ScratchVec<F> prefix(scope, n);
+  std::vector<F> prefix(n);
   F acc = F::one();
   for (std::size_t i = 0; i < n; ++i) {
     prefix[i] = acc;
@@ -86,12 +81,12 @@ struct GridData {
   std::vector<F> weights;  // w_i = prod_{j != i} (x_i - x_j)^{-1}
 };
 
-// Builds N(x) = prod_j (x - x_j) in place (master must hold n+1 zeros on
-// entry; on exit master[k] is the coefficient of x^k).
+// The n+1 coefficients of N(x) = prod_j (x - x_j); master[k] is the
+// coefficient of x^k.
 template <FiniteField F>
-void build_master(std::span<const PointValue<F>> points,
-                  std::span<F> master) {
+std::vector<F> build_master(std::span<const PointValue<F>> points) {
   const std::size_t n = points.size();
+  std::vector<F> master(n + 1, F::zero());
   master[0] = F::one();
   std::size_t deg = 0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -103,27 +98,20 @@ void build_master(std::span<const PointValue<F>> points,
     master[deg + 1] = F::one();
     ++deg;
   }
+  return master;
 }
 
-// Denominators d_i = prod_{j != i} (x_i - x_j), inverted in one batch,
-// written into caller-provided storage (arena-friendly).
+// Denominators d_i = prod_{j != i} (x_i - x_j), inverted in one batch.
 template <FiniteField F>
-void compute_inverted_weights(std::span<const PointValue<F>> points,
-                              std::span<F> w) {
+std::vector<F> inverted_weights(std::span<const PointValue<F>> points) {
   const std::size_t n = points.size();
+  std::vector<F> w(n, F::one());
   for (std::size_t i = 0; i < n; ++i) {
-    w[i] = F::one();
     for (std::size_t j = 0; j < n; ++j) {
       if (j != i) w[i] = w[i] * (points[i].x - points[j].x);
     }
   }
-  batch_invert(w);
-}
-
-template <FiniteField F>
-std::vector<F> inverted_weights(std::span<const PointValue<F>> points) {
-  std::vector<F> w(points.size(), F::one());
-  compute_inverted_weights(points, std::span<F>(w));
+  batch_invert(std::span<F>(w));
   return w;
 }
 
@@ -142,8 +130,7 @@ const GridData<F>* grid_lookup(std::span<const PointValue<F>> points) {
   auto it = cache.find(n);
   if (it == cache.end()) {
     GridData<F> data;
-    data.master.assign(n + 1, F::zero());
-    build_master(points, std::span<F>(data.master));
+    data.master = build_master(points);
     data.weights = inverted_weights(points);
     it = cache.emplace(n, std::move(data)).first;
   }
@@ -165,25 +152,16 @@ Polynomial<F> lagrange_interpolate(std::span<const PointValue<F>> points) {
   // where w_i = prod_{j != i} (x_i - x_j)^{-1} (barycentric weights).
   const interp_detail::GridData<F>* grid =
       interp_detail::grid_lookup<F>(points);
-  ArenaScope scope(scratch_arena());
-  // Local storage must outlive the branch (the arena memory would, but
-  // the ScratchVec's non-trivial-type fallback would not).
-  ScratchVec<F> master_local(scope, grid == nullptr ? n + 1 : 0);
-  ScratchVec<F> weights_local(scope, grid == nullptr ? n : 0);
-  const F* master = nullptr;
-  const F* weights = nullptr;
-  if (grid != nullptr) {
-    master = grid->master.data();
-    weights = grid->weights.data();
-  } else {
-    interp_detail::build_master(points, std::span<F>(master_local));
-    interp_detail::compute_inverted_weights(points,
-                                            std::span<F>(weights_local));
-    master = master_local.data();
-    weights = weights_local.data();
+  std::vector<F> master_local;
+  std::vector<F> weights_local;
+  if (grid == nullptr) {
+    master_local = interp_detail::build_master(points);
+    weights_local = interp_detail::inverted_weights(points);
   }
+  const F* master = grid ? grid->master.data() : master_local.data();
+  const F* weights = grid ? grid->weights.data() : weights_local.data();
   std::vector<F> result(n, F::zero());
-  ScratchVec<F> quotient(scope, n);
+  std::vector<F> quotient(n);
   for (std::size_t i = 0; i < n; ++i) {
     const F scale = points[i].y * weights[i];
     // Synthetic division: quotient = master / (x - x_i).
@@ -212,19 +190,12 @@ F interpolate_at(std::span<const PointValue<F>> points, F target) {
   DPRBG_CHECK(n > 0);
   const interp_detail::GridData<F>* grid =
       interp_detail::grid_lookup<F>(points);
-  ArenaScope scope(scratch_arena());
-  ScratchVec<F> weights_local(scope, grid == nullptr ? n : 0);
-  const F* weights = nullptr;
-  if (grid != nullptr) {
-    weights = grid->weights.data();
-  } else {
-    interp_detail::compute_inverted_weights(points,
-                                            std::span<F>(weights_local));
-    weights = weights_local.data();
-  }
+  std::vector<F> weights_local;
+  if (grid == nullptr) weights_local = interp_detail::inverted_weights(points);
+  const F* weights = grid ? grid->weights.data() : weights_local.data();
   // num_i = prod_{j != i} (target - x_j) = prefix_i * suffix_i. Handles
   // target == x_j too: every other numerator contains the zero factor.
-  ScratchVec<F> num(scope, n);
+  std::vector<F> num(n);
   F acc = F::one();
   for (std::size_t i = 0; i < n; ++i) {
     num[i] = acc;
@@ -335,17 +306,10 @@ void interpolate_at_block(std::span<const PointValue<F>> points,
   interp_detail::tel_block("interp_block", n * m);
   const interp_detail::GridData<F>* grid =
       interp_detail::grid_lookup<F>(points);
-  ArenaScope scope(scratch_arena());
-  ScratchVec<F> weights_local(scope, grid == nullptr ? n : 0);
-  const F* weights = nullptr;
-  if (grid != nullptr) {
-    weights = grid->weights.data();
-  } else {
-    interp_detail::compute_inverted_weights(points,
-                                            std::span<F>(weights_local));
-    weights = weights_local.data();
-  }
-  ScratchVec<F> num(scope, n);
+  std::vector<F> weights_local;
+  if (grid == nullptr) weights_local = interp_detail::inverted_weights(points);
+  const F* weights = grid ? grid->weights.data() : weights_local.data();
+  std::vector<F> num(n);
   F acc = F::one();
   for (std::size_t i = 0; i < n; ++i) {
     num[i] = acc;
@@ -357,7 +321,7 @@ void interpolate_at_block(std::span<const PointValue<F>> points,
     acc = acc * (target - points[i].x);
   }
   // coeff_i = num_i * w_i, shared by every column.
-  ScratchVec<F> coeff(scope, n);
+  std::vector<F> coeff(n);
   for (std::size_t i = 0; i < n; ++i) coeff[i] = num[i] * weights[i];
   constexpr std::size_t kTile = 64;
   for (std::size_t h0 = 0; h0 < m; h0 += kTile) {

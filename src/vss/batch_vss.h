@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/trace.h"
 #include "gf/field_concept.h"
 #include "gf/field_io.h"
@@ -83,8 +82,7 @@ BatchVssOutcome<F> batch_vss(
     TraceSpan deal(io, "batch-vss", "deal");
     if (io.id() == dealer) {
       DPRBG_CHECK(dealer_polys.size() == expected_m);
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, expected_m);
+      std::vector<F> vals(expected_m);
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(expected_m * F::kBytes);

@@ -38,7 +38,7 @@ typename Beacon<F>::Options base_options() {
 }
 
 TEST(HealthBoardTest, LatchedGatesAndMinLiveFloor) {
-  FailoverPolicy policy;  // enabled, min_live = 1
+  FailoverPolicy policy;  // min_live = 1
   HealthBoard board(2, 4, policy);
 
   // Gates latch on first consult; eviction only closes future gates.
@@ -74,16 +74,6 @@ TEST(HealthBoardTest, LatchedGatesAndMinLiveFloor) {
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.cancelled_batches, 1u);
   EXPECT_EQ(c.lagging_transitions, 1u);
-}
-
-TEST(HealthBoardTest, DisabledPolicyOpensEverything) {
-  FailoverPolicy policy;
-  policy.enabled = false;
-  HealthBoard board(2, 4, policy);
-  EXPECT_TRUE(board.evict(0, 0, EvictionReason::kScripted));
-  EXPECT_TRUE(board.may_launch(0, 0));  // gates ignore the eviction
-  EXPECT_TRUE(board.may_expose(0));
-  EXPECT_EQ(board.counters().cancelled_batches, 0u);
 }
 
 // Full-drop determinism: evicting committee 1 (scripted, before launch)

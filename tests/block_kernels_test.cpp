@@ -17,7 +17,6 @@
 
 #include "coin/bitgen.h"
 #include "coin/coin_gen.h"
-#include "common/arena.h"
 #include "common/metrics.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
@@ -405,57 +404,6 @@ TEST(Gf2_64BlockKernelsTest, CoinGenCheatingDealerQualifiedVerdicts) {
     EXPECT_EQ(results[i].qualified, i != victim) << "player " << i;
     EXPECT_EQ(results[i].coin_shares.empty(), i == victim);
   }
-}
-
-// Arena sanity: nested scopes rewind to their high-water marks and the
-// scratch survives heavy reuse without growing unboundedly.
-TEST(ArenaTest, ScopedRewindAndReuse) {
-  Arena arena(64);
-  std::size_t cap_after_first = 0;
-  {
-    ArenaScope outer(arena);
-    auto a = arena.alloc_span<std::uint64_t>(100);
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = i;
-    {
-      ArenaScope inner(arena);
-      auto b = arena.alloc_span<std::uint32_t>(1000);
-      EXPECT_EQ(b[999], 0u);  // value-initialized
-    }
-    // Inner scope rewound; outer allocation is intact.
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], i);
-    }
-    cap_after_first = arena.capacity();
-  }
-  // Repeated identical usage must not grow capacity further.
-  for (int round = 0; round < 100; ++round) {
-    ArenaScope scope(arena);
-    auto a = arena.alloc_span<std::uint64_t>(100);
-    auto b = arena.alloc_span<std::uint32_t>(1000);
-    a[0] = b[0];
-  }
-  EXPECT_EQ(arena.capacity(), cap_after_first);
-}
-
-TEST(ArenaTest, AlignmentIsRespected) {
-  Arena arena(16);
-  for (int i = 0; i < 50; ++i) {
-    ArenaScope scope(arena);
-    arena.allocate(1, 1);
-    void* p = arena.allocate(8, 8);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 8, 0u);
-    void* q = arena.allocate(32, 32);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 32, 0u);
-  }
-}
-
-TEST(ArenaTest, ScratchVecFallsBackForNonTrivialTypes) {
-  Arena arena(64);
-  ArenaScope scope(arena);
-  ScratchVec<std::vector<int>> v(scope, 3);  // non-trivial destructor
-  v[0].push_back(42);
-  EXPECT_EQ(v[0][0], 42);
-  EXPECT_EQ(v.size(), 3u);
 }
 
 }  // namespace

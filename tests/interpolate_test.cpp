@@ -108,5 +108,103 @@ TEST(InterpolateTest, CountsOneInterpolation) {
   EXPECT_EQ(delta.interpolations, 1u);
 }
 
+// GF(2^64) interpolation off the cached 1..n grid: a roster missing a
+// middle player (Berlekamp-Welch over a share subset) and a shuffled full
+// roster. Values must match the on-grid results for the same polynomial,
+// and the op counts of each off-grid call are pinned.
+using G = GF2_64;
+using PG = Polynomial<G>;
+
+G ge(std::uint64_t v) { return G::from_uint(v); }
+
+std::vector<PointValue<G>> sample_at(const PG& p,
+                                     const std::vector<unsigned>& xs) {
+  std::vector<PointValue<G>> pts;
+  for (unsigned x : xs) pts.push_back({ge(x), p(ge(x))});
+  return pts;
+}
+
+struct OffGridCounts {
+  FieldCounters full;   // lagrange_interpolate
+  FieldCounters at;     // interpolate_at(target)
+  FieldCounters block;  // interpolate_at_block over kColumns columns
+};
+
+constexpr std::size_t kColumns = 3;
+
+void check_off_grid(const std::vector<unsigned>& roster,
+                    const std::vector<unsigned>& grid,
+                    const OffGridCounts& want) {
+  Chacha rng(11);
+  const unsigned deg = static_cast<unsigned>(roster.size()) - 1;
+  std::vector<PG> polys;
+  for (std::size_t h = 0; h < kColumns; ++h) {
+    polys.push_back(PG::random(deg, rng));
+  }
+  const G target = ge(1000);
+  const auto on = sample_at(polys[0], grid);
+  const auto off = sample_at(polys[0], roster);
+
+  // Per-column share rows for the block kernel, on and off the grid.
+  auto rows_for = [&](const std::vector<unsigned>& xs) {
+    std::vector<std::vector<G>> rows(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      for (const PG& p : polys) rows[i].push_back(p(ge(xs[i])));
+    }
+    return rows;
+  };
+  const auto on_rows = rows_for(grid);
+  const auto off_rows = rows_for(roster);
+  std::vector<const G*> on_ptrs, off_ptrs;
+  for (const auto& r : on_rows) on_ptrs.push_back(r.data());
+  for (const auto& r : off_rows) off_ptrs.push_back(r.data());
+
+  // The on-grid references also warm the thread-local grid cache, whose
+  // one-time build is charged to the first interpolation of each size.
+  const PG want_poly = lagrange_interpolate<G>(on);
+  const G want_at = interpolate_at<G>(on, target);
+  std::vector<G> want_block(kColumns);
+  interpolate_at_block<G>(on, on_ptrs, target, want_block);
+  ASSERT_EQ(want_poly, polys[0]);
+
+  FieldCounters before = field_counters();
+  const PG got_poly = lagrange_interpolate<G>(off);
+  const FieldCounters full = field_counters() - before;
+
+  before = field_counters();
+  const G got_at = interpolate_at<G>(off, target);
+  const FieldCounters at = field_counters() - before;
+
+  std::vector<G> got_block(kColumns);
+  before = field_counters();
+  interpolate_at_block<G>(off, off_ptrs, target, got_block);
+  const FieldCounters block = field_counters() - before;
+
+  EXPECT_EQ(got_poly, want_poly);
+  EXPECT_EQ(got_at, want_at);
+  EXPECT_EQ(got_block, want_block);
+
+  auto expect_counts = [](const char* what, const FieldCounters& got,
+                          const FieldCounters& exp) {
+    EXPECT_EQ(got.adds, exp.adds) << what;
+    EXPECT_EQ(got.muls, exp.muls) << what;
+    EXPECT_EQ(got.invs, exp.invs) << what;
+    EXPECT_EQ(got.interpolations, exp.interpolations) << what;
+  };
+  expect_counts("lagrange_interpolate", full, want.full);
+  expect_counts("interpolate_at", at, want.at);
+  expect_counts("interpolate_at_block", block, want.block);
+}
+
+TEST(InterpolateOffGridTest, RosterMissingMiddlePlayer) {
+  check_off_grid({1, 2, 4, 5, 6, 7}, {1, 2, 3, 4, 5, 6},
+                 {{123, 147, 1, 1}, {48, 78, 1, 1}, {60, 90, 1, kColumns}});
+}
+
+TEST(InterpolateOffGridTest, ShuffledFullRoster) {
+  check_off_grid({3, 7, 1, 5, 2, 6, 4}, {1, 2, 3, 4, 5, 6, 7},
+                 {{168, 196, 1, 1}, {63, 98, 1, 1}, {77, 112, 1, kColumns}});
+}
+
 }  // namespace
 }  // namespace dprbg

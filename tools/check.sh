@@ -58,7 +58,6 @@ echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / ch
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
-DPRBG_FORCE_SCALAR=1 ./build/tests/fft_field_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/chacha_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
 
