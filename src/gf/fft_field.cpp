@@ -387,18 +387,42 @@ FftElem FftField::pow(const FftElem& a, std::uint64_t e) const {
 FftElem FftField::inv(const FftElem& a) const {
   DPRBG_CHECK(!is_zero(a));
   count_inv();
-  // a^(q^l - 2). Exponent can exceed 64 bits for large fields; exponentiate
-  // via the base-q expansion of q^l - 2 = (q-1, q-1, ..., q-1, q-2) to
-  // avoid big integers: q^l - 2 = sum_{i=0}^{l-1} d_i q^i with d_0 = q-2
-  // and d_i = q-1 for i >= 1.
-  // result = prod_i (a^(q^i))^(d_i); a^(q^i) via iterated pow(., q).
-  FftElem result = pow(a, zq_.q() - 2);  // d_0
-  FftElem frob = a;
-  for (unsigned i = 1; i < l_; ++i) {
-    frob = pow(frob, zq_.q());  // a^(q^i)
-    result = mul(result, pow(frob, zq_.q() - 1));
+  // Extended Euclid over Z_q[x], O(l^2) Z_q operations: keep
+  // s_i * a ≡ r_i (mod f) for the remainder pair, starting from
+  // (r0, s0) = (f, 0) and (r1, s1) = (a, 1). Since f is irreducible and
+  // a ≠ 0 the remainders end at a nonzero constant r1, and
+  // a^-1 = s1 / r1.
+  Poly r0 = modulus_;
+  r0.push_back(1);
+  Poly r1(a.c.begin(), a.c.begin() + l_);
+  trim(r1);
+  Poly s0;
+  Poly s1 = {1};
+  while (r1.size() > 1) {
+    // (r0, s0) -= Q * (r1, s1), where Q = r0 div r1, one term at a time.
+    const std::uint32_t lead_inv = zq_.inv(r1.back());
+    while (r0.size() >= r1.size()) {
+      const std::uint32_t c = zq_.mul(r0.back(), lead_inv);
+      const std::size_t shift = r0.size() - r1.size();
+      for (std::size_t i = 0; i < r1.size(); ++i) {
+        r0[shift + i] = zq_.sub(r0[shift + i], zq_.mul(c, r1[i]));
+      }
+      if (s0.size() < shift + s1.size()) s0.resize(shift + s1.size(), 0);
+      for (std::size_t i = 0; i < s1.size(); ++i) {
+        s0[shift + i] = zq_.sub(s0[shift + i], zq_.mul(c, s1[i]));
+      }
+      r0.pop_back();  // the leading term cancelled exactly
+      trim(r0);
+    }
+    trim(s0);
+    std::swap(r0, r1);
+    std::swap(s0, s1);
   }
-  return result;
+  DPRBG_CHECK(r1.size() == 1 && s1.size() <= l_);
+  const std::uint32_t scale = zq_.inv(r1[0]);
+  FftElem out;
+  for (std::size_t i = 0; i < s1.size(); ++i) out.c[i] = zq_.mul(s1[i], scale);
+  return out;
 }
 
 }  // namespace dprbg

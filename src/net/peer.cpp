@@ -24,8 +24,9 @@ void set_nodelay(int fd) {
 }
 
 // Frames up to this size are read without growing the buffer; a larger
-// announced frame grows it to exactly that frame, and it shrinks back
-// once the frame is consumed.
+// announced frame grows it, and it stays at its high-water mark (at most
+// one kTcpMaxFrameBytes frame) so a stream of large frames reallocates
+// nothing on whichever thread holds the reader role.
 constexpr std::size_t kReadFloorBytes = 4096;
 // Frames gathered into one sendmsg() when draining the out-queue.
 constexpr std::size_t kMaxGather = 64;
@@ -174,13 +175,7 @@ FrameReader::Fill FrameReader::fill(int fd) {
     head_ = 0;
   }
   const std::size_t need = std::max(kReadFloorBytes, want_);
-  if (buf_.size() < need || (buf_.size() > need && tail_ <= need)) {
-    // Grow to the announced frame, or give a consumed large frame's
-    // memory back: the buffer is always sized to the frame being read.
-    std::vector<std::uint8_t> next(need);
-    std::copy_n(buf_.begin(), tail_, next.begin());
-    buf_.swap(next);
-  }
+  if (buf_.size() < need) buf_.resize(need);
   for (;;) {
     const ssize_t n = ::recv(fd, buf_.data() + tail_, buf_.size() - tail_, 0);
     if (n > 0) {
@@ -240,9 +235,9 @@ void TcpPeer::drain() {
   if (fd_ >= 0) write_queue_locked();
 }
 
-bool TcpPeer::backlog() const {
+int TcpPeer::backlog_fd() const {
   std::lock_guard lk(mu_);
-  return !queue_.empty();
+  return queue_.empty() ? -1 : fd_;
 }
 
 void TcpPeer::write_queue_locked() {
@@ -262,9 +257,13 @@ void TcpPeer::write_queue_locked() {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      // The reactor observes the shutdown and runs the teardown (which
-      // drops the queue and owns the down notification).
+      // The reader-role holder observes the shutdown and runs the
+      // teardown (which owns the down notification). The queue goes now,
+      // so the reactor stops polling a dead socket for POLLOUT.
       ::shutdown(fd_, SHUT_RDWR);
+      dropped_.fetch_add(queue_.size(), std::memory_order_relaxed);
+      queue_.clear();
+      front_off_ = 0;
       return;
     }
     auto left = static_cast<std::size_t>(n);

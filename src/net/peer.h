@@ -12,11 +12,14 @@
 // (remote id > local id: the reactor's accept path runs the listener
 // half of the handshake and installs the socket here).
 //
-// Thread model: a TcpPeer owns no thread. The cluster's single reactor
-// thread is the only one that connects, reads, closes, or touches the
-// `rs` state; any thread may call send() (protocol threads write their
-// round frames directly) and sever(). The installed socket and the
-// out-queue are guarded by the peer's mutex, and only the reactor closes
+// Thread model: a TcpPeer owns no thread, and its state has three
+// owners. The reactor alone dials, handshakes and drains the out-queue
+// (`rs`). Reading the up connection and tearing it down (`rd`) belongs to
+// whichever thread holds the cluster's reader role: the reactor outside
+// a run, the leading sync() caller inside one (see tcp_cluster.h). Any
+// thread may call send() (protocol threads write their round frames
+// directly) and sever(). The installed socket and the out-queue are
+// guarded by the peer's mutex, and only the reader-role holder closes
 // the socket, so a writer never sends on a reused descriptor.
 //
 // Sending never blocks: send() writes what the socket takes right now
@@ -82,10 +85,9 @@ bool tcp_write_all(int fd, std::span<const std::uint8_t> data);
 
 // --------------------------------------------------------------------------
 
-// One connection's inbound byte stream, cut into frames. The buffer is
-// sized to the frame being read: a small floor for the common case,
-// grown to exactly one frame when a larger one is announced, and
-// released once that frame has been consumed.
+// One connection's inbound byte stream, cut into frames. The buffer
+// starts at a small floor for the common case, grows when a larger frame
+// is announced, and keeps its high-water size for the connection's life.
 class FrameReader {
  public:
   enum class Fill : std::uint8_t { kData, kAgain, kClosed };
@@ -128,17 +130,19 @@ class TcpPeer {
 
   // Reactor: writes queued frames until the socket would block.
   void drain();
-  [[nodiscard]] bool backlog() const;
+  // The installed socket while frames wait in the out-queue, else -1
+  // (what the reactor polls for POLLOUT).
+  [[nodiscard]] int backlog_fd() const;
 
-  // Reactor: installs a fully handshaken socket (the peer is up).
+  // Reader role: installs a fully handshaken socket (the peer is up).
   void install(int fd);
-  // Reactor: closes the socket and drops the out-queue. Returns whether
-  // the peer was up.
+  // Reader role: closes the socket and drops the out-queue. Returns
+  // whether the peer was up.
   bool close();
 
-  // Cuts the live connection (shutdown only — the reactor observes the
-  // EOF and runs the teardown). A dialer redials; a listener waits for a
-  // fresh accept.
+  // Cuts the live connection (shutdown only — the reader-role holder
+  // observes the EOF and runs the teardown). A dialer redials; a listener
+  // waits for a fresh accept.
   void sever();
 
   [[nodiscard]] bool up() const {
@@ -170,26 +174,36 @@ class TcpPeer {
     rx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  // Reactor-owned connection state; no other thread touches it.
+  // Reactor-owned dial state; no other thread touches it. `link` is the
+  // progress of a dial in flight: kIdle once the peer is up, and while a
+  // dialer waits for `deadline` (or a listener for an accept).
   enum class Link : std::uint8_t {
-    kIdle,         // dialer: waiting for `deadline` to dial; listener: down
+    kIdle,
     kConnecting,   // dialer: non-blocking connect in flight
     kHandshaking,  // dialer: Hello sent, awaiting the HelloAck
-    kUp,
   };
   struct ReactorState {
     Link link = Link::kIdle;
-    int fd = -1;  // the dialing socket, or the installed one once kUp
+    int fd = -1;  // the dialing socket
     Clock::time_point deadline{};
     unsigned backoff_ms = 0;
-    FrameReader reader;
+    FrameReader reader;  // handshake bytes, handed to `rd` once up
   };
   ReactorState rs;
 
+  // The up connection's read side, touched only by the holder of the
+  // cluster's reader role. `fd` mirrors the installed socket; -1 while
+  // down.
+  struct ReadState {
+    int fd = -1;
+    FrameReader reader;
+  };
+  ReadState rd;
+
  private:
   // With mu_ held: writes queued frames (gathered) until the socket would
-  // block; on a write error, shuts the socket down so the reactor tears
-  // the connection down.
+  // block; on a write error, drops the queue (the peer is gone) and shuts
+  // the socket down so the reader-role holder tears the connection down.
   void write_queue_locked();
 
   const int remote_id_;

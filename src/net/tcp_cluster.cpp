@@ -1,6 +1,7 @@
 #include "net/tcp_cluster.h"
 
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
@@ -27,6 +28,9 @@ namespace {
 // StreamStates a hostile peer can make us allocate, and it is the space
 // committee domains are strided over (net/committee.h).
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
+
+// epoll_event tag of the leader's eventfd (peer ids tag their sockets).
+constexpr std::uint32_t kLeadWakeTag = 0xFFFFFFFFu;
 
 }  // namespace
 
@@ -144,11 +148,13 @@ TcpCluster::~TcpCluster() {
   }
   up_cv_.notify_all();
   if (reactor_.joinable()) {
+    wake_leader();
     wake_reactor();
     reactor_.join();
   }
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+  for (const int fd : {wake_fd_, lead_wake_fd_, epoll_fd_, listen_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
 }
 
 void TcpCluster::set_misbehavior_manager(
@@ -173,7 +179,13 @@ bool TcpCluster::start() {
   }
   listen_port_ = tcp_local_port(listen_fd_);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  DPRBG_CHECK(wake_fd_ >= 0);
+  lead_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  DPRBG_CHECK(wake_fd_ >= 0 && lead_wake_fd_ >= 0 && epoll_fd_ >= 0);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u32 = kLeadWakeTag;
+  DPRBG_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, lead_wake_fd_, &ev) == 0);
 
   local_hello_.proto_version = kTcpProtoVersion;
   local_hello_.roster_hash = roster_hash_;
@@ -207,20 +219,29 @@ bool TcpCluster::start() {
 }
 
 // ---------------------------------------------------------------------------
-// The reactor: one poll loop owns every socket's lifecycle and all reads.
+// The reactor: one poll loop owns dials, accepts, handshakes and the
+// out-queue drains, and reads the up connections (through the epoll set)
+// while no run is active.
 
 void TcpCluster::wake_reactor() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
+void TcpCluster::wake_leader() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(lead_wake_fd_, &one, sizeof(one));
+}
+
 void TcpCluster::reactor_loop() {
   using Clock = TcpPeer::Clock;
   using Link = TcpPeer::Link;
-  constexpr int kWake = -1, kListen = -2;  // who[] tags; -3 - k: inbound k
+  // who[] tags; -4 - k: inbound k.
+  constexpr int kWake = -1, kListen = -2, kConns = -3;
   std::vector<pollfd> pfds;
   std::vector<int> who;
   std::optional<Clock::time_point> drain_until;
+  bool holding = false;  // the reader role, kept from the shutdown on
   for (;;) {
     const auto now = Clock::now();
     const bool stopping = stop_.load(std::memory_order_acquire);
@@ -232,16 +253,18 @@ void TcpCluster::reactor_loop() {
       timeout_ms = timeout_ms < 0 ? clamped : std::min(timeout_ms, clamped);
     };
     if (stopping) {
+      if (!holding) {
+        acquire_reader();
+        holding = true;
+      }
       // Linger only while final frames still sit behind a busy socket.
       if (!drain_until) {
         drain_until = now + std::chrono::milliseconds(opts_.drain_timeout_ms);
       }
-      const bool backlog = std::any_of(peers_.begin(), peers_.end(),
-                                       [](const auto& p) {
-                                         return p != nullptr &&
-                                                p->rs.link == Link::kUp &&
-                                                p->backlog();
-                                       });
+      const bool backlog =
+          std::any_of(peers_.begin(), peers_.end(), [](const auto& p) {
+            return p != nullptr && p->backlog_fd() >= 0;
+          });
       if (!backlog || now >= *drain_until) break;
       arm(*drain_until);
     }
@@ -253,41 +276,43 @@ void TcpCluster::reactor_loop() {
     if (!stopping) {
       pfds.push_back({listen_fd_, POLLIN, 0});
       who.push_back(kListen);
+      std::lock_guard lk(mu_);
+      if (!run_active_) {
+        pfds.push_back({epoll_fd_, POLLIN, 0});
+        who.push_back(kConns);
+      }
     }
     for (auto& pp : peers_) {
       if (pp == nullptr) continue;
       TcpPeer& p = *pp;
       TcpPeer::ReactorState& rs = p.rs;
-      if (!stopping && p.dialer()) {
+      // Only the shutdown drain runs once stopping; dials are abandoned.
+      const bool dialing = !stopping && p.dialer() && !p.up();
+      if (dialing) {
         if (rs.link == Link::kIdle && now >= rs.deadline) {
           dial(p, now);
-        } else if ((rs.link == Link::kConnecting ||
-                    rs.link == Link::kHandshaking) &&
-                   now >= rs.deadline) {
+        } else if (rs.link != Link::kIdle && now >= rs.deadline) {
           // A silent listener must not park the dialer: the handshake
           // timeout counts as a reject, a connect timeout does not.
           dial_failed(p, now, rs.link == Link::kHandshaking);
         }
-      }
-      short events = 0;
-      if (rs.link == Link::kUp) {
-        events = stopping ? 0 : POLLIN;
-        if (p.backlog()) events |= POLLOUT;
-      } else if (!stopping && p.dialer()) {
-        // Only the shutdown drain runs once stopping; dials are abandoned.
         arm(rs.deadline);
-        if (rs.link == Link::kConnecting) events = POLLOUT;
-        if (rs.link == Link::kHandshaking) events = POLLIN;
       }
-      if (events != 0) {
-        pfds.push_back({rs.fd, events, 0});
+      pollfd pfd{p.backlog_fd(), POLLOUT, 0};
+      if (dialing && rs.link == Link::kConnecting) {
+        pfd = {rs.fd, POLLOUT, 0};
+      } else if (dialing && rs.link == Link::kHandshaking) {
+        pfd = {rs.fd, POLLIN, 0};
+      }
+      if (pfd.fd >= 0) {
+        pfds.push_back(pfd);
         who.push_back(p.remote_id());
       }
     }
     if (!stopping) {
       for (std::size_t k = 0; k < inbound_.size(); ++k) {
         pfds.push_back({inbound_[k].fd, POLLIN, 0});
-        who.push_back(-3 - static_cast<int>(k));
+        who.push_back(-4 - static_cast<int>(k));
         arm(inbound_[k].deadline);
       }
     }
@@ -298,40 +323,31 @@ void TcpCluster::reactor_loop() {
     for (std::size_t i = 0; rc > 0 && i < pfds.size(); ++i) {
       const short rev = pfds[i].revents;
       const int w = who[i];
+      if (rev == 0) continue;
       if (w >= 0) {
-        if (rev == 0) continue;
         TcpPeer& p = *peers_[static_cast<std::size_t>(w)];
-        switch (p.rs.link) {
-          case Link::kConnecting:
-            if (tcp_connect_result(p.rs.fd)) {
-              send_hello(p, after);
-            } else {
-              dial_failed(p, after, /*reject=*/false);
-            }
-            break;
-          case Link::kHandshaking:
-            on_dial_readable(p, after);
-            break;
-          case Link::kUp:
-            if ((rev & POLLOUT) != 0) p.drain();
-            if ((rev & (POLLIN | POLLHUP | POLLERR)) != 0) {
-              if (stopping) {
-                peer_down(p, /*notify=*/false);
-              } else {
-                on_readable(p);
-              }
-            }
-            break;
-          case Link::kIdle:
-            break;
+        if (pfds[i].fd == p.rs.fd && p.rs.link == Link::kConnecting) {
+          if (tcp_connect_result(p.rs.fd)) {
+            send_hello(p, after);
+          } else {
+            dial_failed(p, after, /*reject=*/false);
+          }
+        } else if (pfds[i].fd == p.rs.fd &&
+                   p.rs.link == Link::kHandshaking) {
+          on_dial_readable(p, after);
+        } else {
+          // An up connection's out-queue. A write error drops the queue
+          // and shuts the socket down for the reader-role holder to see.
+          p.drain();
+          if (stopping && (rev & (POLLHUP | POLLERR)) != 0) {
+            peer_down(p, /*notify=*/false);
+          }
         }
       } else if (w == kWake) {
-        if (rev == 0) continue;
         std::uint64_t drained = 0;
         [[maybe_unused]] const ssize_t n =
             ::read(wake_fd_, &drained, sizeof(drained));
       } else if (w == kListen) {
-        if (rev == 0) continue;
         for (int fd = tcp_accept(listen_fd_); fd >= 0;
              fd = tcp_accept(listen_fd_)) {
           Inbound in;
@@ -340,8 +356,20 @@ void TcpCluster::reactor_loop() {
               after + std::chrono::milliseconds(opts_.handshake_timeout_ms);
           inbound_.push_back(std::move(in));
         }
-      } else if (rev != 0) {
-        on_inbound_readable(inbound_[static_cast<std::size_t>(-3 - w)]);
+      } else if (w == kConns) {
+        // Between runs the reactor reads. A run that began since the
+        // poll set was built owns the reads; a sync() outside any run
+        // that is leading already reads them.
+        {
+          std::lock_guard lk(mu_);
+          if (run_active_ || reader_busy_) continue;
+          reader_busy_ = true;
+        }
+        read_ready(0, /*inline_read=*/false);
+        std::lock_guard lk(mu_);
+        release_reader_locked();
+      } else {
+        on_inbound_readable(inbound_[static_cast<std::size_t>(-4 - w)]);
       }
     }
     // A dialer that never sends its Hello is dropped at the handshake
@@ -356,13 +384,11 @@ void TcpCluster::reactor_loop() {
     std::erase_if(inbound_, [](const Inbound& in) { return in.fd < 0; });
   }
 
+  if (!holding) acquire_reader();
   for (auto& pp : peers_) {
     if (pp == nullptr) continue;
-    if (pp->rs.link == Link::kUp) {
-      pp->close();
-    } else if (pp->rs.fd >= 0) {
-      ::close(pp->rs.fd);
-    }
+    peer_down(*pp, /*notify=*/false);
+    if (pp->rs.fd >= 0) ::close(pp->rs.fd);
     pp->rs.fd = -1;
     pp->rs.link = Link::kIdle;
   }
@@ -426,9 +452,13 @@ void TcpCluster::on_dial_readable(TcpPeer& p, TcpPeer::Clock::time_point now) {
   if (next == FrameReader::Next::kFrame &&
       check_hello(type, FrameType::kHelloAck, payload, &peer, &why) &&
       peer == p.remote_id()) {
-    peer_up(p, p.rs.fd);
+    acquire_reader();
+    peer_up(p, std::exchange(p.rs.fd, -1), std::exchange(p.rs.reader, {}));
     // The listener may already have sent round frames behind its Ack.
-    process_frames(p, fill == FrameReader::Fill::kClosed);
+    process_frames(p, fill == FrameReader::Fill::kClosed,
+                   /*inline_read=*/false);
+    std::lock_guard lk(mu_);
+    release_reader_locked();
     return;
   }
   // The listener closed on us (almost always a handshake reject on its
@@ -492,17 +522,27 @@ void TcpCluster::on_inbound_readable(Inbound& in) {
     return;
   }
   TcpPeer& p = *peers_[static_cast<std::size_t>(peer)];
+  acquire_reader();
   // A fresh accept replaces whatever connection this peer had.
-  if (p.rs.link == TcpPeer::Link::kUp) peer_down(p, /*notify=*/true);
-  p.rs.reader = std::move(in.reader);
-  peer_up(p, fd);
-  process_frames(p, fill == FrameReader::Fill::kClosed);
+  if (p.up()) peer_down(p, /*notify=*/true);
+  peer_up(p, fd, std::move(in.reader));
+  process_frames(p, fill == FrameReader::Fill::kClosed, /*inline_read=*/false);
+  std::lock_guard lk(mu_);
+  release_reader_locked();
 }
 
-void TcpCluster::peer_up(TcpPeer& p, int fd) {
+void TcpCluster::peer_up(TcpPeer& p, int fd, FrameReader reader) {
+  p.rd.fd = fd;
+  p.rd.reader = std::move(reader);
   p.install(fd);
-  p.rs.fd = fd;
-  p.rs.link = TcpPeer::Link::kUp;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u32 = static_cast<std::uint32_t>(p.remote_id());
+  DPRBG_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0);
+  // No dial in flight; once this connection dies a dialer redials at
+  // once, with the backoff reset.
+  p.rs.link = TcpPeer::Link::kIdle;
+  p.rs.deadline = TcpPeer::Clock::now();
   p.rs.backoff_ms = opts_.backoff_initial_ms;
   {
     std::lock_guard lk(mu_);
@@ -523,12 +563,12 @@ void TcpCluster::peer_up(TcpPeer& p, int fd) {
 }
 
 void TcpCluster::peer_down(TcpPeer& p, bool notify) {
+  if (p.rd.fd >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, p.rd.fd, nullptr);
   const bool was_up = p.close();
-  p.rs.fd = -1;
-  p.rs.reader = FrameReader{};
-  p.rs.link = TcpPeer::Link::kIdle;
-  p.rs.deadline = TcpPeer::Clock::now();  // a dialer redials right away
-  if (!was_up || !notify) return;
+  p.rd = TcpPeer::ReadState{};
+  if (!was_up) return;
+  wake_reactor();  // a dialer redials
+  if (!notify) return;
   std::lock_guard lk(mu_);
   if (run_active_) {
     // Latched for the rest of the run: the process behind this link is
@@ -540,8 +580,33 @@ void TcpCluster::peer_down(TcpPeer& p, bool notify) {
 }
 
 void TcpCluster::wake_all_waiters_locked() {
-  for (auto& [stream, st] : streams_) {
-    if (st.waiting) st.cv.notify_all();
+  for (StreamState* st : waiting_) st->cv.notify_all();
+}
+
+void TcpCluster::acquire_reader() {
+  std::unique_lock lk(mu_);
+  if (reader_busy_) {
+    reactor_wants_reader_ = true;
+    wake_leader();
+    reader_cv_.wait(lk, [this] { return !reader_busy_; });
+    reactor_wants_reader_ = false;
+  }
+  reader_busy_ = true;
+}
+
+void TcpCluster::release_reader_locked() {
+  reader_busy_ = false;
+  if (reactor_wants_reader_) {
+    reader_cv_.notify_one();
+    return;
+  }
+  // Exactly one successor: the others stay asleep until their own round
+  // completes or the role comes round to them.
+  for (StreamState* st : waiting_) {
+    if (!round_ready_locked(*st, st->wait_round)) {
+      st->cv.notify_one();
+      return;
+    }
   }
 }
 
@@ -569,13 +634,30 @@ TcpCluster::StreamState& TcpCluster::stream_state_locked(
   return st;
 }
 
-void TcpCluster::on_readable(TcpPeer& p) {
-  const FrameReader::Fill fill = p.rs.reader.fill(p.rs.fd);
-  if (fill == FrameReader::Fill::kAgain) return;
-  process_frames(p, fill == FrameReader::Fill::kClosed);
+void TcpCluster::read_ready(int timeout_ms, bool inline_read) noexcept {
+  constexpr int kMaxEvents = 32;  // more ready peers: the next call
+  epoll_event events[kMaxEvents];
+  const int k = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+  for (int i = 0; i < k; ++i) {
+    const std::uint32_t tag = events[i].data.u32;
+    if (tag == kLeadWakeTag) {
+      std::uint64_t drained = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(lead_wake_fd_, &drained, sizeof(drained));
+      continue;
+    }
+    TcpPeer& p = *peers_[tag];
+    if (p.rd.fd >= 0) on_readable(p, inline_read);
+  }
 }
 
-void TcpCluster::process_frames(TcpPeer& p, bool closed) {
+void TcpCluster::on_readable(TcpPeer& p, bool inline_read) {
+  const FrameReader::Fill fill = p.rd.reader.fill(p.rd.fd);
+  if (fill == FrameReader::Fill::kAgain) return;
+  process_frames(p, fill == FrameReader::Fill::kClosed, inline_read);
+}
+
+void TcpCluster::process_frames(TcpPeer& p, bool closed, bool inline_read) {
   const int peer = p.remote_id();
   const auto pu = static_cast<std::size_t>(peer);
   // Cut and decode every complete frame outside the demux lock; a Bye is
@@ -583,11 +665,12 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed) {
   std::vector<std::optional<RoundFrame>> arrivals;
   bool violation = false;
   bool dead = closed;
+  std::uint64_t rounds_read = 0;
   for (;;) {
     FrameType type{};
     std::span<const std::uint8_t> payload;
     const FrameReader::Next next =
-        p.rs.reader.next(kTcpMaxFrameBytes, &type, &payload);
+        p.rd.reader.next(kTcpMaxFrameBytes, &type, &payload);
     if (next == FrameReader::Next::kPartial) break;
     if (next == FrameReader::Next::kTooBig) {
       dead = true;
@@ -605,18 +688,21 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed) {
     auto frame = type == FrameType::kRound
                      ? decode_round_frame(payload, peer, kTcpMaxFrameBytes)
                      : std::nullopt;
+    if (type == FrameType::kRound) ++rounds_read;
     if (!frame || frame->stream > kTcpMaxStreamId) {
       violation = true;
       break;
     }
     arrivals.push_back(std::move(frame));
   }
+  if (arrivals.empty() && !violation && !dead) return;
 
   // Demux under one lock acquisition; wake a blocked sync() only when an
   // arrival completes the round it waits on.
   std::vector<StreamState*> completed;
   {
     std::lock_guard lk(mu_);
+    if (inline_read) rx_frames_inline_ += rounds_read;
     bool departed = false;
     for (auto& arrival : arrivals) {
       if (!arrival) {
@@ -730,7 +816,25 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
     if (tel_on) t0 = TelemetryClock::now();
     st.waiting = true;
     st.wait_round = round;
-    st.cv.wait(lk, [&] { return round_ready_locked(st, round); });
+    waiting_.push_back(&st);
+    for (;;) {
+      // A follower until the round completes or the role is free to take.
+      st.cv.wait(lk, [&] {
+        return round_ready_locked(st, round) ||
+               (!reader_busy_ && !reactor_wants_reader_);
+      });
+      if (round_ready_locked(st, round)) break;
+      // The leader: read and demux on this thread until our own round
+      // completes (or the reactor asks for the role), then hand off.
+      reader_busy_ = true;
+      while (!round_ready_locked(st, round) && !reactor_wants_reader_) {
+        lk.unlock();
+        read_ready(-1, /*inline_read=*/true);
+        lk.lock();
+      }
+      release_reader_locked();
+    }
+    std::erase(waiting_, &st);
     st.waiting = false;
     if (tel_on) {
       if (tel_barrier_wait_ == nullptr) {
@@ -852,15 +956,15 @@ void TcpCluster::run(const Program& program) {
   // remote barriers most need the release. The Bye rides behind any
   // queued round frames, and the reactor drains that backlog before the
   // sockets close (up to drain_timeout_ms at shutdown).
-  bool wake = false;
   for (auto& p : peers_) {
-    if (p != nullptr) wake |= p->send(frame_bytes(FrameType::kBye, {}));
+    if (p != nullptr) p->send(frame_bytes(FrameType::kBye, {}));
   }
-  if (wake) wake_reactor();
   {
     std::lock_guard lk(mu_);
     run_active_ = false;
   }
+  // The reactor takes the reads back (and drains any Bye backlog).
+  wake_reactor();
   if (err) std::rethrow_exception(err);
 }
 
@@ -894,16 +998,16 @@ TcpStats TcpCluster::stats() const {
   out.decode_rejections = decode_rejections_;
   out.banned_suppressions = banned_suppressions_;
   out.recv_pending = buffered_msgs_;
+  out.rx_frames_inline = rx_frames_inline_;
   return out;
 }
 
 void TcpCluster::sever_peer(int peer) {
   if (peer < 0 || peer >= n_ || peer == id_) return;
+  // The reader-role holder sees the EOF: the reactor's epoll poll between
+  // runs, the leading sync() during one.
   TcpPeer* p = peers_[static_cast<std::size_t>(peer)].get();
-  if (p != nullptr) {
-    p->sever();
-    wake_reactor();
-  }
+  if (p != nullptr) p->sever();
 }
 
 void TcpCluster::publish_telemetry() {

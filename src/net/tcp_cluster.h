@@ -46,14 +46,22 @@
 // transport one. A peer that finishes its program cleanly announces it
 // with a kBye frame — the graceful twin of lapsing.
 //
-// Thread model: one reactor thread per node owns the listen socket,
-// every dial and both halves of every handshake, and all reads; it cuts
-// each wakeup's bytes into frames and demuxes them under one mutex. Any
-// number of protocol threads (the pipelined scheduler drives one stream
-// per worker) write their own round frames from sync() and then block
-// on their stream's condition variable, which the reactor signals only
-// when an arriving frame completes that stream's round, a peer lapses
-// or says Bye, or the node stops. See DESIGN.md §16.
+// Thread model (Leader/Followers): one reactor thread per node owns the
+// listen socket, every dial, both halves of every handshake and the
+// out-queue drains. Reading and demuxing peer frames is a per-node
+// reader role that one thread holds at a time. While a run is active the
+// role belongs to the protocol threads (the pipelined scheduler drives
+// one stream per worker): a sync() whose round is still open takes the
+// free role, waits on the epoll set of up connections itself, and
+// demuxes every frame under one mutex, signalling any other stream
+// whose round it completes through that stream's condition variable.
+// Once its own round completes it returns directly, and passes the role
+// to exactly one other stream whose round is still open. Frames that
+// arrive while no sync() is pending stay in the kernel socket buffer.
+// Outside a run the reactor holds the role for its reads. The reactor
+// takes it mid-run only to install a reconnect or replace a connection,
+// interrupting the leader through an eventfd, as the stop path does.
+// See DESIGN.md §16.
 
 #pragma once
 
@@ -191,6 +199,9 @@ struct TcpStats {
   std::uint64_t banned_suppressions = 0;
   // Messages buffered in the demux, not yet delivered by a sync().
   std::uint64_t recv_pending = 0;
+  // kRound frames read on a sync() caller's thread (the leader) rather
+  // than the reactor's.
+  std::uint64_t rx_frames_inline = 0;
 };
 
 class TcpCluster {
@@ -271,15 +282,19 @@ class TcpCluster {
     // yet — nonempty exactly when the peer runs ahead of us).
     std::vector<std::map<std::uint64_t, std::vector<Msg>>> pending;
     // The round this stream's sync() is blocked on, if any (one thread
-    // drives a stream), and the condition variable it sleeps on.
+    // drives a stream), and the condition variable it sleeps on while
+    // another thread holds the reader role.
     bool waiting = false;
     std::uint64_t wait_round = 0;
     std::condition_variable cv;
   };
 
-  // Reactor thread: dials, accepts, handshakes, reads, drains backlogs.
+  // Reactor thread: dials, accepts, handshakes, drains backlogs, and
+  // reads outside a run.
   void reactor_loop();
   void wake_reactor();
+  // Interrupts a leader blocked in read_ready().
+  void wake_leader();
   // Dialer half of the handshake.
   void dial(TcpPeer& p, TcpPeer::Clock::time_point now);
   void send_hello(TcpPeer& p, TcpPeer::Clock::time_point now);
@@ -300,12 +315,26 @@ class TcpCluster {
   bool check_hello(FrameType type, FrameType want,
                    std::span<const std::uint8_t> payload, int* peer,
                    HandshakeReject* why) const;
-  void peer_up(TcpPeer& p, int fd);
+  // Reader role: installs `fd` with the bytes already read behind the
+  // handshake, and adds it to the epoll set.
+  void peer_up(TcpPeer& p, int fd, FrameReader reader);
+  // Reader role: removes the connection from the epoll set and closes it.
   void peer_down(TcpPeer& p, bool notify);
+  // Reader role: one epoll_wait over the up connections (up to
+  // `timeout_ms`, -1 blocks), then reads and demuxes every ready one.
+  // `inline_read`: the caller is a sync() leader. noexcept: a throw would
+  // leave the role held and every other stream's barrier parked.
+  void read_ready(int timeout_ms, bool inline_read) noexcept;
   // Reads what the socket has and demuxes every complete frame; tears
   // the connection down on EOF, an oversized frame, or a violation.
-  void on_readable(TcpPeer& p);
-  void process_frames(TcpPeer& p, bool closed);
+  void on_readable(TcpPeer& p, bool inline_read);
+  void process_frames(TcpPeer& p, bool closed, bool inline_read);
+  // Reactor: blocks until it holds the reader role, interrupting a
+  // leader; released with release_reader_locked().
+  void acquire_reader();
+  // With mu_ held: gives the reader role up — to the reactor if it asked,
+  // else to one stream whose round is still open.
+  void release_reader_locked();
   // With mu_ held: signal every blocked sync() so it re-checks its
   // barrier (a peer departed or the node stops).
   void wake_all_waiters_locked();
@@ -329,7 +358,9 @@ class TcpCluster {
 
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  int wake_fd_ = -1;  // eventfd: backlog queued, sever, or stop
+  int wake_fd_ = -1;  // eventfd: backlog queued, link down, run end, stop
+  int epoll_fd_ = -1;    // up connections + lead_wake_fd_
+  int lead_wake_fd_ = -1;  // eventfd: the reactor wants the role, or stop
   std::atomic<bool> stop_{false};
   bool started_ = false;
   HelloFrame local_hello_;
@@ -348,6 +379,14 @@ class TcpCluster {
   std::vector<char> lapsed_;  // latched per run on disconnect
   std::vector<char> bye_;     // peer's program finished cleanly
   bool run_active_ = false;
+  // The reader role (see the thread model above): held by at most one
+  // thread; `reactor_wants_reader_` keeps waiting streams from taking it
+  // while the reactor waits for it on `reader_cv_`.
+  bool reader_busy_ = false;
+  bool reactor_wants_reader_ = false;
+  std::condition_variable reader_cv_;
+  std::vector<StreamState*> waiting_;  // streams blocked in sync()
+  std::uint64_t rx_frames_inline_ = 0;
   std::uint64_t accept_rejects_[kHandshakeRejectReasons] = {0, 0, 0, 0};
   std::uint64_t frame_decode_failures_ = 0;
   std::uint64_t lapsed_frames_ = 0;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/metrics.h"
 #include "gf/fft_field.h"
 #include "gf/zq.h"
 #include "rng/chacha.h"
@@ -137,13 +138,40 @@ TEST_P(FftFieldTest, InverseRoundTrip) {
   const unsigned l = GetParam();
   const FftField f(l);
   Chacha rng(99 + l);
-  // A Fermat inverse is ~l * 2 log2(q) multiplies, about 1 s at l = 256;
-  // four of them cover the largest field.
-  const int reps = l >= 256 ? 4 : 20;
-  for (int i = 0; i < reps; ++i) {
+  for (int i = 0; i < 20; ++i) {
     FftElem a = random_elem(f, rng);
     if (f.is_zero(a)) continue;
     EXPECT_EQ(f.mul(a, f.inv(a)), f.one());
+  }
+}
+
+// The Fermat inverse a^(q^l - 2) the field used before the extended
+// Euclid, exponentiated through the base-q digits of q^l - 2, which are
+// (q-2, q-1, ..., q-1): an independent oracle, too slow for large l.
+FftElem fermat_inverse(const FftField& f, const FftElem& a) {
+  FftElem result = f.pow(a, f.q() - 2);
+  FftElem frob = a;
+  for (unsigned i = 1; i < f.l(); ++i) {
+    frob = f.pow(frob, f.q());  // a^(q^i)
+    result = f.mul(result, f.pow(frob, f.q() - 1));
+  }
+  return result;
+}
+
+TEST(FftFieldInverseTest, EuclidMatchesFermatAndCountsOneInverse) {
+  for (const unsigned l : {2u, 8u, 32u}) {
+    const FftField f(l);
+    Chacha rng(7 + l);
+    for (int i = 0; i < 20; ++i) {
+      const FftElem a = i == 0 ? f.one() : random_elem(f, rng);
+      if (f.is_zero(a)) continue;
+      const FieldCounters before = field_counters();
+      const FftElem inv = f.inv(a);
+      const FieldCounters after = field_counters();
+      EXPECT_EQ(after.invs - before.invs, 1u) << "l=" << l;
+      EXPECT_EQ(after.muls, before.muls) << "l=" << l;
+      EXPECT_EQ(inv, fermat_inverse(f, a)) << "l=" << l << " rep " << i;
+    }
   }
 }
 

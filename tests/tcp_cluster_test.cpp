@@ -309,14 +309,14 @@ TEST(TcpClusterTest, GradeCastMatchesSimulatedCluster) {
   }
 }
 
-// Depth-2 pipelined Coin-Gen, which drives several concurrent per-batch
-// streams (instance() handles + worker threads) through the TCP demux at
-// once, must equal the simulator batch for batch. `on_joined(id)` runs
-// on each player after every joined batch.
+// Pipelined Coin-Gen (`batches` batches of M = `m`, up to `depth` in
+// flight), which drives several concurrent per-batch streams (instance()
+// handles + worker threads) through the TCP demux at once, must equal the
+// simulator batch for batch. `on_joined(id)` runs on each player after
+// every joined batch.
 void expect_pipelined_coin_gen_matches(
-    int n, int t, std::uint64_t seed,
-    const std::function<void(int)>& on_joined = {}) {
-  const unsigned m = 3, batches = 2;
+    int n, int t, std::uint64_t seed, unsigned depth, unsigned m,
+    unsigned batches, const std::function<void(int)>& on_joined = {}) {
   auto genesis = trusted_dealer_coins<F>(n, t, 4 * batches + 8, seed);
 
   auto program = [&](auto& io, std::vector<PipelineResult<F>>& out,
@@ -326,7 +326,7 @@ void expect_pipelined_coin_gen_matches(
       pool.add(c);
     }
     PipelineOptions opts;
-    opts.depth = 2;
+    opts.depth = depth;
     if (hook && on_joined) {
       opts.on_batch_joined = [&, id = io.id()](unsigned) { on_joined(id); };
     }
@@ -369,7 +369,19 @@ void expect_pipelined_coin_gen_matches(
 }
 
 TEST(TcpClusterTest, PipelinedCoinGenMatchesSimulatedCluster) {
-  expect_pipelined_coin_gen_matches(/*n=*/7, /*t=*/1, /*seed=*/4242);
+  expect_pipelined_coin_gen_matches(/*n=*/7, /*t=*/1, /*seed=*/4242,
+                                    /*depth=*/2, /*m=*/3, /*batches=*/2);
+}
+
+TEST(TcpClusterTest, DeepPipelineHandsTheReaderRoleOn) {
+  // Depth 4 with long batches keeps three or four streams per node in
+  // sync() at once, so the reader role changes hands between streams
+  // every round; a handoff that woke the wrong stream (or none) hangs.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_pipelined_coin_gen_matches(/*n=*/7, /*t=*/1, seed, /*depth=*/4,
+                                      /*m=*/1024, /*batches=*/16);
+  }
 }
 
 TEST(TcpClusterTest, SeverBeforeRunReconnectsTransparently) {
@@ -434,6 +446,66 @@ TEST(TcpClusterTest, PeerKillDuringRunLapsesAndOthersComplete) {
   // The untouched links never lapsed.
   EXPECT_FALSE(loop.node(1).stats().peers[2].lapsed);
   EXPECT_FALSE(loop.node(2).stats().peers[1].lapsed);
+}
+
+TEST(TcpClusterTest, RoundFramesAreReadOnTheSyncThread) {
+  // A single-stream run: the blocked sync() reads its own round's frames.
+  // Only frames that land before a node's run() begins (at most the
+  // first round's) are left to the reactor.
+  const int n = 4, t = 1, rounds = 30;
+  TcpLoopback loop(n, t, /*seed=*/5);
+  ASSERT_TRUE(loop.start());
+  run_tcp_echo(loop, n, std::vector<int>(static_cast<std::size_t>(n), rounds));
+  const std::uint64_t received = static_cast<std::uint64_t>(rounds) * (n - 1);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t inline_frames = loop.node(i).stats().rx_frames_inline;
+    EXPECT_LE(inline_frames, received) << "node " << i;
+    EXPECT_GE(inline_frames * 10, received * 9) << "node " << i;
+  }
+}
+
+TEST(TcpClusterTest, SeverReleasesLeaderWaitingOnSilentPeer) {
+  // Node 3 stays connected but silent in round 2 while node 0's sync()
+  // leads, blocked on node 3's frame. Cutting the link from another
+  // thread must wake that leader: node 3 lapses and the round completes.
+  const int n = 4, t = 1, rounds = 4;
+  TcpLoopback loop(n, t, /*seed=*/21);
+  ASSERT_TRUE(loop.start());
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> node0_in_round2{false};
+  std::atomic<bool> node0_done_round2{false};
+  Clock::time_point returned{};
+  std::vector<TcpCluster::Program> programs;
+  for (int i = 0; i < n; ++i) {
+    programs.push_back([&, i](TcpPartyIo& io) {
+      for (int r = 0; r < rounds; ++r) {
+        if (i == 3 && r == 2) {
+          wait_until([&] { return node0_done_round2.load(); }, 5000);
+        }
+        io.send_all(kTag, {static_cast<std::uint8_t>(r)});
+        if (i == 0 && r == 2) node0_in_round2 = true;
+        io.sync();
+        if (i == 0 && r == 2) {
+          returned = Clock::now();
+          node0_done_round2 = true;
+        }
+      }
+    });
+  }
+  Clock::time_point severed{};
+  std::thread cutter([&] {
+    wait_until([&] { return node0_in_round2.load(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    severed = Clock::now();
+    loop.node(0).sever_peer(3);
+  });
+  loop.run(std::move(programs));
+  cutter.join();
+
+  ASSERT_TRUE(node0_done_round2.load());
+  EXPECT_LT(returned - severed, std::chrono::seconds(1));
+  EXPECT_TRUE(loop.node(0).stats().peers[3].lapsed);
 }
 
 // ---------------------------------------------------------------------
@@ -653,12 +725,13 @@ TEST(TcpClusterTest, PipelinedCoinGenAtThirteenNodesMatchesSimulator) {
   // top of the 2n + 8 allowance.
   const int n = 13, t = 2;
   std::atomic<long> peak{0};
-  expect_pipelined_coin_gen_matches(n, t, /*seed=*/977, [&](int) {
-    const long now = process_threads();
-    long seen = peak.load();
-    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-    }
-  });
+  expect_pipelined_coin_gen_matches(
+      n, t, /*seed=*/977, /*depth=*/2, /*m=*/3, /*batches=*/2, [&](int) {
+        const long now = process_threads();
+        long seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+      });
   RecordProperty("peak_threads", static_cast<int>(peak.load()));
   EXPECT_GT(peak.load(), n);
   EXPECT_LE(peak.load(), 2 * n + 8 + 2 * n);

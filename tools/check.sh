@@ -139,6 +139,12 @@ echo "=== [check] TCP transport gate (loopback equivalence + process smoke) ==="
 ./build/tests/tcp_framing_test
 ./build/tests/tcp_cluster_test
 
+echo "=== [check] TCP stress (tcp_cluster_test x20) ==="
+# Reader-role handoff and lost-wakeup bugs depend on timing and may show
+# only under load, so the suite repeats; full mode repeats it under TSan
+# too, after the sanitizer matrix.
+./build/tests/tcp_cluster_test --gtest_repeat=20 --gtest_brief=1
+
 # Multi-process smoke: three dprbg_node processes on loopback must mint
 # at least one beacon output and print IDENTICAL beacon lines — the
 # distributed deployment's observable contract. PID-derived ports keep
@@ -208,6 +214,9 @@ trap 'rm -rf "$metrics_dir"' EXIT
 if [[ "$mode" == "full" ]]; then
   echo "=== [check] sanitizer matrix ==="
   tools/sanitize.sh all
+
+  echo "=== [check] TCP stress under TSan (tcp_cluster_test x5) ==="
+  build-san-thread/tests/tcp_cluster_test --gtest_repeat=5 --gtest_brief=1
 
   echo "=== [check] fuzz corpus drift (make_corpus vs fuzz/corpus) ==="
   # The checked-in seeds must be exactly what make_corpus writes from the
