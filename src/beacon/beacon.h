@@ -37,13 +37,14 @@
 // Failover (beacon_failover.h, DESIGN.md §11): every batch launch and
 // every exposure passes through a shared HealthBoard whose verdicts are
 // latched per (committee, batch), so a committee that blows its
-// wall-clock budget, crashes, or accumulates misbehavior is dropped from
-// the combination — entirely (the full-drop rule) — while the survivors
-// keep emitting. The combine below is window-aligned: output window b is
-// the XOR of every contributing committee's batch-b coins, with a
-// per-window contributor mask, and `degraded` marks any output that is
-// missing a committee. On the healthy path every gate is open and the
-// output is bit-for-bit the pre-failover beacon (the golden tests in
+// wall-clock budget, crashes, or has more than t members banned by the
+// cluster's misbehavior manager is dropped from the combination —
+// entirely (the full-drop rule) — while the survivors keep emitting.
+// The combine below is window-aligned: output window b is the XOR of
+// every contributing committee's batch-b coins, with a per-window
+// contributor mask, and `degraded` marks any output that is missing a
+// committee. On the healthy path every gate is open and the output is
+// bit-for-bit the pre-failover beacon (the golden tests in
 // tests/beacon_test.cpp hold).
 
 #pragma once
@@ -54,7 +55,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "gf/field_concept.h"
 #include "net/cluster.h"
@@ -101,8 +101,9 @@ class Beacon {
     // Simulated one-way per-round link latency (Cluster contract).
     unsigned round_latency_us = 0;
     // Failover policy (beacon_failover.h). The defaults gate nothing on
-    // a healthy run: wall-clock monitoring and misbehavior scoring are
-    // both off until their budgets/thresholds are set.
+    // a healthy run: wall-clock monitoring is off until wall_budget_ms is
+    // set, and misbehavior eviction is on only while a manager is
+    // installed with cluster().set_misbehavior_manager().
     FailoverPolicy failover;
     // Scripted failures for tests and the liveness benchmark.
     BeaconChaos chaos;
@@ -194,19 +195,6 @@ class Beacon {
     // Scripted evictions close their gates before anything launches.
     for (const auto& [c, b] : opts_.chaos.scripted_evictions) {
       board_->evict(c, b, EvictionReason::kScripted);
-    }
-    // Misbehavior scoring reads the committees' locked fault ledgers.
-    if (opts_.failover.misbehavior_threshold != 0) {
-      board_->set_score_fn([this](unsigned c) {
-        const Cluster::DomainLedger led = committees_[c]->ledger();
-        const FailoverPolicy& p = opts_.failover;
-        const std::uint64_t effects = led.faults.dropped +
-                                      led.faults.delayed +
-                                      led.faults.duplicated +
-                                      led.faults.corrupted;
-        return effects * p.fault_weight + led.stale * p.stale_weight +
-               led.foreign * p.foreign_weight;
-      });
     }
 
     const int total = static_cast<int>(K) * n;
@@ -360,15 +348,17 @@ class Beacon {
   // runs on committee-local stream 1+b with the pipelined scheduler's
   // up-front seed-coin charge; depth only changes how many overlap.
   // Every launch consults the HealthBoard's latched gate (plus the
-  // scripted crash cutoff), every join reports progress — in both the
-  // pipelined and the serial schedule, so failover behaves identically
-  // at any depth.
+  // scripted crash cutoff) with the committee's fault-bound verdict from
+  // peer standing, every join reports progress — in both the pipelined
+  // and the serial schedule, so failover behaves identically at any
+  // depth.
   PipelineResult<F> run_batches(unsigned c, bool crashing, Endpoint& ep,
                                 CoinPool<F>& pool) {
     const unsigned crash_at = opts_.chaos.crash_at_batch;
-    auto gate = [this, c, crashing, crash_at](unsigned b) {
+    const Committee& com = *committees_[c];
+    auto gate = [this, c, &com, crashing, crash_at](unsigned b) {
       if (crashing && b >= crash_at) return false;
-      return board_->may_launch(c, b);
+      return board_->may_launch(c, b, com.banned_members() > com.t());
     };
     auto heartbeat = [this, c](unsigned b) {
       board_->report_batch_done(c, b);

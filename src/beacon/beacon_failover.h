@@ -19,6 +19,10 @@
 //     its budget is marked lagging, and at a multiple of the budget it is
 //     evicted as crashed (no batch ever finished) or stalled. Off by
 //     default (wall_budget_ms = 0) so deterministic tests never flake.
+//   * Misbehavior eviction — no scorer of its own: a committee is evicted
+//     at a launch gate when more than t of its members are banned by the
+//     cluster's per-peer MisbehaviorManager (net/misbehavior.h), exactly
+//     where the paper's fault bound stops guaranteeing its coins.
 //   * Full-drop combine rule: an evicted committee contributes NOTHING
 //     to the combination — not even batches it completed before
 //     eviction. This makes the degraded output a pure function of the
@@ -26,12 +30,12 @@
 //     "evict c" == "run from scratch without c"), at the cost of
 //     discarding a prefix of good coins. A hard floor of min_live
 //     committees can never be evicted.
-//   * EpochSchedule / EpochBridge — roster rotation: a bridge committee
-//     over the union of an old and a new roster runs
-//     cross_roster_reshare (dprbg/proactive.h) to migrate a sealed
-//     CoinPool from the retiring roster to its replacement without
-//     exposing any coin, preserving pool order and consumed() so the
-//     exposure instance counters stay aligned across the epoch boundary.
+//   * EpochBridge — roster rotation: a bridge committee over the union
+//     of an old and a new roster runs cross_roster_reshare
+//     (dprbg/proactive.h) to migrate a sealed CoinPool from the retiring
+//     roster to its replacement without exposing any coin, preserving
+//     pool order and consumed() so the exposure instance counters stay
+//     aligned across the epoch boundary.
 
 #pragma once
 
@@ -39,7 +43,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,7 +53,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "gf/field_concept.h"
@@ -68,7 +70,7 @@ enum class EvictionReason : std::uint8_t {
   kNone,         // not evicted
   kStalled,      // wall-clock budget exceeded after partial progress
   kCrashed,      // no batch ever completed
-  kMisbehavior,  // fault-ledger score crossed the threshold
+  kMisbehavior,  // more than t members banned by the misbehavior manager
   kScripted,     // test/chaos-injected eviction
 };
 
@@ -96,9 +98,6 @@ struct FailoverPolicy {
   // Hard floor: the board refuses to evict below this many non-evicted
   // committees, so the beacon never goes silent.
   unsigned min_live = 1;
-  // Expected lockstep rounds per Coin-Gen batch (Lemma 8: ~10 at t=1,
-  // plus slack for the exposure rounds) — the basis for wall budgets.
-  unsigned rounds_per_batch = 12;
   // A committee idle for lagging_after (resp. evict_after) times its
   // wall budget is marked lagging (resp. evicted).
   double lagging_after = 1.0;
@@ -108,28 +107,32 @@ struct FailoverPolicy {
   unsigned wall_budget_ms = 0;
   // Monitor poll interval.
   unsigned poll_ms = 5;
-  // Misbehavior score weights over a committee's Cluster::DomainLedger:
-  // link-fault effects count once, demux rejections (stale/foreign —
-  // always protocol violations) count heavily.
-  unsigned fault_weight = 1;
-  unsigned stale_weight = 100;
-  unsigned foreign_weight = 100;
-  // Eviction threshold on the weighted score. 0 = score-based eviction
-  // off.
-  std::uint64_t misbehavior_threshold = 0;
 
-  // Budget heuristic: rounds_per_batch traversals at the simulated
+  // Budget heuristic: one batch's lockstep rounds at the simulated
   // latency, times a slack factor, floored so fast clusters are not
   // evicted on scheduler jitter.
   [[nodiscard]] unsigned derive_wall_budget_ms(unsigned round_latency_us,
                                                double slack = 4.0,
                                                unsigned floor_ms = 50) const {
+    // Expected lockstep rounds per Coin-Gen batch (Lemma 8: ~10 at t=1,
+    // plus slack for the exposure rounds).
+    constexpr double kRoundsPerBatch = 12.0;
     const double ms =
-        static_cast<double>(rounds_per_batch) *
+        kRoundsPerBatch *
         (static_cast<double>(round_latency_us) / 1000.0) * slack;
     return ms > static_cast<double>(floor_ms) ? static_cast<unsigned>(ms)
                                               : floor_ms;
   }
+};
+
+// Beacon failover totals for one run, kept by the HealthBoard: committee
+// health transitions and degraded-mode output accounting.
+struct HealthCounters {
+  std::uint64_t lagging_transitions = 0;  // live -> lagging flips
+  std::uint64_t evictions = 0;            // committees dropped for good
+  std::uint64_t cancelled_batches = 0;    // launch gates closed
+  std::uint64_t degraded_windows = 0;     // emitted windows missing a live
+                                          // committee's contribution
 };
 
 // Chaos knobs for tests and the liveness benchmark (bench/beacon
@@ -153,9 +156,6 @@ struct BeaconChaos {
 class HealthBoard {
  public:
   using Clock = std::chrono::steady_clock;
-  // Committee id -> current misbehavior score (typically a weighted sum
-  // of its Cluster::DomainLedger). Must be safe to call mid-run.
-  using ScoreFn = std::function<std::uint64_t(unsigned)>;
 
   HealthBoard(unsigned committees, unsigned batches, FailoverPolicy policy)
       : policy_(policy), batches_(batches) {
@@ -174,21 +174,18 @@ class HealthBoard {
   HealthBoard(const HealthBoard&) = delete;
   HealthBoard& operator=(const HealthBoard&) = delete;
 
-  void set_score_fn(ScoreFn fn) {
-    std::lock_guard lk(mu_);
-    score_fn_ = std::move(fn);
-  }
-
   // Launch gate for batch b of committee c. Latched: the first caller
-  // fixes the verdict (checking the misbehavior score on the way) and
-  // every later caller — other members, any order — reads the latch.
-  [[nodiscard]] bool may_launch(unsigned c, unsigned b) {
+  // fixes the verdict and every later caller — other members, any order
+  // — reads the latch. `over_fault_bound` (more than t members banned)
+  // is read only by that first caller, which evicts the committee for
+  // misbehavior, so members that see the bans land at different times
+  // still agree.
+  [[nodiscard]] bool may_launch(unsigned c, unsigned b,
+                                bool over_fault_bound) {
     std::lock_guard lk(mu_);
     State& s = state(c);
     if (auto it = s.gates.find(b); it != s.gates.end()) return it->second;
-    if (s.health != CommitteeHealth::kEvicted && score_fn_ &&
-        policy_.misbehavior_threshold != 0 &&
-        score_fn_(c) >= policy_.misbehavior_threshold) {
+    if (over_fault_bound && s.health != CommitteeHealth::kEvicted) {
       evict_locked(s, c, b, EvictionReason::kMisbehavior);
     }
     const bool open =
@@ -379,7 +376,6 @@ class HealthBoard {
   const unsigned batches_;
   mutable std::mutex mu_;
   std::vector<State> states_;
-  ScoreFn score_fn_;
   HealthCounters counters_;
 };
 
@@ -441,20 +437,6 @@ class BudgetMonitor {
   std::condition_variable cv_;
   bool stopping_ = false;
   std::thread th_;
-};
-
-// Epoch arithmetic for roster rotation drivers: epochs are fixed-size
-// runs of batches; a rotation is due each time an epoch's worth of
-// batches has completed.
-struct EpochSchedule {
-  unsigned batches_per_epoch = 0;  // 0 = never rotate
-  [[nodiscard]] unsigned epoch_of(unsigned batch) const {
-    return batches_per_epoch == 0 ? 0 : batch / batches_per_epoch;
-  }
-  [[nodiscard]] bool rotation_due(unsigned completed) const {
-    return batches_per_epoch != 0 && completed != 0 &&
-           completed % batches_per_epoch == 0;
-  }
 };
 
 // One epoch handover: an old roster, its replacement, and a bridge

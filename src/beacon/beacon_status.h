@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/flat_json.h"
-#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "beacon/beacon_failover.h"
 

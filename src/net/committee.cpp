@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/trace.h"
+#include "net/misbehavior.h"
 
 namespace dprbg {
 
@@ -111,6 +112,14 @@ const FaultCounters& Committee::faults() const {
 
 Cluster::DomainLedger Committee::ledger() const {
   return cluster_.domain_ledger(opts_.id);
+}
+
+int Committee::banned_members() const {
+  const MisbehaviorManager* mgr = cluster_.misbehavior();
+  if (mgr == nullptr) return 0;
+  return static_cast<int>(
+      std::count_if(members_.begin(), members_.end(),
+                    [mgr](int g) { return mgr->banned(g); }));
 }
 
 void Committee::set_round_latency_us(int us) {

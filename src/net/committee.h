@@ -161,10 +161,14 @@ class Committee {
 
   // Locked snapshot of this committee's misbehavior ledger — link-fault
   // effects plus stale/foreign demux rejections on its streams. Safe to
-  // poll from a monitor thread mid-run; the beacon failover layer's
-  // eviction score (beacon_failover.h) is a weighted sum of exactly
-  // these counters.
+  // poll from a monitor thread mid-run.
   [[nodiscard]] Cluster::DomainLedger ledger() const;
+
+  // How many members the cluster's misbehavior manager bans right now;
+  // 0 when no manager is installed. Lock-free, safe mid-run. More than
+  // t() means the committee is past its fault bound — the beacon's
+  // misbehavior eviction rule (beacon_failover.h).
+  [[nodiscard]] int banned_members() const;
 
   // Per-committee simulated round latency override (Cluster contract;
   // -1 inherits the cluster-wide value). Models a slow roster on an

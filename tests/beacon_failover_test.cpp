@@ -1,6 +1,6 @@
 // Committee failover (src/beacon/beacon_failover.h): the beacon keeps
-// emitting when a committee is evicted, crashed, stalled, or caught
-// misbehaving.
+// emitting when a committee is evicted, crashed, stalled, or has more
+// than t members banned by the cluster's misbehavior manager.
 //
 // The load-bearing claim is the full-drop rule: an evicted committee
 // contributes NOTHING to the combination, so the degraded output is a
@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "beacon/beacon.h"
 #include "beacon/beacon_failover.h"
+#include "chaos_util.h"
 #include "gf/gf2.h"
 #include "net/fault.h"
+#include "net/misbehavior.h"
 
 namespace dprbg {
 namespace {
@@ -42,11 +45,11 @@ TEST(HealthBoardTest, LatchedGatesAndMinLiveFloor) {
   HealthBoard board(2, 4, policy);
 
   // Gates latch on first consult; eviction only closes future gates.
-  EXPECT_TRUE(board.may_launch(0, 0));
+  EXPECT_TRUE(board.may_launch(0, 0, false));
   EXPECT_TRUE(board.evict(0, 2, EvictionReason::kScripted));
-  EXPECT_TRUE(board.may_launch(0, 0));  // latched open stays open
-  EXPECT_TRUE(board.may_launch(0, 1));  // batches before evicted_at run
-  EXPECT_FALSE(board.may_launch(0, 2));
+  EXPECT_TRUE(board.may_launch(0, 0, false));  // latched open stays open
+  EXPECT_TRUE(board.may_launch(0, 1, false));  // batches before evicted_at
+  EXPECT_FALSE(board.may_launch(0, 2, false));
   EXPECT_TRUE(board.launched(0, 0));
   EXPECT_FALSE(board.launched(0, 2));
   EXPECT_FALSE(board.launched(0, 3));  // never consulted -> not launched
@@ -74,6 +77,22 @@ TEST(HealthBoardTest, LatchedGatesAndMinLiveFloor) {
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.cancelled_batches, 1u);
   EXPECT_EQ(c.lagging_transitions, 1u);
+
+  // Past the fault bound: the first consult of a gate evicts for
+  // misbehavior, and the latch — not the flag — answers every later
+  // consult of that gate.
+  HealthBoard bound(2, 4, policy);
+  EXPECT_TRUE(bound.may_launch(0, 0, false));
+  EXPECT_FALSE(bound.may_launch(0, 1, true));
+  EXPECT_EQ(bound.health(0), CommitteeHealth::kEvicted);
+  EXPECT_EQ(bound.reason(0), EvictionReason::kMisbehavior);
+  EXPECT_EQ(bound.evicted_at(0), 1u);
+  EXPECT_FALSE(bound.may_launch(0, 1, false));
+  EXPECT_TRUE(bound.may_launch(0, 0, true));
+  // The min_live floor still refuses the last live committee.
+  EXPECT_TRUE(bound.may_launch(1, 0, true));
+  EXPECT_EQ(bound.health(1), CommitteeHealth::kLive);
+  EXPECT_EQ(bound.reason(1), EvictionReason::kNone);
 }
 
 // Full-drop determinism: evicting committee 1 (scripted, before launch)
@@ -189,11 +208,54 @@ TEST(BeaconFailoverTest, WallClockMonitorEvictsStalledCommittee) {
   EXPECT_GE(out.health.evictions, 1u);
 }
 
-// Misbehavior-score failover: committee 1 carries a heavy link-fault
-// plan; its domain ledger crosses the eviction threshold at the first
-// gate after the faults fire and the committee is dropped, leaving the
-// solo committee-0 output.
-TEST(BeaconFailoverTest, MisbehaviorScoreEvictsFaultyCommittee) {
+// Two hostages of committee 1 (n=7, t=1) delay every outgoing envelope
+// by a round. The cluster's misbehavior manager scores each late
+// envelope against its sender; under its default policy both bans land
+// during batch 1, so the batch-2 launch gate finds the committee past
+// its fault bound and evicts it for misbehavior, leaving the solo
+// committee-0 beacon.
+TEST(BeaconFailoverTest, MoreThanTBannedMembersEvictCommittee) {
+  auto solo_opts = base_options();
+  solo_opts.committees = 1;
+  solo_opts.depth = 1;
+  Beacon<F> solo(solo_opts);
+  const auto ref = solo.run();
+
+  auto opts = base_options();
+  opts.depth = 1;  // serial batches: each gate sees a settled ban state
+  Beacon<F> beacon(opts);
+  beacon.cluster().set_misbehavior_manager(
+      std::make_shared<MisbehaviorManager>(beacon.cluster().n()));
+  const int n = static_cast<int>(opts.committee_size);
+  constexpr int kSecondHostage = 5;
+  constexpr std::uint64_t kRounds = 40;
+  FaultPlan plan = chaos::slow_drip_plan(/*hostage=*/2, n, kRounds);
+  plan.charge(kSecondHostage);
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    for (int to = 0; to < n; ++to) {
+      if (to == kSecondHostage) continue;
+      plan.add(r, kSecondHostage, to, FaultSpec{FaultAction::kDelay, 1});
+    }
+  }
+  beacon.committee(1).set_fault_injector(std::move(plan));
+  const auto out = beacon.run();
+
+  ASSERT_TRUE(out.success);
+  EXPECT_TRUE(out.degraded);
+  EXPECT_EQ(beacon.committee(1).banned_members(), 2);
+  EXPECT_EQ(beacon.committee(0).banned_members(), 0);
+  EXPECT_EQ(out.committees[1].health, CommitteeHealth::kEvicted);
+  EXPECT_EQ(out.committees[1].reason, EvictionReason::kMisbehavior);
+  EXPECT_EQ(out.committees[1].evicted_at, 2u);
+  EXPECT_TRUE(out.committees[1].coins.empty());
+  EXPECT_EQ(out.beacon, ref.beacon);
+  for (std::uint32_t mask : out.window_mask) EXPECT_EQ(mask, 0b01u);
+}
+
+// Exactly t banned members is within the paper's fault bound: committee
+// 1's one hostage ends up banned, yet the committee stays live and keeps
+// contributing, and committee 0 is bit-for-bit the solo run.
+TEST(BeaconFailoverTest, ExactlyTBannedMembersKeepCommittee) {
   auto solo_opts = base_options();
   solo_opts.committees = 1;
   solo_opts.depth = 1;
@@ -202,23 +264,19 @@ TEST(BeaconFailoverTest, MisbehaviorScoreEvictsFaultyCommittee) {
 
   auto opts = base_options();
   opts.depth = 1;
-  opts.failover.misbehavior_threshold = 1;  // any charged effect evicts
   Beacon<F> beacon(opts);
-  FaultPlanParams params;
-  params.n = static_cast<int>(opts.committee_size);
-  params.t = opts.committee_t;
-  params.rounds = 12;
-  params.fault_rate = 0.5;
-  beacon.committee(1).set_fault_injector(random_fault_plan(params, 4242));
+  beacon.cluster().set_misbehavior_manager(
+      std::make_shared<MisbehaviorManager>(beacon.cluster().n()));
+  beacon.committee(1).set_fault_injector(chaos::slow_drip_plan(
+      /*hostage=*/2, static_cast<int>(opts.committee_size), /*rounds=*/40));
   const auto out = beacon.run();
 
   ASSERT_TRUE(out.success);
-  EXPECT_TRUE(out.degraded);
-  EXPECT_EQ(out.committees[1].health, CommitteeHealth::kEvicted);
-  EXPECT_EQ(out.committees[1].reason, EvictionReason::kMisbehavior);
-  EXPECT_GT(out.committees[1].evicted_at, 0u);  // batch 0 had launched
-  EXPECT_GT(beacon.committee(1).ledger().faults.total(), 0u);
-  EXPECT_EQ(out.beacon, ref.beacon);
+  EXPECT_EQ(beacon.committee(1).banned_members(), 1);
+  EXPECT_EQ(out.committees[1].health, CommitteeHealth::kLive);
+  EXPECT_EQ(out.committees[1].reason, EvictionReason::kNone);
+  EXPECT_EQ(out.committees[0].coins, ref.committees[0].coins);
+  EXPECT_EQ(out.health.evictions, 0u);
 }
 
 }  // namespace

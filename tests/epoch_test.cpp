@@ -144,23 +144,6 @@ TEST(EpochTest, ReshareToleratesCrashedDealer) {
   expect_values_preserved(out, /*crashed=*/6);
 }
 
-TEST(EpochTest, ScheduleArithmetic) {
-  EpochSchedule never;  // batches_per_epoch = 0
-  EXPECT_EQ(never.epoch_of(17), 0u);
-  EXPECT_FALSE(never.rotation_due(0));
-  EXPECT_FALSE(never.rotation_due(17));
-
-  EpochSchedule every4{4};
-  EXPECT_EQ(every4.epoch_of(0), 0u);
-  EXPECT_EQ(every4.epoch_of(3), 0u);
-  EXPECT_EQ(every4.epoch_of(4), 1u);
-  EXPECT_FALSE(every4.rotation_due(0));
-  EXPECT_FALSE(every4.rotation_due(3));
-  EXPECT_TRUE(every4.rotation_due(4));
-  EXPECT_FALSE(every4.rotation_due(5));
-  EXPECT_TRUE(every4.rotation_due(8));
-}
-
 TEST(EpochTest, RosterLifecycleIsForwardOnly) {
   Cluster cluster(kRosterN, static_cast<int>(kT), kSeed);
   Committee com(cluster);

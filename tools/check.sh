@@ -119,7 +119,10 @@ echo "$degraded_out" | grep -q '"mode": "crashed".*"evicted": "yes"' || {
 }
 
 echo "=== [check] beacon failover chaos suite ==="
+# Hostage committees evicted by the wall-clock monitor, and by peer
+# standing once more than t members are banned.
 ./build/tests/chaos_beacon_test
+./build/tests/beacon_failover_test
 
 echo "=== [check] adversarial hardening suite (misbehavior / DoS / wire) ==="
 # The stalling-peer DoS scenario (hostage detected, scored, banned;
