@@ -83,8 +83,9 @@ class Beacon {
  public:
   struct Options {
     // K: number of committees; the cluster holds K * committee_size
-    // players. Bounded by the stream slices fitting under the 0xFFFF
-    // stream cap (16 committees at the default stride of 4096).
+    // players. Bounded by the stream slices fitting under the
+    // kMaxStreamId stream cap (16 committees at the default stride of
+    // 4096).
     unsigned committees = 2;
     unsigned committee_size = 7;
     unsigned committee_t = 1;
@@ -341,7 +342,7 @@ class Beacon {
 
  private:
   // Committee-local stream slice width: 16 committees fit under the
-  // 0xFFFF stream cap.
+  // kMaxStreamId stream cap.
   static constexpr std::uint32_t kStride = 4096;
 
   // Depth-invariant batch schedule (see header comment): batch b always

@@ -10,85 +10,16 @@
 
 namespace dprbg {
 
-int PartyIo::n() const { return cluster_.n(); }
-int PartyIo::t() const { return cluster_.t(); }
-
-std::uint32_t PartyIo::committee() const {
-  return cluster_.committee_of(stream_);
-}
-
-PartyIo& PartyIo::instance(std::uint32_t batch) {
-  if (batch == 0 || batch == stream_) return *this;
-  return cluster_.instance_io(id_, batch);
-}
-
-void PartyIo::send(int to, std::uint32_t tag,
-                   std::vector<std::uint8_t> body) {
-  if (to < 0 || to >= cluster_.n()) return;
-  if (to != id_) {
-    const std::uint64_t overhead =
-        lockstep_envelope_overhead(id_, tag, stream_, body.size());
-    ++sent_.messages;
-    sent_.bytes += body.size() + overhead;
-    if (tracer().enabled()) {
-      // Net events carry the domain-local batch id (global stream minus
-      // the domain's base) plus the committee id, matching the ids the
-      // protocol spans above them use. The default domain starts at 0,
-      // so unsharded traces are unchanged.
-      const auto& dom = cluster_.domain_of(stream_);
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPoint;
-      ev.protocol = "net";
-      ev.phase = "send";
-      ev.player = id_;
-      ev.batch = stream_ - dom.first_stream;
-      ev.committee = dom.committee;
-      ev.round_begin = ev.round_end = sent_.rounds;
-      ev.comm.messages = 1;
-      ev.comm.bytes = body.size() + overhead;
-      ev.detail = "to=" + std::to_string(to) +
-                  " tag=" + std::to_string(tag);
-      tracer().record(std::move(ev));
-    }
-  }
-  Msg msg;
-  msg.from = id_;
-  msg.tag = tag;
-  msg.batch = stream_;
-  msg.body = std::move(body);
-  staged_.push_back(Envelope{to, std::move(msg)});
-}
-
-void PartyIo::send_all(std::uint32_t tag,
-                       const std::vector<std::uint8_t>& body) {
-  for (int to = 0; to < cluster_.n(); ++to) {
-    send(to, tag, body);
-  }
-}
-
-const Inbox& PartyIo::sync() {
-  cluster_.arrive_and_exchange(*this);
-  ++sent_.rounds;
-  return inbox_;
-}
-
-void PartyIo::note_decode_failure(int from) {
-  cluster_.note_decode_failure(stream_, id_, from);
-}
-
 Cluster::Cluster(int n, int t, std::uint64_t seed)
     : n_(n), t_(t), seed_(seed) {
   DPRBG_CHECK(n >= 1 && t >= 0 && t < n);
   active_.assign(n, 1);
-  parties_.reserve(n);
   RoundStream& root = streams_[0];
-  root.id = 0;
-  root.members.assign(n, nullptr);
   root.domain = &default_domain_;
+  root.handles.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    parties_.push_back(
-        std::unique_ptr<PartyIo>(new PartyIo(*this, i, seed, 0)));
-    root.members[i] = parties_.back().get();
+    root.handles[static_cast<std::size_t>(i)].reset(
+        new PartyIo(*this, i, n, t, seed, 0));
   }
 }
 
@@ -108,6 +39,11 @@ const Cluster::StreamDomain& Cluster::domain_of(std::uint32_t stream) const {
 
 std::uint32_t Cluster::committee_of(std::uint32_t stream) const {
   return domain_of(stream).committee;
+}
+
+StreamLabels Cluster::labels(std::uint32_t stream) const {
+  const StreamDomain& dom = domain_of(stream);
+  return StreamLabels{stream - dom.first_stream, dom.committee};
 }
 
 int Cluster::stream_expected(const RoundStream& st) const {
@@ -194,8 +130,33 @@ Cluster::DomainLedger Cluster::domain_ledger(std::uint32_t committee) const {
     DPRBG_CHECK(committee == 0);
     dom = &default_domain_;
   }
-  return DomainLedger{dom->faults, dom->stale,  dom->foreign,
-                      dom->decode, dom->slow, dom->banned};
+  return DomainLedger{dom->faults,        dom->ledger.stale,
+                      dom->ledger.foreign, dom->ledger.decode,
+                      dom->slow,           dom->ledger.banned};
+}
+
+std::uint64_t Cluster::sum_domains(
+    std::uint64_t (*field)(const StreamDomain&)) const {
+  std::lock_guard lk(mu_);
+  std::uint64_t total = field(default_domain_);
+  for (const auto& d : domains_) total += field(*d);
+  return total;
+}
+
+std::uint64_t Cluster::stale_rejections() const {
+  return sum_domains([](const StreamDomain& d) { return d.ledger.stale; });
+}
+std::uint64_t Cluster::foreign_rejections() const {
+  return sum_domains([](const StreamDomain& d) { return d.ledger.foreign; });
+}
+std::uint64_t Cluster::decode_rejections() const {
+  return sum_domains([](const StreamDomain& d) { return d.ledger.decode; });
+}
+std::uint64_t Cluster::slow_envelopes() const {
+  return sum_domains([](const StreamDomain& d) { return d.slow; });
+}
+std::uint64_t Cluster::banned_suppressions() const {
+  return sum_domains([](const StreamDomain& d) { return d.ledger.banned; });
 }
 
 void Cluster::set_misbehavior_manager(std::shared_ptr<MisbehaviorManager> mgr) {
@@ -205,33 +166,12 @@ void Cluster::set_misbehavior_manager(std::shared_ptr<MisbehaviorManager> mgr) {
   misbehavior_ = std::move(mgr);
 }
 
-void Cluster::note_decode_failure(std::uint32_t stream, int reporter,
-                                  int from) {
-  if (from < 0 || from >= n_ || from == reporter) return;
+void Cluster::note_decode_failure(const PartyIo& reporter, int from) {
   std::lock_guard lk(mu_);
-  StreamDomain& dom = domain_of(stream);
-  ++decode_rejections_;
-  ++dom.decode;
-  if (telemetry_enabled()) {
-    ensure_domain_telemetry(dom);
-    dom.tel_decode->add(1);
-  }
-  if (tracer().enabled()) {
-    // Round stamp: the stream's exchange count (the inbox being decoded
-    // was delivered by the previous exchange).
-    std::uint64_t round = 0;
-    const auto it = streams_.find(stream);
-    if (it != streams_.end()) round = it->second.exchange_index;
-    trace_point("net", "decode_reject", reporter, round,
-                "from=" + std::to_string(from), stream - dom.first_stream,
-                dom.committee);
-  }
-  if (misbehavior_ != nullptr) {
-    // Receiver-attributed: carries the reporter so the policy's decode
-    // reporter quorum (>= t+1 distinct witnesses before scoring) can
-    // discount a lone Byzantine framer.
-    misbehavior_->report_decode(from, reporter);
-  }
+  StreamDomain& dom = domain_of(reporter.stream());
+  if (telemetry_enabled()) ensure_domain_telemetry(dom);
+  lockstep_decode_failure(reporter, from, labels(reporter.stream()),
+                          misbehavior_.get(), dom.ledger);
 }
 
 void Cluster::set_domain_round_latency_us(std::uint32_t committee, int us) {
@@ -247,42 +187,24 @@ void Cluster::set_domain_round_latency_us(std::uint32_t committee, int us) {
   default_domain_.round_latency_us = us;
 }
 
-PartyIo& Cluster::instance_io(int player, std::uint32_t batch) {
-  // Stream ids are capped at 0xFFFF on both transports. The cap bounds
-  // the per-stream state a peer can make a node allocate (the TCP reader
-  // refuses frames beyond it) and is the space committee domains are
-  // strided over (net/committee.h). Every nonzero-stream envelope is
-  // staged via a handle created here, so checking at this choke point
-  // covers all traffic. Batch ids grow monotonically without reuse
-  // (DPrbg never recycles them), so a long-running instance hits this
-  // loudly instead of running past what a TCP peer would accept.
-  DPRBG_CHECK(batch <= 0xFFFF);
-  std::lock_guard lk(mu_);
-  StreamDomain& dom = domain_of(batch);
-  // A player may only open handles on streams whose domain roster
-  // includes it — this is what keeps committee traffic inside the
-  // committee (the admit()-time foreign check is only a backstop).
-  DPRBG_CHECK(in_roster(dom, player));
-  const auto key = std::make_pair(player, batch);
-  auto it = instances_.find(key);
-  if (it == instances_.end()) {
-    it = instances_
-             .emplace(key, std::unique_ptr<PartyIo>(
-                               new PartyIo(*this, player, seed_, batch)))
-             .first;
-    RoundStream& st = streams_[batch];
-    st.id = batch;
-    st.domain = &dom;
-    if (st.members.empty()) st.members.assign(n_, nullptr);
-    st.members[player] = it->second.get();
-  }
-  return *it->second;
-}
-
-PartyIo& Cluster::handle(int player, std::uint32_t stream) {
+PartyIo& Cluster::open(int player, std::uint32_t stream) {
   DPRBG_CHECK(player >= 0 && player < n_);
-  if (stream == 0) return *parties_[static_cast<std::size_t>(player)];
-  return instance_io(player, stream);
+  std::lock_guard lk(mu_);
+  RoundStream& st = streams_[stream];
+  if (st.handles.empty()) {
+    st.id = stream;
+    st.domain = &domain_of(stream);
+    st.handles.resize(static_cast<std::size_t>(n_));
+  }
+  std::unique_ptr<PartyIo>& io = st.handles[static_cast<std::size_t>(player)];
+  if (io == nullptr) {
+    // A player may only open handles on streams whose domain roster
+    // includes it — this is what keeps committee traffic inside the
+    // committee (the admit-time foreign check is only a backstop).
+    DPRBG_CHECK(in_roster(*st.domain, player));
+    io.reset(new PartyIo(*this, player, n_, t_, seed_, stream));
+  }
+  return *io;
 }
 
 void Cluster::ensure_domain_telemetry(StreamDomain& dom) {
@@ -293,12 +215,12 @@ void Cluster::ensure_domain_telemetry(StreamDomain& dom) {
   MetricsRegistry& reg = metrics();
   dom.tel_messages = &reg.counter("net_domain_messages_total", l);
   dom.tel_bytes = &reg.counter("net_domain_bytes_total", l);
-  dom.tel_stale = &reg.counter("net_stale_rejections_total", l);
-  dom.tel_foreign = &reg.counter("net_foreign_rejections_total", l);
+  dom.ledger.tel_stale = &reg.counter("net_stale_rejections_total", l);
+  dom.ledger.tel_foreign = &reg.counter("net_foreign_rejections_total", l);
   dom.tel_faults = &reg.counter("net_fault_effects_total", l);
-  dom.tel_decode = &reg.counter("net_decode_rejections_total", l);
+  dom.ledger.tel_decode = &reg.counter("net_decode_rejections_total", l);
   dom.tel_slow = &reg.counter("net_slow_envelopes_total", l);
-  dom.tel_banned = &reg.counter("net_banned_suppressed_total", l);
+  dom.ledger.tel_banned = &reg.counter("net_banned_suppressed_total", l);
 }
 
 void Cluster::do_exchange(RoundStream& st) {
@@ -319,7 +241,7 @@ void Cluster::do_exchange(RoundStream& st) {
   if (tel_on) ensure_domain_telemetry(dom);
   // Trace events carry the domain-local batch id; the default domain
   // starts at 0, so unsharded traces are unchanged.
-  const std::uint32_t local_batch = st.id - dom.first_stream;
+  const StreamLabels at{st.id - dom.first_stream, dom.committee};
   // The injector consulted for this stream: the domain's own, falling
   // back to the cluster-wide one.
   const FaultInjector* inj =
@@ -330,57 +252,14 @@ void Cluster::do_exchange(RoundStream& st) {
   // members of the stream's domain. PartyIo stamps Msg::batch, the delay
   // queue is per-stream, and handles are roster-guarded at creation, so
   // a mismatch means a wiring bug — reject (count, don't deliver) rather
-  // than misdeliver. The decision itself (order of the gates, the
-  // self-delivery ban exemption) is the transport-shared
-  // classify_envelope (net/lockstep.h); this lambda adds the simulated
-  // cluster's ledger/telemetry/trace bookkeeping per verdict.
+  // than misdeliver. The gate and its bookkeeping are the transport-
+  // shared lockstep_admit (net/lockstep.h).
   auto admit = [&](int to, Msg&& msg) {
-    const AdmitVerdict verdict = classify_envelope(
-        msg, to, st.id, [&](int p) { return in_roster(dom, p); }, mgr);
-    if (const auto sig = signal_for(verdict); sig && mgr != nullptr) {
-      mgr->report(msg.from, *sig);
+    if (lockstep_admit(msg, to, st.id,
+                       [&](int p) { return in_roster(dom, p); }, mgr,
+                       dom.ledger, round, at)) {
+      next[to].push_back(std::move(msg));
     }
-    switch (verdict) {
-      case AdmitVerdict::kStale:
-        ++stale_rejections_;
-        ++dom.stale;
-        if (tel_on) dom.tel_stale->add(1);
-        if (trace_on) {
-          trace_point("net", "stale", to, round,
-                      "from=" + std::to_string(msg.from) +
-                          " batch=" + std::to_string(msg.batch),
-                      local_batch, dom.committee);
-        }
-        return;
-      case AdmitVerdict::kForeign:
-        ++foreign_rejections_;
-        ++dom.foreign;
-        if (tel_on) dom.tel_foreign->add(1);
-        if (trace_on) {
-          trace_point("net", "foreign", to, round,
-                      "from=" + std::to_string(msg.from), local_batch,
-                      dom.committee);
-        }
-        return;
-      case AdmitVerdict::kBanned:
-        // Ban suppression is the last gate before delivery: the envelope
-        // has already been charged to comm and the fault ledgers (so
-        // every reconciliation still balances), it just never reaches an
-        // inbox.
-        ++banned_suppressions_;
-        ++dom.banned;
-        if (tel_on) dom.tel_banned->add(1);
-        mgr->note_suppressed(msg.from);
-        if (trace_on) {
-          trace_point("net", "banned", to, round,
-                      "from=" + std::to_string(msg.from), local_batch,
-                      dom.committee);
-        }
-        return;
-      case AdmitVerdict::kDeliver:
-        break;
-    }
-    next[to].push_back(std::move(msg));
   };
   if (inj != nullptr) {
     // Delay-fault arrivals merge in ahead of this round's fresh traffic;
@@ -392,7 +271,6 @@ void Cluster::do_exchange(RoundStream& st) {
     const auto due = st.delayed.find(round);
     if (due != st.delayed.end()) {
       for (auto& d : due->second) {
-        ++slow_envelopes_;
         ++dom.slow;
         if (tel_on) dom.tel_slow->add(1);
         if (mgr != nullptr) {
@@ -404,9 +282,9 @@ void Cluster::do_exchange(RoundStream& st) {
     }
   }
   for (int sender = 0; sender < n_; ++sender) {
-    PartyIo* p = st.members[sender];
+    PartyIo* p = st.handles[static_cast<std::size_t>(sender)].get();
     if (p == nullptr || !in_roster(dom, sender)) continue;
-    for (auto& env : p->staged_buffer()) {
+    for (auto& env : p->staged_) {
       if (env.to != env.msg.from) {
         ++comm_.messages;
         comm_.bytes +=
@@ -433,7 +311,7 @@ void Cluster::do_exchange(RoundStream& st) {
             ev.protocol = "net";
             ev.phase = "fault";
             ev.player = env.to;
-            ev.batch = local_batch;
+            ev.batch = at.batch;
             ev.committee = dom.committee;
             ev.round_begin = ev.round_end = round;
             ev.faults = delta;
@@ -446,7 +324,7 @@ void Cluster::do_exchange(RoundStream& st) {
         admit(env.to, std::move(env.msg));
       }
     }
-    p->staged_buffer().clear();
+    p->staged_.clear();
   }
   ++comm_.rounds;
   if (tel_on) {
@@ -461,31 +339,32 @@ void Cluster::do_exchange(RoundStream& st) {
     ev.protocol = "net";
     ev.phase = "round";
     ev.player = -1;
-    ev.batch = local_batch;
+    ev.batch = at.batch;
     ev.committee = dom.committee;
     ev.round_begin = ev.round_end = round;
     ev.comm = comm_ - comm_before;
     tracer().record(std::move(ev));
   }
   for (int i = 0; i < n_; ++i) {
-    if (st.members[i] == nullptr) continue;  // never joined this stream
-    if (!in_roster(dom, i)) continue;        // outside the domain roster
+    PartyIo* p = st.handles[static_cast<std::size_t>(i)].get();
+    if (p == nullptr) continue;        // never joined this stream
+    if (!in_roster(dom, i)) continue;  // outside the domain roster
     // Canonical lockstep order (net/lockstep.h): stable by send order,
     // sorted by (from, tag) — shared with the TCP transport so delivered
     // inboxes cannot drift between backends.
     lockstep_sort_inbox(next[i]);
-    st.members[i]->deliver(Inbox{std::move(next[i])});
+    p->inbox_ = Inbox{std::move(next[i])};
   }
 }
 
-void Cluster::arrive_and_exchange(PartyIo& party) {
+void Cluster::sync(PartyIo& party) {
   unsigned latency = round_latency_us_;
   {
     std::unique_lock lk(mu_);
     RoundStream& st = streams_.at(party.stream_);
     // A handle may only drive a stream whose domain roster includes its
-    // player (instance_io already guards creation; this catches root
-    // handles syncing on a stream 0 that a committee claimed).
+    // player (open() already guards creation; this catches root handles
+    // syncing on a stream 0 that a committee claimed).
     DPRBG_CHECK(in_roster(*st.domain, party.id_));
     if (st.domain->round_latency_us >= 0) {
       latency = static_cast<unsigned>(st.domain->round_latency_us);
@@ -564,10 +443,12 @@ void Cluster::publish_comm_telemetry() {
 }
 
 std::vector<CommCounters> Cluster::per_player_comm() const {
-  std::vector<CommCounters> out;
-  out.reserve(parties_.size());
-  for (const auto& p : parties_) out.push_back(p->sent());
-  for (const auto& [key, io] : instances_) out[key.first] += io->sent();
+  std::vector<CommCounters> out(static_cast<std::size_t>(n_));
+  for (const auto& [sid, st] : streams_) {
+    for (const auto& io : st.handles) {
+      if (io != nullptr) out[static_cast<std::size_t>(io->id())] += io->sent();
+    }
+  }
   return out;
 }
 
@@ -580,6 +461,10 @@ void Cluster::run(std::vector<Program> programs) {
     for (auto& [sid, st] : streams_) st.waiting = 0;
   }
   per_player_field_ops_.assign(n_, FieldCounters{});
+  // Root handles exist from construction and the root record's handle
+  // vector never changes, so player threads may read it while other
+  // streams open.
+  const auto& roots = streams_.at(0).handles;
 
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -590,7 +475,7 @@ void Cluster::run(std::vector<Program> programs) {
     threads.emplace_back([&, i] {
       const FieldCounters before = field_counters();
       try {
-        programs[i](*parties_[i]);
+        programs[i](*roots[static_cast<std::size_t>(i)]);
       } catch (...) {
         std::lock_guard g(error_mu);
         if (!first_error) first_error = std::current_exception();

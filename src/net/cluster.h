@@ -49,106 +49,12 @@
 #include "net/lockstep.h"
 #include "net/misbehavior.h"
 #include "net/msg.h"
-#include "rng/chacha.h"
 
 namespace dprbg {
 
-class Cluster;
 class Committee;
-class Endpoint;
 
-// Per-(player, stream) handle passed to the player's program. All methods
-// are called only from the thread currently driving that stream for that
-// player (the player's root thread, or the worker thread the pipelined
-// scheduler dedicates to the batch).
-class PartyIo {
- public:
-  [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] int n() const;
-  [[nodiscard]] int t() const;
-  [[nodiscard]] Chacha& rng() { return rng_; }
-  // The round stream this handle sends and receives on (0: root).
-  [[nodiscard]] std::uint32_t stream() const { return stream_; }
-  // The committee (stream domain) this handle's stream belongs to — 0
-  // unless the stream falls in a range registered via
-  // Cluster::register_stream_domain (net/committee.h builds on this).
-  [[nodiscard]] std::uint32_t committee() const;
-
-  // The per-(player, batch) handle for round stream `batch`, created on
-  // first use (stable thereafter). `instance(0)` and `instance(stream())`
-  // return this handle itself. Handles share the player's identity but
-  // nothing else: independent rng, inbox, staging, and round counter.
-  PartyIo& instance(std::uint32_t batch);
-
-  // Queue a private message for delivery next round (of this stream).
-  void send(int to, std::uint32_t tag, std::vector<std::uint8_t> body);
-  // Point-to-point "announce": send the same body to every player
-  // (including a free self-delivery). This is NOT a broadcast channel —
-  // a Byzantine sender can equivocate by calling send() per receiver.
-  void send_all(std::uint32_t tag, const std::vector<std::uint8_t>& body);
-
-  // End the round: block until all active players arrive on this stream,
-  // then receive the messages sent to this player during the ended round.
-  const Inbox& sync();
-
-  // Messages delivered at the last sync().
-  [[nodiscard]] const Inbox& inbox() const { return inbox_; }
-
-  // Reports that a message from `from` (delivered on this stream) failed
-  // protocol decoding. Counted per domain (decode_rejections), surfaced
-  // as telemetry, and forwarded to the misbehavior manager as a
-  // kDecodeFailure signal against `from`. Self-reports and out-of-range
-  // senders are ignored. Honest decoders call this at every `if
-  // (!decoded)` drop site, turning what used to be a silent drop into an
-  // attributable event.
-  void note_decode_failure(int from);
-
-  // Communication this player has staged so far on this stream
-  // (self-deliveries free); `sent().rounds` counts this handle's
-  // completed sync() calls.
-  [[nodiscard]] const CommCounters& sent() const { return sent_; }
-  // Rounds this handle has completed (== sent().rounds). TraceSpan
-  // (common/trace.h) uses this to stamp per-phase round ranges.
-  [[nodiscard]] std::uint64_t rounds() const { return sent_.rounds; }
-
- private:
-  friend class Cluster;
-  friend class Endpoint;  // steals the delivered inbox for id remapping
-  PartyIo(Cluster& cluster, int id, std::uint64_t seed, std::uint32_t stream)
-      : cluster_(cluster),
-        id_(id),
-        stream_(stream),
-        rng_(seed, rng_stream(id, stream)) {}
-
-  // The shared per-(player, stream) derivation (net/lockstep.h): stream
-  // 0 keeps the historical per-player ChaCha stream ids so root-stream
-  // transcripts are bit-for-bit unchanged, and the TCP transport derives
-  // its handles identically.
-  static std::uint64_t rng_stream(int id, std::uint32_t stream) {
-    return lockstep_rng_stream(id, stream);
-  }
-
-  struct Envelope {
-    int to;
-    Msg msg;
-  };
-
-  std::vector<Envelope>& staged_buffer() { return staged_; }
-  void deliver(Inbox inbox) { inbox_ = std::move(inbox); }
-  // Moves the last delivered messages out (committee endpoints remap
-  // sender ids and re-deliver into their own inbox).
-  std::vector<Msg> take_inbox() { return std::move(inbox_).take_all(); }
-
-  Cluster& cluster_;
-  int id_;
-  std::uint32_t stream_;
-  Chacha rng_;
-  Inbox inbox_;
-  std::vector<Envelope> staged_;  // outgoing, merged at the barrier
-  CommCounters sent_;
-};
-
-class Cluster {
+class Cluster final : public LockstepTransport {
  public:
   using Program = std::function<void(PartyIo&)>;
 
@@ -239,8 +145,7 @@ class Cluster {
   // A locked snapshot of one domain's misbehavior ledger — link-fault
   // effects plus the demux rejections charged to its streams. Unlike
   // domain_faults() (a reference the exchanges keep mutating), this is
-  // safe to poll from a monitor thread while run() is active; the
-  // beacon's eviction score (beacon_failover.h) reads exactly this.
+  // safe to poll from a monitor thread while run() is active.
   struct DomainLedger {
     FaultCounters faults;
     std::uint64_t stale = 0;    // stale-tag rejections on this domain
@@ -256,9 +161,9 @@ class Cluster {
   // stream's domain roster. PartyIo handles are roster-guarded at
   // creation and at sync, so like stale_rejections() this must stay 0 —
   // a nonzero count means committee traffic leaked across rosters.
-  [[nodiscard]] std::uint64_t foreign_rejections() const {
-    return foreign_rejections_;
-  }
+  // Like every cluster-wide rejection counter below, this is the sum of
+  // the domain ledgers, taken under the cluster's lock.
+  [[nodiscard]] std::uint64_t foreign_rejections() const;
 
   // Simulated one-way link latency per lockstep exchange, in
   // microseconds. Zero (the default) reproduces the historical
@@ -285,29 +190,21 @@ class Cluster {
   // per-stream, so this must stay 0 — the chaos tests assert it under
   // stale-tag delay floods (a nonzero count would mean cross-batch
   // misdelivery).
-  [[nodiscard]] std::uint64_t stale_rejections() const {
-    return stale_rejections_;
-  }
+  [[nodiscard]] std::uint64_t stale_rejections() const;
 
   // Envelopes whose body failed protocol decoding at the receiver
   // (reported via PartyIo::note_decode_failure). Unlike stale/foreign —
   // which are demux invariants that must stay 0 — this counts actual
   // Byzantine (or corrupted) payloads and is nonzero under chaos plans.
-  [[nodiscard]] std::uint64_t decode_rejections() const {
-    return decode_rejections_;
-  }
+  [[nodiscard]] std::uint64_t decode_rejections() const;
   // Envelopes that arrived via the delay queue, i.e. at least one round
   // later than sent — each is one barrier-stall observation charged to
   // its sender.
-  [[nodiscard]] std::uint64_t slow_envelopes() const {
-    return slow_envelopes_;
-  }
+  [[nodiscard]] std::uint64_t slow_envelopes() const;
   // Envelopes suppressed at admit time because the misbehavior manager
   // had banned the sender: counted here and in the ledgers, delivered
   // nowhere.
-  [[nodiscard]] std::uint64_t banned_suppressions() const {
-    return banned_suppressions_;
-  }
+  [[nodiscard]] std::uint64_t banned_suppressions() const;
 
   // Aggregate communication across all players, streams, and run() calls.
   [[nodiscard]] const CommCounters& comm() const { return comm_; }
@@ -337,7 +234,6 @@ class Cluster {
   }
 
  private:
-  friend class PartyIo;
   friend class Committee;  // opens member handles on committee streams
 
   // A registered slice of the stream-id space (see the public section).
@@ -350,42 +246,36 @@ class Cluster {
     std::vector<char> roster;  // indexed by player id; empty: everyone
     std::shared_ptr<const FaultInjector> injector;  // nullptr: cluster-wide
     FaultCounters faults;
-    // Demux rejections charged to this domain's streams (also summed into
-    // the cluster-wide counters).
-    std::uint64_t stale = 0;
-    std::uint64_t foreign = 0;
-    std::uint64_t decode = 0;
-    std::uint64_t slow = 0;
-    std::uint64_t banned = 0;
+    // Demux rejections and decode failures charged to this domain's
+    // streams; the cluster-wide counters are their sums.
+    AdmitLedger ledger;
+    std::uint64_t slow = 0;  // delay-queue merges (late envelopes)
     // Simulated round latency override; -1 inherits the cluster's value.
     int round_latency_us = -1;
-    // Cached telemetry counters for this domain, labeled
-    // committee=<id>; filled lazily under mu_ the first time an
-    // exchange runs with telemetry enabled (never touched while
+    // Cached telemetry counters for this domain (and its ledger's
+    // mirrors), labeled committee=<id>; filled lazily under mu_ the first
+    // time an exchange runs with telemetry enabled (never touched while
     // disabled), and stable thereafter — the registry keeps instruments
     // alive for the process lifetime.
     Counter* tel_messages = nullptr;
     Counter* tel_bytes = nullptr;
-    Counter* tel_stale = nullptr;
-    Counter* tel_foreign = nullptr;
     Counter* tel_faults = nullptr;
-    Counter* tel_decode = nullptr;
     Counter* tel_slow = nullptr;
-    Counter* tel_banned = nullptr;
   };
 
-  // One independent lockstep round stream. Streams share the cluster's
-  // mutex and cv; each keeps its own barrier generation, exchange
-  // counter, delay queue, member handles, and owning domain.
+  // The record of one independent lockstep round stream: its players'
+  // handles and its barrier state. Streams share the cluster's mutex and
+  // cv; each keeps its own barrier generation, exchange counter, delay
+  // queue, and owning domain.
   struct RoundStream {
     std::uint32_t id = 0;
+    // Indexed by player id; null until that player opens its handle (a
+    // crashed player never does — its column is skipped).
+    std::vector<std::unique_ptr<PartyIo>> handles;
     int waiting = 0;
     std::uint64_t generation = 0;
     std::uint64_t exchange_index = 0;
     DelayQueue delayed;
-    // Indexed by player id; nullptr until that player opens its handle
-    // (a crashed player never does — its column is skipped).
-    std::vector<PartyIo*> members;
     StreamDomain* domain = nullptr;
   };
 
@@ -394,7 +284,7 @@ class Cluster {
   // waiters. A player whose program returns "drops" — every stream's
   // barrier stops waiting for it, so crash-faulty or early-returning
   // programs cannot deadlock any round.
-  void arrive_and_exchange(PartyIo& party);
+  void sync(PartyIo& party) override;
   void drop(int player);
   void do_exchange(RoundStream& st);  // called with mu_ held
   // Fills a domain's cached telemetry counters (with mu_ held, telemetry
@@ -411,25 +301,26 @@ class Cluster {
   // Threads a stream's barrier waits for: active players in its roster.
   [[nodiscard]] int stream_expected(const RoundStream& st) const;
 
-  // The (player, batch) handle, created on first use (with mu_ taken).
-  PartyIo& instance_io(int player, std::uint32_t batch);
-  // Any-stream variant: stream 0 resolves to the root handle.
-  PartyIo& handle(int player, std::uint32_t stream);
+  // The (player, stream) handle, created on first use (with mu_ taken).
+  PartyIo& open(int player, std::uint32_t stream) override;
+  [[nodiscard]] StreamLabels labels(std::uint32_t stream) const override;
+  // The locked half of PartyIo::note_decode_failure: charges the failure
+  // to the reporting stream's domain ledger.
+  void note_decode_failure(const PartyIo& reporter, int from) override;
+  // Sums one ledger field over every domain, under mu_.
+  [[nodiscard]] std::uint64_t sum_domains(
+      std::uint64_t (*field)(const StreamDomain&)) const;
 
   int n_;
   int t_;
   std::uint64_t seed_;
 
-  std::vector<std::unique_ptr<PartyIo>> parties_;  // root-stream handles
-  std::map<std::pair<int, std::uint32_t>, std::unique_ptr<PartyIo>>
-      instances_;  // per-batch handles, stable for the cluster's lifetime
-
   mutable std::mutex mu_;  // domain_ledger() snapshots under the lock
   std::condition_variable cv_;
   int expected_ = 0;  // active (not yet returned) player threads
   std::vector<char> active_;  // per-player: root program still running
-  // Keyed by stream id; std::map keeps references stable while new
-  // streams are opened mid-run.
+  // The stream records, keyed by stream id; std::map keeps references
+  // (and the handles they own) stable while new streams open mid-run.
   std::map<std::uint32_t, RoundStream> streams_;
 
   StreamDomain default_domain_;
@@ -441,18 +332,9 @@ class Cluster {
   FieldCounters field_ops_;
   std::vector<FieldCounters> per_player_field_ops_;
 
-  // Handles a receiver-reported decode failure on `stream` (the locked
-  // half of PartyIo::note_decode_failure).
-  void note_decode_failure(std::uint32_t stream, int reporter, int from);
-
   std::shared_ptr<const FaultInjector> injector_;
   std::shared_ptr<MisbehaviorManager> misbehavior_;
   FaultCounters faults_;
-  std::uint64_t stale_rejections_ = 0;
-  std::uint64_t foreign_rejections_ = 0;
-  std::uint64_t decode_rejections_ = 0;
-  std::uint64_t slow_envelopes_ = 0;
-  std::uint64_t banned_suppressions_ = 0;
   unsigned round_latency_us_ = 0;
   // Reused per-exchange routing scratch (guarded by mu_, like every
   // do_exchange structure): the outer vector survives across exchanges

@@ -155,8 +155,8 @@ Endpoint& Committee::instance(int local_player, std::uint32_t local_stream) {
   const auto key = std::make_pair(local_player, local_stream);
   auto it = endpoints_.find(key);
   if (it == endpoints_.end()) {
-    PartyIo& io = cluster_.handle(global_id(local_player),
-                                  global_stream(local_stream));
+    PartyIo& io = cluster_.open(global_id(local_player),
+                                global_stream(local_stream));
     it = endpoints_
              .emplace(key, std::unique_ptr<Endpoint>(new Endpoint(
                                *this, io, local_player, local_stream)))

@@ -111,10 +111,10 @@ class Committee {
     std::uint32_t id = 0;
     // Global round stream carrying the committee's local stream 0;
     // local stream s rides on first_stream + s. Committee stream slices
-    // must be disjoint and end at or below the 0xFFFF stream cap both
-    // transports enforce (it bounds the per-stream state a peer can make
-    // a node allocate), so a stride of 4096 local streams supports 16
-    // committees.
+    // must be disjoint and end at or below kMaxStreamId, the stream cap
+    // both transports enforce (net/lockstep.h; it bounds the per-stream
+    // state a peer can make a node allocate), so a stride of 4096 local
+    // streams supports 16 committees.
     std::uint32_t first_stream = 0;
     std::uint32_t stream_count = 4096;
     // Fault tolerance inside the committee; -1: inherit the cluster's t.

@@ -8,11 +8,14 @@
 // per-batch instances, and the accounting hooks TraceSpan reads — so the
 // same template body runs unchanged over:
 //
-//   * `net::PartyIo`  — a player's raw handle on the concrete Cluster
-//     (the historical single-committee case), and
-//   * `net::Endpoint` — a committee-local view (net/committee.h) that
-//     remaps a committee's member indices onto a slice of a larger
-//     cluster's players and round streams.
+//   * `PartyIo`  — the one per-(player, stream) handle (net/lockstep.h),
+//     on either transport: the simulated `Cluster` (net/cluster.h) or a
+//     real-socket `TcpCluster` node (net/tcp_cluster.h, where it keeps
+//     the name `TcpPartyIo`). Each transport keeps one record per stream
+//     that owns the stream's handles and its barrier state.
+//   * `Endpoint` — a committee-local view (net/committee.h) that remaps
+//     a committee's member indices onto a slice of a larger cluster's
+//     players and round streams.
 //
 // Keeping this a concept (mirroring the `FiniteField` concept in
 // gf/field.h) rather than a virtual interface keeps the per-message hot

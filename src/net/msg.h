@@ -49,11 +49,12 @@ struct Msg {
   // handle: 0 is the root lockstep stream, nonzero ids name per-batch
   // streams opened via PartyIo::instance() (pipelined Coin-Gen). On the
   // wire this rides in the envelope header alongside sender and tag (a
-  // varint; see EnvelopeHeader below). Both transports cap it at 0xFFFF
-  // where stream handles are created (DPRBG_CHECK), and the TCP reader
-  // refuses frames beyond the cap: it bounds how many per-stream states
-  // a hostile peer can make a node allocate, and it is the stride
-  // committee domains are laid out on (net/committee.h). Batch ids grow
+  // varint; see EnvelopeHeader below). Both transports cap it at
+  // kMaxStreamId (net/lockstep.h) where stream handles are created
+  // (DPRBG_CHECK), and the TCP reader refuses frames beyond the cap: it
+  // bounds how many per-stream states a hostile peer can make a node
+  // allocate, and it is the stride committee domains are laid out on
+  // (net/committee.h). Batch ids grow
   // monotonically and are never reused, so a run that outgrows the cap
   // fails loudly. The demux delivers an envelope only to the round stream
   // it was sent on, so traffic from batch k can never surface in batch

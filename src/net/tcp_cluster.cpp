@@ -16,18 +16,7 @@
 
 namespace dprbg {
 
-// The TCP transport is one player per process; the concept check is the
-// whole point of the exercise — every protocol template accepts this Io.
-static_assert(NetEndpoint<TcpPartyIo>);
-
 namespace {
-
-// Stream ids over TCP are bounded like the simulated cluster's
-// (DPRBG_CHECK(batch <= 0xFFFF) at instance creation). A frame claiming
-// a stream beyond the bound is a violation: the cap limits how many
-// StreamStates a hostile peer can make us allocate, and it is the space
-// committee domains are strided over (net/committee.h).
-constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
 
 // epoll_event tag of the leader's eventfd (peer ids tag their sockets).
 constexpr std::uint32_t kLeadWakeTag = 0xFFFFFFFFu;
@@ -57,67 +46,6 @@ std::uint64_t roster_hash(int n, int t,
 }
 
 // ---------------------------------------------------------------------------
-// TcpPartyIo — mirrors net::PartyIo's send-side behavior exactly (the
-// comm charges and trace points are what the equivalence suite compares).
-
-int TcpPartyIo::id() const { return cluster_.id_; }
-int TcpPartyIo::n() const { return cluster_.n_; }
-int TcpPartyIo::t() const { return cluster_.t_; }
-
-TcpPartyIo& TcpPartyIo::instance(std::uint32_t batch) {
-  if (batch == 0 || batch == stream_) return *this;
-  return cluster_.instance_io(batch);
-}
-
-void TcpPartyIo::send(int to, std::uint32_t tag,
-                      std::vector<std::uint8_t> body) {
-  if (to < 0 || to >= cluster_.n_) return;
-  if (to != id()) {
-    const std::uint64_t overhead =
-        lockstep_envelope_overhead(id(), tag, stream_, body.size());
-    ++sent_.messages;
-    sent_.bytes += body.size() + overhead;
-    if (tracer().enabled()) {
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPoint;
-      ev.protocol = "net";
-      ev.phase = "send";
-      ev.player = id();
-      ev.batch = stream_;
-      ev.committee = 0;
-      ev.round_begin = ev.round_end = sent_.rounds;
-      ev.comm.messages = 1;
-      ev.comm.bytes = body.size() + overhead;
-      ev.detail = "to=" + std::to_string(to) + " tag=" + std::to_string(tag);
-      tracer().record(std::move(ev));
-    }
-  }
-  Msg msg;
-  msg.from = id();
-  msg.tag = tag;
-  msg.batch = stream_;
-  msg.body = std::move(body);
-  staged_.push_back(Envelope{to, std::move(msg)});
-}
-
-void TcpPartyIo::send_all(std::uint32_t tag,
-                          const std::vector<std::uint8_t>& body) {
-  for (int to = 0; to < cluster_.n_; ++to) {
-    send(to, tag, body);
-  }
-}
-
-const Inbox& TcpPartyIo::sync() {
-  cluster_.sync_stream(*this);
-  ++sent_.rounds;
-  return inbox_;
-}
-
-void TcpPartyIo::note_decode_failure(int from) {
-  cluster_.note_decode_failure(stream_, from);
-}
-
-// ---------------------------------------------------------------------------
 // TcpCluster.
 
 TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
@@ -137,7 +65,6 @@ TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
   lapsed_.assign(static_cast<std::size_t>(n_), 0);
   bye_.assign(static_cast<std::size_t>(n_), 0);
   peer_telemetry_.resize(static_cast<std::size_t>(n_));
-  root_.reset(new TcpPartyIo(*this, id_, seed_, 0));
 }
 
 TcpCluster::~TcpCluster() {
@@ -689,7 +616,9 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed, bool inline_read) {
                      ? decode_round_frame(payload, peer, kTcpMaxFrameBytes)
                      : std::nullopt;
     if (type == FrameType::kRound) ++rounds_read;
-    if (!frame || frame->stream > kTcpMaxStreamId) {
+    // A stream beyond the shared cap is a violation too: the cap bounds
+    // how many stream records a hostile peer can make us allocate.
+    if (!frame || frame->stream > kMaxStreamId) {
       violation = true;
       break;
     }
@@ -758,7 +687,7 @@ void TcpCluster::process_frames(TcpPeer& p, bool closed, bool inline_read) {
   if (violation || dead) peer_down(p, /*notify=*/true);
 }
 
-void TcpCluster::sync_stream(TcpPartyIo& io) {
+void TcpCluster::sync(PartyIo& io) {
   const std::uint32_t stream = io.stream_;
   const std::uint64_t round = io.sent_.rounds;
 
@@ -804,7 +733,6 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   if (wake) wake_reactor();
 
   MisbehaviorManager* mgr = misbehavior_.get();
-  const bool trace_on = tracer().enabled();
   std::unique_lock lk(mu_);
   comm_.messages += msg_count;
   comm_.bytes += byte_count;
@@ -849,41 +777,13 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   // shared admit gate, then the shared canonical sort — the exact
   // pipeline the simulated exchange runs, minus physical transport.
   std::vector<Msg> next;
+  const StreamLabels at = labels(stream);
   const auto admit = [&](Msg&& msg) {
-    const AdmitVerdict verdict = classify_envelope(
-        msg, id_, stream, [&](int p) { return p >= 0 && p < n_; }, mgr);
-    if (const auto sig = signal_for(verdict); sig && mgr != nullptr) {
-      mgr->report(msg.from, *sig);
+    if (lockstep_admit(msg, id_, stream,
+                       [&](int p) { return p >= 0 && p < n_; }, mgr,
+                       ledger_, round, at)) {
+      next.push_back(std::move(msg));
     }
-    switch (verdict) {
-      case AdmitVerdict::kStale:
-        ++stale_rejections_;
-        if (trace_on) {
-          trace_point("net", "stale", id_, round,
-                      "from=" + std::to_string(msg.from) +
-                          " batch=" + std::to_string(msg.batch),
-                      stream, 0);
-        }
-        return;
-      case AdmitVerdict::kForeign:
-        ++foreign_rejections_;
-        if (trace_on) {
-          trace_point("net", "foreign", id_, round,
-                      "from=" + std::to_string(msg.from), stream, 0);
-        }
-        return;
-      case AdmitVerdict::kBanned:
-        ++banned_suppressions_;
-        mgr->note_suppressed(msg.from);
-        if (trace_on) {
-          trace_point("net", "banned", id_, round,
-                      "from=" + std::to_string(msg.from), stream, 0);
-        }
-        return;
-      case AdmitVerdict::kDeliver:
-        break;
-    }
-    next.push_back(std::move(msg));
   };
   for (int j = 0; j < n_; ++j) {
     if (j == id_) {
@@ -906,36 +806,20 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
   }
 }
 
-void TcpCluster::note_decode_failure(std::uint32_t stream, int from) {
-  if (from < 0 || from >= n_ || from == id_) return;
-  {
-    std::lock_guard lk(mu_);
-    ++decode_rejections_;
-  }
-  if (tracer().enabled()) {
-    trace_point("net", "decode_reject", id_, 0,
-                "from=" + std::to_string(from), stream, 0);
-  }
-  if (misbehavior_ != nullptr) {
-    // Receiver-attributed, so the decode reporter quorum can discount a
-    // lone framer — same wiring as the simulated cluster.
-    misbehavior_->report_decode(from, id_);
-  }
+void TcpCluster::note_decode_failure(const PartyIo& reporter, int from) {
+  std::lock_guard lk(mu_);
+  lockstep_decode_failure(reporter, from, labels(reporter.stream()),
+                          misbehavior_.get(), ledger_);
 }
 
-TcpPartyIo& TcpCluster::instance_io(std::uint32_t batch) {
-  // Same stream cap the simulated cluster enforces at its instance choke
-  // point; the reader refuses frames beyond it (see kTcpMaxStreamId).
-  DPRBG_CHECK(batch <= kTcpMaxStreamId);
-  std::lock_guard lk(instances_mu_);
-  auto it = instances_.find(batch);
-  if (it == instances_.end()) {
-    it = instances_
-             .emplace(batch, std::unique_ptr<TcpPartyIo>(
-                                 new TcpPartyIo(*this, id_, seed_, batch)))
-             .first;
+PartyIo& TcpCluster::open(int player, std::uint32_t stream) {
+  DPRBG_CHECK(player == id_);  // a node holds only its own handles
+  std::lock_guard lk(mu_);
+  StreamState& st = stream_state_locked(stream);
+  if (st.io == nullptr) {
+    st.io.reset(new PartyIo(*this, id_, n_, t_, seed_, stream));
   }
-  return *it->second;
+  return *st.io;
 }
 
 void TcpCluster::run(const Program& program) {
@@ -945,9 +829,10 @@ void TcpCluster::run(const Program& program) {
     DPRBG_CHECK(!run_active_);
     run_active_ = true;
   }
+  PartyIo& root = open(id_, 0);
   std::exception_ptr err;
   try {
-    program(*root_);
+    program(root);
   } catch (...) {
     err = std::current_exception();
   }
@@ -993,10 +878,10 @@ TcpStats TcpCluster::stats() const {
   }
   out.frame_decode_failures = frame_decode_failures_;
   out.lapsed_frames = lapsed_frames_;
-  out.stale_rejections = stale_rejections_;
-  out.foreign_rejections = foreign_rejections_;
-  out.decode_rejections = decode_rejections_;
-  out.banned_suppressions = banned_suppressions_;
+  out.stale_rejections = ledger_.stale;
+  out.foreign_rejections = ledger_.foreign;
+  out.decode_rejections = ledger_.decode;
+  out.banned_suppressions = ledger_.banned;
   out.recv_pending = buffered_msgs_;
   out.rx_frames_inline = rx_frames_inline_;
   return out;

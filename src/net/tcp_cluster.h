@@ -6,15 +6,19 @@
 // it owns the player's listen socket, the n-1 `TcpPeer` connections and
 // the reactor thread that drives them (deterministic roles — this node
 // dials every lower id and accepts every higher id, so each pair has
-// exactly one link), the handshake
-// (roster hash + framing version + claimed id, all validated on
-// both ends), and the demux that turns arriving kRound frames back into
-// the per-(stream, round) inboxes the protocols expect.
+// exactly one link), the handshake (the Hello's protocol version,
+// roster hash and claimed id, all validated on both ends), and the demux
+// that turns arriving kRound frames back into the per-(stream, round)
+// inboxes the protocols expect. Each stream has one record
+// (`StreamState`) holding this node's handle on it and its barrier and
+// demux state.
 //
-// Determinism contract (the whole point): a protocol templated on
-// NetEndpoint produces BIT-FOR-BIT the same transcript over TcpPartyIo
-// as over the simulated PartyIo at the same (n, t, seed), because every
-// input the protocol can observe is reproduced exactly:
+// Determinism contract (the whole point): the handle is the same
+// `PartyIo` the simulated cluster hands out (net/lockstep.h), with this
+// node as its `LockstepTransport`, so a protocol templated on NetEndpoint
+// produces BIT-FOR-BIT the same transcript over TCP as over the
+// simulated cluster at the same (n, t, seed). Every input the protocol
+// can observe is reproduced exactly:
 //
 //   * randomness — Chacha(seed, lockstep_rng_stream(id, stream)), the
 //     shared derivation in net/lockstep.h;
@@ -26,14 +30,14 @@
 //     ascending, then the shared lockstep_sort_inbox stable sort, which
 //     erases the nondeterministic cross-sender arrival order TCP gives
 //     us;
-//   * admit gating — the shared classify_envelope path: stale (wire
+//   * admit gating — the shared lockstep_admit path: stale (wire
 //     batch != stream), foreign, and banned-suppression verdicts score
 //     and count exactly as in the simulated demux, with the same
 //     self-delivery ban exemption;
-//   * comm accounting — send() charges body + the envelope header size
-//     (lockstep_envelope_overhead), identical to the simulated ledger; the
-//     physical frame bytes (length prefix, bundle header) appear only
-//     in the transport's own TcpStats/telemetry.
+//   * comm accounting — PartyIo::send charges body + the envelope header
+//     size (lockstep_envelope_overhead) on both transports; the physical
+//     frame bytes (length prefix, bundle header) appear only in the
+//     transport's own TcpStats/telemetry.
 //
 // Failure semantics: a peer whose connection dies while a run is active
 // is "lapsed" — permanently, for that run. Barriers stop waiting for it
@@ -79,13 +83,11 @@
 
 #include "common/metrics.h"
 #include "common/telemetry.h"
-#include "net/endpoint.h"
 #include "net/framing.h"
 #include "net/lockstep.h"
 #include "net/misbehavior.h"
 #include "net/msg.h"
 #include "net/peer.h"
-#include "rng/chacha.h"
 
 namespace dprbg {
 
@@ -119,57 +121,11 @@ struct TcpClusterOptions {
   int listen_fd = -1;
 };
 
-// The per-(player, stream) handle — the TCP twin of net::PartyIo,
-// satisfying the same NetEndpoint concept (static_assert'd in the
-// .cpp). One process owns only its own player's handles.
-class TcpPartyIo {
- public:
-  [[nodiscard]] int id() const;
-  [[nodiscard]] int n() const;
-  [[nodiscard]] int t() const;
-  [[nodiscard]] Chacha& rng() { return rng_; }
-  [[nodiscard]] std::uint32_t stream() const { return stream_; }
-  // Stream domains / committees are not carved over TCP yet: every
-  // stream barriers over the full roster (committee 0).
-  [[nodiscard]] std::uint32_t committee() const { return 0; }
-
-  TcpPartyIo& instance(std::uint32_t batch);
-
-  void send(int to, std::uint32_t tag, std::vector<std::uint8_t> body);
-  void send_all(std::uint32_t tag, const std::vector<std::uint8_t>& body);
-
-  // Ends this stream's round: ships one kRound bundle per peer still in
-  // the run (empty ones included — they are the markers), blocks until
-  // every non-lapsed peer's bundle for this round has arrived, and
-  // delivers the canonically ordered inbox.
-  const Inbox& sync();
-  [[nodiscard]] const Inbox& inbox() const { return inbox_; }
-
-  void note_decode_failure(int from);
-
-  [[nodiscard]] const CommCounters& sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t rounds() const { return sent_.rounds; }
-
- private:
-  friend class TcpCluster;
-  TcpPartyIo(TcpCluster& cluster, int id, std::uint64_t seed,
-             std::uint32_t stream)
-      : cluster_(cluster),
-        stream_(stream),
-        rng_(seed, lockstep_rng_stream(id, stream)) {}
-
-  struct Envelope {
-    int to;
-    Msg msg;
-  };
-
-  TcpCluster& cluster_;
-  std::uint32_t stream_;
-  Chacha rng_;
-  Inbox inbox_;
-  std::vector<Envelope> staged_;
-  CommCounters sent_;
-};
+// The historical name of a TCP node's handle: the one lockstep handle
+// (net/lockstep.h), opened on a TcpCluster. One process owns only its own
+// player's handles; committee() is 0 (stream domains are not carved over
+// TCP yet, so every stream barriers over the full roster).
+using TcpPartyIo = PartyIo;
 
 // Transport-level counters, snapshot under the demux lock — the test
 // surface (no telemetry needed) for connect/reconnect/reject/drop
@@ -204,7 +160,7 @@ struct TcpStats {
   std::uint64_t rx_frames_inline = 0;
 };
 
-class TcpCluster {
+class TcpCluster final : public LockstepTransport {
  public:
   using Program = std::function<void(TcpPartyIo&)>;
 
@@ -244,10 +200,6 @@ class TcpCluster {
   // crash.
   void run(const Program& program);
 
-  // The root-stream handle (valid after construction; protocols open
-  // per-batch siblings through instance()).
-  [[nodiscard]] TcpPartyIo& root() { return *root_; }
-
   [[nodiscard]] TcpStats stats() const;
   // Aggregate communication (protocol-layer accounting, matching the
   // simulated cluster's ledger bit-for-bit for equivalent runs).
@@ -265,11 +217,12 @@ class TcpCluster {
   void sever_peer(int peer);
 
  private:
-  friend class TcpPartyIo;
-
-  // Demux state for one round stream: what each sender has delivered
-  // and what is buffered awaiting our own sync().
+  // The record of one round stream: this node's handle on it, what each
+  // sender has delivered, and what is buffered awaiting our own sync().
+  // A record exists once the stream is opened or a frame for it arrives,
+  // whichever comes first.
   struct StreamState {
+    std::unique_ptr<PartyIo> io;  // null until this node opens the stream
     // next_round[j]: the lowest round whose bundle from sender j has
     // NOT yet arrived. An honest sender's bundles arrive strictly in
     // order (one ordered TCP connection, sequential per-stream syncs),
@@ -341,12 +294,19 @@ class TcpCluster {
   [[nodiscard]] bool round_ready_locked(const StreamState& st,
                                         std::uint64_t round) const;
 
-  // The barrier + delivery half of TcpPartyIo::sync (staging and frame
-  // building happen in the caller first).
-  void sync_stream(TcpPartyIo& io);
+  // LockstepTransport. sync ships one kRound bundle per peer still in
+  // the run (empty ones included — they are the barrier markers), blocks
+  // until every non-lapsed peer's bundle for io's round has arrived, and
+  // delivers the canonically ordered inbox. open creates this node's
+  // handles only (player == id()); decode failures go to the node's
+  // ledger.
+  void sync(PartyIo& io) override;
+  PartyIo& open(int player, std::uint32_t stream) override;
+  [[nodiscard]] StreamLabels labels(std::uint32_t stream) const override {
+    return StreamLabels{stream, 0};
+  }
+  void note_decode_failure(const PartyIo& reporter, int from) override;
   StreamState& stream_state_locked(std::uint32_t stream);
-  TcpPartyIo& instance_io(std::uint32_t batch);
-  void note_decode_failure(std::uint32_t stream, int from);
 
   const int id_;
   const int n_;
@@ -369,12 +329,10 @@ class TcpCluster {
   std::vector<std::unique_ptr<TcpPeer>> peers_;
   std::vector<Inbound> inbound_;  // reactor-owned
 
-  std::unique_ptr<TcpPartyIo> root_;
-  std::map<std::uint32_t, std::unique_ptr<TcpPartyIo>> instances_;
-  std::mutex instances_mu_;  // instance() may be called from workers
-
-  mutable std::mutex mu_;  // demux + barrier state
+  mutable std::mutex mu_;  // stream records, demux + barrier state
   std::condition_variable up_cv_;  // start(): a link came up
+  // The stream records, keyed by stream id; never erased, so references
+  // (and the handles they own) stay stable.
   std::map<std::uint32_t, StreamState> streams_;
   std::vector<char> lapsed_;  // latched per run on disconnect
   std::vector<char> bye_;     // peer's program finished cleanly
@@ -390,10 +348,7 @@ class TcpCluster {
   std::uint64_t accept_rejects_[kHandshakeRejectReasons] = {0, 0, 0, 0};
   std::uint64_t frame_decode_failures_ = 0;
   std::uint64_t lapsed_frames_ = 0;
-  std::uint64_t stale_rejections_ = 0;
-  std::uint64_t foreign_rejections_ = 0;
-  std::uint64_t decode_rejections_ = 0;
-  std::uint64_t banned_suppressions_ = 0;
+  AdmitLedger ledger_;  // admit rejections + decode failures, all streams
   std::uint64_t buffered_msgs_ = 0;  // demuxed, not yet sync()-consumed
 
   std::shared_ptr<MisbehaviorManager> misbehavior_;

@@ -309,6 +309,103 @@ TEST(TcpClusterTest, GradeCastMatchesSimulatedCluster) {
   }
 }
 
+// A decode failure is counted, traced and scored by one path shared by
+// both transports, so a player whose echo and support bodies do not
+// decode must leave the same ledgers and the same net/decode_reject trace
+// points behind on either one — each point stamped with the rounds the
+// reporting handle has completed.
+TEST(TcpClusterTest, DecodeRejectionsMatchSimulatedClusterWithTracing) {
+  const int n = 7, t = 2;
+  const std::uint64_t seed = 13;
+  const int garbler = 5;
+  const std::vector<std::uint8_t> value = {0xC0, 0xDE};
+
+  struct Outcome {
+    std::vector<GradeCastResult> results;
+    std::vector<CommCounters> sent;
+    std::vector<std::string> decode_points;  // sorted multiset
+  };
+  // Everyone but `garbler` grade-casts player 1's value. The garbler sits
+  // out round 1, then sends one-byte echo and support bodies, too short
+  // to hold the n entries every batch carries.
+  auto program = [&](auto& io, Outcome& out) {
+    const auto me = static_cast<std::size_t>(io.id());
+    if (io.id() == garbler) {
+      const std::vector<std::uint8_t> junk = {0xFF};
+      io.sync();
+      io.send_all(make_tag(ProtoId::kGradeCast, 0, 1), junk);
+      io.sync();
+      io.send_all(make_tag(ProtoId::kGradeCast, 0, 2), junk);
+      io.sync();
+    } else {
+      out.results[me] = grade_cast(io, /*sender=*/1, value);
+    }
+    out.sent[me] = io.sent();
+  };
+  const auto fresh = [n] {
+    Outcome o;
+    o.results.resize(static_cast<std::size_t>(n));
+    o.sent.resize(static_cast<std::size_t>(n));
+    return o;
+  };
+  const auto collect_decode_points = [](Outcome& out) {
+    for (const TraceEvent& ev : tracer().events()) {
+      if (ev.protocol != "net" || ev.phase != "decode_reject") continue;
+      out.decode_points.push_back(
+          std::to_string(ev.player) + " " + std::to_string(ev.batch) + " " +
+          std::to_string(ev.round_begin) + " " + ev.detail);
+    }
+    std::sort(out.decode_points.begin(), out.decode_points.end());
+    tracer().set_enabled(false);
+    tracer().clear();
+  };
+
+  Outcome sim_out = fresh();
+  Cluster sim(n, t, seed);
+  tracer().clear();
+  tracer().set_enabled(true);
+  sim.run(std::vector<Cluster::Program>(
+      static_cast<std::size_t>(n),
+      [&](PartyIo& io) { program(io, sim_out); }));
+  collect_decode_points(sim_out);
+
+  Outcome tcp_out = fresh();
+  TcpLoopback loop(n, t, seed);
+  ASSERT_TRUE(loop.start());
+  std::vector<TcpCluster::Program> programs;
+  for (int i = 0; i < n; ++i) {
+    programs.push_back([&](TcpPartyIo& io) { program(io, tcp_out); });
+  }
+  tracer().clear();
+  tracer().set_enabled(true);
+  loop.run(std::move(programs));
+  collect_decode_points(tcp_out);
+
+  std::uint64_t tcp_decode_rejections = 0;
+  for (int i = 0; i < n; ++i) {
+    tcp_decode_rejections += loop.node(i).stats().decode_rejections;
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_EQ(sim_out.results[u].confidence, tcp_out.results[u].confidence)
+        << "player " << i;
+    EXPECT_EQ(sim_out.results[u].value, tcp_out.results[u].value)
+        << "player " << i;
+    if (i != garbler) {
+      EXPECT_EQ(tcp_out.results[u].confidence, 2);
+    }
+    EXPECT_EQ(sim_out.sent[u].messages, tcp_out.sent[u].messages);
+    EXPECT_EQ(sim_out.sent[u].bytes, tcp_out.sent[u].bytes);
+    EXPECT_EQ(sim_out.sent[u].rounds, tcp_out.sent[u].rounds);
+  }
+  // Every other player rejects the garbler's echo batch (round 2) and
+  // its support batch (round 3).
+  EXPECT_EQ(sim.decode_rejections(), static_cast<std::uint64_t>(2 * (n - 1)));
+  EXPECT_EQ(sim.decode_rejections(), tcp_decode_rejections);
+  ASSERT_EQ(sim_out.decode_points.size(),
+            static_cast<std::size_t>(2 * (n - 1)));
+  EXPECT_EQ(sim_out.decode_points, tcp_out.decode_points);
+  EXPECT_EQ(sim_out.decode_points.front(), "0 0 2 from=5");
+}
+
 // Pipelined Coin-Gen (`batches` batches of M = `m`, up to `depth` in
 // flight), which drives several concurrent per-batch streams (instance()
 // handles + worker threads) through the TCP demux at once, must equal the

@@ -6,7 +6,8 @@
 # a green plain-mode run.
 #
 # Usage: tools/check.sh [fast]
-#   fast  — skip the sanitizer matrix (tier-1 + budgets only)
+#   fast  — skip the sanitizer matrix, the fuzz smoke and the socket
+#           benchmark smoke (tier-1 + budgets only)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -249,8 +250,15 @@ if [[ "$mode" == "full" ]]; then
       exit 1
     }
   done
+
+  echo "=== [check] socket benchmark build + smoke (benchmark/check.sh) ==="
+  # benchmark/ builds the library from this checkout and static-asserts
+  # the endpoint types it runs (NetEndpoint<TimedIo<TcpPartyIo>>,
+  # NetEndpoint<PartyIo>), so a library change that breaks the benchmark
+  # fails here instead of at benchmark time.
+  benchmark/check.sh
 else
-  echo "=== [check] fast mode: sanitizer matrix + fuzz smoke skipped ==="
+  echo "=== [check] fast mode: sanitizer matrix, fuzz and benchmark smoke skipped ==="
 fi
 
 echo "check.sh: all requested gates passed"

@@ -166,15 +166,19 @@ int main(int argc, char** argv) {
 
   TcpClusterOptions opts;
   opts.start_timeout_ms = cfg.connect_wait_ms;
+  // The address this node binds: the --listen override, else its own
+  // roster entry (bound by start()).
+  TcpNodeAddr bind_addr = (*roster)[static_cast<std::size_t>(cfg.id)];
   if (!cfg.listen_override.empty()) {
-    const auto bind_addr = parse_host_port(cfg.listen_override);
-    if (!bind_addr) {
+    const auto override_addr = parse_host_port(cfg.listen_override);
+    if (!override_addr) {
       std::fprintf(stderr, "dprbg_node: bad --listen=%s\n",
                    cfg.listen_override.c_str());
       return 1;
     }
+    bind_addr = *override_addr;
     std::string err;
-    opts.listen_fd = tcp_listen_socket(bind_addr->host, bind_addr->port, &err);
+    opts.listen_fd = tcp_listen_socket(bind_addr.host, bind_addr.port, &err);
     if (opts.listen_fd < 0) {
       std::fprintf(stderr, "dprbg_node: %s\n", err.c_str());
       return 1;
@@ -182,8 +186,9 @@ int main(int argc, char** argv) {
   }
 
   TcpCluster node(cfg.id, n, t, cfg.seed, *roster, opts);
-  std::fprintf(stderr, "dprbg_node: id=%d n=%d t=%d listening on :%u...\n",
-               cfg.id, n, t, 0u);
+  std::fprintf(stderr, "dprbg_node: id=%d n=%d t=%d listening on %s:%u...\n",
+               cfg.id, n, t, bind_addr.host.c_str(),
+               static_cast<unsigned>(bind_addr.port));
   if (!node.start()) {
     const TcpStats st = node.stats();
     std::fprintf(stderr,
