@@ -42,9 +42,9 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/interpolate.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 #include "vss/batch_vss.h"
 #include "coin/coin_expose.h"
@@ -73,7 +73,7 @@ struct BitGenView {
 namespace bitgen_detail {
 
 // Decode step (Fig. 4 step 5): find deg<=t F agreeing with >= n - t of
-// the received combination shares.
+// the received combination shares (syndrome first, poly/reed_solomon.h).
 template <FiniteField F>
 std::optional<Polynomial<F>> decode_combination(
     const std::map<int, F>& combos, int n, unsigned t) {
@@ -88,7 +88,7 @@ std::optional<Polynomial<F>> decode_combination(
   const unsigned max_errors = std::min<unsigned>(
       static_cast<unsigned>(points.size() - need),
       static_cast<unsigned>((points.size() - t - 1) / 2));
-  auto poly = berlekamp_welch<F>(points, t, max_errors);
+  auto poly = rs_decode<F>(points, t, max_errors);
   if (!poly) return std::nullopt;
   std::size_t agreements = 0;
   for (const auto& pv : points) {

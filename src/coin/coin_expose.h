@@ -5,7 +5,9 @@
 //      pre-combined sigma_i = sum_{j in S} alpha_{i,j,h}; the sum over the
 //      3t+1 contributing dealers was taken when the batch was stored.)
 //   2. Everyone interpolates a polynomial F(x) through the received shares
-//      using the Berlekamp-Welch decoder.
+//      using the Berlekamp-Welch decoder — syndrome first
+//      (poly/reed_solomon.h): when the shares already lie on one
+//      degree-t polynomial, F(0) is read off cached Lagrange weights.
 //   3. The k-ary coin is F(0); the binary coin is F(0) mod 2.
 //
 // Costs (Section 3.1): n additions and a single polynomial interpolation
@@ -29,7 +31,7 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 #include "coin/sealed_coin.h"
 
@@ -78,15 +80,14 @@ std::optional<F> coin_expose(Io& io, const SealedCoin<F>& coin,
       static_cast<unsigned>((n_points - coin.degree - 1) / 2);
   const unsigned max_errors =
       std::min(static_cast<unsigned>(io.t()), by_distance);
-  const auto poly = berlekamp_welch<F>(
+  const auto value = rs_decode_at_zero<F>(
       std::span<const PointValue<F>>(points.data(), n_points), coin.degree,
       max_errors);
-  if (!poly) {
+  if (!value) {
     trace_point("coin-expose", "decode-fail", io.id(), io.rounds(),
                 "berlekamp-welch failed", io.stream(), io.committee());
-    return std::nullopt;
   }
-  return (*poly)(F::zero());
+  return value;
 }
 
 }  // namespace dprbg
