@@ -30,6 +30,8 @@
 #include "gf/gf2.h"
 #include "gradecast/gradecast.h"
 #include "net/msg.h"
+#include "poly/berlekamp_welch.h"
+#include "poly/reed_solomon.h"
 
 #define FUZZ_CHECK(cond)            \
   do {                              \
@@ -97,25 +99,30 @@ inline int envelope_header_one(const std::uint8_t* data, std::size_t size) {
 //
 // One dispatching target over every length-validated protocol decoder:
 // the Grade-Cast echo batch, the Coin-Gen clique message, the Bit-Gen
-// combination batch, the field-element row, and the defensive
-// ByteReader itself. data[0] selects the decoder, data[1] parameterizes
-// it, the rest is the hostile body.
+// combination batch, the field-element row, the defensive ByteReader
+// itself, the Reed–Solomon dispersal codec, and the syndrome-first
+// decoder against berlekamp_welch. data[0] selects the decoder, data[1]
+// parameterizes it, the rest is the hostile body.
 inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
   using F = GF2_64;
   if (size < 2) return 0;
-  const std::uint8_t sel = data[0] % 5;
+  const std::uint8_t sel = data[0] % 7;
   const std::uint8_t param = data[1];
   const std::vector<std::uint8_t> body(data + 2, data + size);
   constexpr std::size_t kMaxValue = 1u << 10;
   switch (sel) {
     case 0: {
+      // Low nibble: n; high nibble: the code dimension c <= n.
       const int n = 1 + param % 16;
+      const unsigned c = 1 + (param >> 4) % static_cast<unsigned>(n);
       const auto decoded =
-          gradecast_detail::decode_echoes(body, n, kMaxValue);
+          gradecast_detail::decode_echoes(body, n, c, kMaxValue);
       if (decoded) {
         FUZZ_CHECK(static_cast<int>(decoded->size()) == n);
-        for (const auto& v : *decoded) {
-          if (v) FUZZ_CHECK(v->size() <= kMaxValue);
+        for (const auto& chunk : *decoded) {
+          if (!chunk) continue;
+          FUZZ_CHECK(chunk->length <= kMaxValue);
+          FUZZ_CHECK(chunk->symbols.size() == rs_stripes(chunk->length, c));
         }
         // The layout is canonical: every accepted batch re-encodes to
         // exactly the bytes it was decoded from.
@@ -170,6 +177,75 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
         FUZZ_CHECK(r.remaining() == 0);  // failed readers park at the end
         FUZZ_CHECK(!r.done());
       }
+      break;
+    }
+    case 5: {
+      // The dispersal codec re-encodes canonically: data that unpacks to
+      // a value is exactly what packing that value gives, and the n
+      // symbols of a packed value decode back to it. Low nibble: n;
+      // high nibble: c <= n; the value length is the body's.
+      const int n = 1 + param % 16;
+      const unsigned c = 1 + (param >> 4) % static_cast<unsigned>(n);
+      const ReedSolomon rs(n, c);
+      std::vector<F> raw(body.size() / 8);
+      for (std::size_t e = 0; e < raw.size(); ++e) {
+        std::uint64_t v = 0;
+        for (int k = 0; k < 8; ++k) {
+          v |= std::uint64_t{body[e * 8 + k]} << (8 * k);
+        }
+        raw[e] = F::from_uint(v);
+      }
+      for (std::uint64_t len = raw.size() * 8; len + 8 * c > raw.size() * 8;
+           --len) {
+        if (const auto value = rs.unpack(raw, len)) {
+          FUZZ_CHECK(value->size() == len);
+          FUZZ_CHECK(rs.pack(*value) == raw);
+        }
+        if (len == 0) break;
+      }
+      const auto data = rs.pack(body);
+      std::vector<std::vector<F>> symbols(n);
+      std::vector<int> ids(n);
+      std::vector<std::span<const F>> rows(n);
+      for (int i = 0; i < n; ++i) {
+        ids[i] = i;
+        symbols[i] = rs.symbol(data, i);
+        rows[i] = symbols[i];
+      }
+      const auto decoded = rs.decode(ids, rows, 0);
+      FUZZ_CHECK(decoded && decoded->data == data &&
+                 decoded->agree == static_cast<std::size_t>(n));
+      const auto back = rs.unpack(decoded->data, body.size());
+      FUZZ_CHECK(back && *back == body);
+      break;
+    }
+    case 6: {
+      // Syndrome-first decoding and berlekamp_welch give the same verdict
+      // on the same points. Low nibble: degree; high nibble: error
+      // budget; each 9-byte record is an x-coordinate byte and a value
+      // (distinct x-coordinates only, at most 16 points).
+      const unsigned degree = param % 16;
+      const unsigned max_errors = (param >> 4) % 8;
+      std::vector<PointValue<F>> points;
+      std::uint32_t seen[8] = {};
+      for (std::size_t off = 0; off + 9 <= body.size() && points.size() < 16;
+           off += 9) {
+        const std::uint8_t x = body[off];
+        if ((seen[x / 32] >> (x % 32)) & 1u) continue;
+        seen[x / 32] |= 1u << (x % 32);
+        std::uint64_t y = 0;
+        for (int k = 0; k < 8; ++k) {
+          y |= std::uint64_t{body[off + 1 + k]} << (8 * k);
+        }
+        points.push_back({F::from_uint(x), F::from_uint(y)});
+      }
+      const auto slow = berlekamp_welch<F>(points, degree, max_errors);
+      const auto fast = rs_decode<F>(points, degree, max_errors);
+      FUZZ_CHECK(slow.has_value() == fast.has_value());
+      if (slow) FUZZ_CHECK(*slow == *fast);
+      const auto zero = rs_decode_at_zero<F>(points, degree, max_errors);
+      FUZZ_CHECK(slow.has_value() == zero.has_value());
+      if (slow) FUZZ_CHECK((*slow)(F::zero()) == *zero);
       break;
     }
     default:

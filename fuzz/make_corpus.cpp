@@ -136,15 +136,44 @@ int main(int argc, char** argv) {
       out.insert(out.end(), body.begin(), body.end());
       return out;
     };
-    // Grade-Cast echoes, n == 4 (param 3 -> 1 + 3 % 16).
-    std::vector<dprbg::gradecast_detail::MaybeValue> echoes(4);
-    echoes[0] = std::vector<std::uint8_t>{0xAA, 0xBB};
-    echoes[2] = std::vector<std::uint8_t>{};
-    echoes[3] = std::vector<std::uint8_t>(8, 0x42);
-    write_seed(dir, "echoes",
-               with_prefix(0, 3,
-                           dprbg::gradecast_detail::encode_echoes(echoes)));
-    write_seed(dir, "echoes_short", with_prefix(0, 3, {0, 0, 0}));
+    // Grade-Cast echo chunks, n == 4 and c == 2 (param 0x13: low nibble
+    // 3 -> n = 1 + 3, high nibble 1 -> c = 1 + 1), as echoer 3 sends them.
+    {
+      const dprbg::ReedSolomon rs(4, 2);
+      auto chunk = [&](const std::vector<std::uint8_t>& value) {
+        return dprbg::gradecast_detail::EchoChunk{
+            value.size(), rs.symbol(rs.pack(value), 3)};
+      };
+      std::vector<dprbg::gradecast_detail::MaybeChunk> echoes(4);
+      echoes[0] = chunk({0xAA, 0xBB});
+      echoes[2] = chunk({});
+      echoes[3] = chunk(std::vector<std::uint8_t>(24, 0x42));
+      write_seed(dir, "echoes",
+                 with_prefix(0, 0x13,
+                             dprbg::gradecast_detail::encode_echoes(echoes)));
+    }
+    write_seed(dir, "echoes_short", with_prefix(0, 0x13, {0, 0, 0}));
+    // Dispersal codec: a 19-byte value at n == 7, c == 4 (param 0x36).
+    write_seed(dir, "rs_codec",
+               with_prefix(5, 0x36,
+                           std::vector<std::uint8_t>{
+                               0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD,
+                               0xEF, 0x10, 0x32, 0x54, 0x76, 0x98, 0xBA,
+                               0xDC, 0xFE, 0x00, 0xFF, 0x5A}));
+    // Syndrome-first vs berlekamp_welch: degree 1, error budget 1 (param
+    // 0x11), the 7 points of f(x) = 5 + 3x at x = 1..7 with x = 4 wrong.
+    {
+      std::vector<std::uint8_t> body;
+      for (std::uint8_t x = 1; x <= 7; ++x) {
+        const F y = F::from_uint(5) + F::from_uint(3) * F::from_uint(x) +
+                    (x == 4 ? F::one() : F::zero());
+        body.push_back(x);
+        for (int k = 0; k < 8; ++k) {
+          body.push_back(static_cast<std::uint8_t>(y.to_uint() >> (8 * k)));
+        }
+      }
+      write_seed(dir, "rs_syndrome", with_prefix(6, 0x11, body));
+    }
     // Clique message for n == 13, t == 2: two entries of 1 + 3*8 bytes.
     {
       ByteWriter w;

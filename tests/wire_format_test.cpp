@@ -107,40 +107,60 @@ TEST(WireFormatTest, TagRotationIsLossless) {
   EXPECT_EQ(varint_size(wire_tag(bare)), 1u);
 }
 
+// A chunk as an honest echoer at position `i` of a dimension-`c` code
+// would send it for `value`.
+gradecast_detail::EchoChunk chunk_of(const std::vector<std::uint8_t>& value,
+                                     int n, unsigned c, int i) {
+  const ReedSolomon rs(n, c);
+  return {value.size(), rs.symbol(rs.pack(value), i)};
+}
+
 TEST(WireFormatTest, EchoCodecV1RoundTripsAndShrinks) {
-  using gradecast_detail::MaybeValue;
-  std::vector<MaybeValue> per_sender(7);
-  per_sender[0] = std::vector<std::uint8_t>{1, 2};        // GF(2^16)-sized
-  per_sender[2] = std::vector<std::uint8_t>(8, 0xAB);     // GF(2^64)-sized
-  per_sender[3] = std::vector<std::uint8_t>{};            // present, empty
-  per_sender[6] = std::vector<std::uint8_t>(200, 0x42);   // 2-byte varint
+  using gradecast_detail::MaybeChunk;
+  const int n = 7;
+  const unsigned c = 4;  // n - 3t at t = 1
+  std::vector<MaybeChunk> per_sender(n);
+  per_sender[0] = chunk_of({1, 2}, n, c, 5);                    // 1 stripe
+  per_sender[2] = chunk_of(std::vector<std::uint8_t>(8, 0xAB), n, c, 5);
+  per_sender[3] = chunk_of({}, n, c, 5);                        // empty
+  per_sender[6] = chunk_of(std::vector<std::uint8_t>(200, 0x42), n, c, 5);
 
   const auto bytes = gradecast_detail::encode_echoes(per_sender);
-  // 1 key byte per sender when absent or small, 2 for the 200-byte value.
-  EXPECT_EQ(bytes.size(), 6 * 1 + 2 + 2 + 8 + 0 + 200);
+  // 1 key byte per sender when absent or small, 2 for the 200-byte value;
+  // then one 8-byte symbol per stripe: 200 bytes are 25 elements, 7
+  // stripes of 4 — a quarter of the value plus padding.
+  EXPECT_EQ(bytes.size(), 6 * 1 + 2 + 8 + 8 + 0 + 7 * 8);
 
-  const auto decoded = gradecast_detail::decode_echoes(bytes, 7, 1u << 10);
+  const auto decoded =
+      gradecast_detail::decode_echoes(bytes, n, c, 1u << 10);
   ASSERT_TRUE(decoded.has_value());
-  for (int s = 0; s < 7; ++s) {
+  for (int s = 0; s < n; ++s) {
     EXPECT_EQ((*decoded)[s], per_sender[s]) << "sender " << s;
   }
   EXPECT_EQ(gradecast_detail::encode_echoes(*decoded), bytes);
 }
 
 TEST(WireFormatTest, EchoV1RejectsOversizeAndTrailing) {
-  using gradecast_detail::MaybeValue;
-  std::vector<MaybeValue> per_sender(2);
-  per_sender[0] = std::vector<std::uint8_t>(16, 1);
+  using gradecast_detail::MaybeChunk;
+  std::vector<MaybeChunk> per_sender(2);
+  per_sender[0] = chunk_of(std::vector<std::uint8_t>(16, 1), 4, 1, 2);
   auto bytes = gradecast_detail::encode_echoes(per_sender);
+  ASSERT_TRUE(gradecast_detail::decode_echoes(bytes, 2, 1, 1u << 10));
   // Cap below the value size: rejected before allocation.
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 8).has_value());
+  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 1, 8).has_value());
+  // A claimed length whose stripes the body does not hold: at c = 1 a
+  // 16-byte value is 2 symbols; read as c = 2 it is 1, which leaves a
+  // trailing symbol.
+  EXPECT_FALSE(
+      gradecast_detail::decode_echoes(bytes, 2, 2, 1u << 10).has_value());
   // Trailing garbage: rejected by the done() check.
   bytes.push_back(0x00);
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, 2, 1u << 10).has_value());
+  EXPECT_FALSE(
+      gradecast_detail::decode_echoes(bytes, 2, 1, 1u << 10).has_value());
   // Key varint overlong: rejected by canonical decoding.
   const std::vector<std::uint8_t> overlong{0x80, 0x00, 0x00};
   EXPECT_FALSE(
-      gradecast_detail::decode_echoes(overlong, 2, 1u << 10).has_value());
+      gradecast_detail::decode_echoes(overlong, 2, 1, 1u << 10).has_value());
 }
 
 }  // namespace
