@@ -22,6 +22,7 @@
 #include "poly/interpolate.h"
 #include "poly/linalg.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "rng/chacha.h"
 #include "net/adversary.h"
 #include "net/cluster.h"

@@ -39,7 +39,7 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / chacha / golden) ==="
+echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / chacha / golden / reed-solomon) ==="
 # The hardware-vs-portable differentials, run twice: once with the PCLMUL
 # latch free to pick the hardware path, once with DPRBG_FORCE_SCALAR=1
 # pinning the GF(2^64) multiply and the share-row kernels to portable
@@ -50,17 +50,23 @@ echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / ch
 # equivalences, serial_test the memcpy row codec, chacha_test the 4-block
 # keystream against single blocks, golden_test the pinned keystream and
 # the Coin-Gen and D-PRBG transcript digests that both modes must
-# reproduce.
+# reproduce, reed_solomon_test the syndrome-first decoder against
+# berlekamp_welch and the dispersal codec, and gradecast_test the
+# dispersed Grade-Cast under its adversaries.
 ./build/tests/block_kernels_test
 ./build/tests/gf2_test
 ./build/tests/serial_test
 ./build/tests/chacha_test
 ./build/tests/golden_test
+./build/tests/reed_solomon_test
+./build/tests/gradecast_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/chacha_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/reed_solomon_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/gradecast_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M, depth 1 must match the serial loop
