@@ -17,8 +17,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -222,8 +224,9 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
     case 6: {
       // Syndrome-first decoding and berlekamp_welch give the same verdict
       // on the same points. Low nibble: degree; high nibble: error
-      // budget; each 9-byte record is an x-coordinate byte and a value
-      // (distinct x-coordinates only, at most 16 points).
+      // budget, and the threshold decode's slack p - need; each 9-byte
+      // record is an x-coordinate byte and a value (distinct
+      // x-coordinates only, at most 16 points).
       const unsigned degree = param % 16;
       const unsigned max_errors = (param >> 4) % 8;
       std::vector<PointValue<F>> points;
@@ -246,6 +249,23 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
       const auto zero = rs_decode_at_zero<F>(points, degree, max_errors);
       FUZZ_CHECK(slow.has_value() == zero.has_value());
       if (slow) FUZZ_CHECK((*slow)(F::zero()) == *zero);
+      // rs_decode_agreeing against the decision rule it replaces: decode
+      // at the full unique-decoding radius, then count agreements.
+      const std::size_t p = points.size();
+      const std::size_t need = p - std::min<std::size_t>(max_errors, p);
+      std::optional<Polynomial<F>> rule;
+      if (p > degree) {
+        rule = berlekamp_welch<F>(points, degree,
+                                  static_cast<unsigned>((p - degree - 1) / 2));
+      }
+      if (rule) {
+        std::size_t agree = 0;
+        for (const auto& pv : points) agree += (*rule)(pv.x) == pv.y;
+        if (agree < need) rule.reset();
+      }
+      const auto agreeing = rs_decode_agreeing<F>(points, degree, need);
+      FUZZ_CHECK(rule.has_value() == agreeing.has_value());
+      if (rule) FUZZ_CHECK(*rule == *agreeing);
       break;
     }
     default:

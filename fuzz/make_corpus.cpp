@@ -174,6 +174,22 @@ int main(int argc, char** argv) {
       }
       write_seed(dir, "rs_syndrome", with_prefix(6, 0x11, body));
     }
+    // Threshold decode: degree 2, slack 2 (param 0x22), the 8 points of
+    // f(x) = 9 + x + 4x^2 at x = 1..8 with x = 2 and x = 7 wrong, so 6 of
+    // 8 agree: need = 6 accepts with two errors corrected.
+    {
+      std::vector<std::uint8_t> body;
+      for (std::uint8_t x = 1; x <= 8; ++x) {
+        const F fx = F::from_uint(x);
+        const F y = F::from_uint(9) + fx + F::from_uint(4) * fx * fx +
+                    (x == 2 || x == 7 ? F::from_uint(x) : F::zero());
+        body.push_back(x);
+        for (int k = 0; k < 8; ++k) {
+          body.push_back(static_cast<std::uint8_t>(y.to_uint() >> (8 * k)));
+        }
+      }
+      write_seed(dir, "rs_agreeing", with_prefix(6, 0x22, body));
+    }
     // Clique message for n == 13, t == 2: two entries of 1 + 3*8 bytes.
     {
       ByteWriter w;

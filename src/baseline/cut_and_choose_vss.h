@@ -26,8 +26,8 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 #include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
@@ -116,17 +116,10 @@ CutAndChooseOutcome<F> cut_and_choose_vss(
   CutAndChooseOutcome<F> out;
   out.share = alpha;
   for (unsigned j = 0; j < kappa; ++j) {
-    if (points[j].size() < static_cast<std::size_t>(n - io.t())) return out;
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points[j].size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points[j], t, max_errors);
-    if (!decoded) return out;
-    unsigned agreements = 0;
-    for (const auto& pv : points[j]) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
+    if (!rs_decode_agreeing<F>(points[j], t,
+                               static_cast<std::size_t>(n - io.t()))) {
+      return out;
     }
-    if (agreements < static_cast<unsigned>(n - io.t())) return out;
   }
   out.accepted = true;
   return out;

@@ -31,8 +31,8 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 
 namespace dprbg {
@@ -96,19 +96,9 @@ std::optional<F> naive_coin(Io& io, unsigned t, unsigned instance = 0) {
   F coin = F::zero();
   bool any = false;
   for (int dealer = 0; dealer < n; ++dealer) {
-    if (points[dealer].size() < static_cast<std::size_t>(n - io.t())) {
-      continue;
-    }
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points[dealer].size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points[dealer], t, max_errors);
+    const auto decoded = rs_decode_agreeing<F>(
+        points[dealer], t, static_cast<std::size_t>(n - io.t()));
     if (!decoded) continue;
-    unsigned agreements = 0;
-    for (const auto& pv : points[dealer]) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
-    }
-    if (agreements < static_cast<unsigned>(n - io.t())) continue;
     coin = coin + (*decoded)(F::zero());
     any = true;
   }

@@ -82,20 +82,8 @@ std::optional<Polynomial<F>> decode_combination(
   for (const auto& [sender, beta] : combos) {
     points.push_back({eval_point<F>(sender), beta});
   }
-  const std::size_t need =
-      static_cast<std::size_t>(n) - static_cast<std::size_t>(t);
-  if (points.size() < need) return std::nullopt;
-  const unsigned max_errors = std::min<unsigned>(
-      static_cast<unsigned>(points.size() - need),
-      static_cast<unsigned>((points.size() - t - 1) / 2));
-  auto poly = rs_decode<F>(points, t, max_errors);
-  if (!poly) return std::nullopt;
-  std::size_t agreements = 0;
-  for (const auto& pv : points) {
-    if ((*poly)(pv.x) == pv.y) ++agreements;
-  }
-  if (agreements < need) return std::nullopt;
-  return poly;
+  return rs_decode_agreeing<F>(
+      points, t, static_cast<std::size_t>(n) - static_cast<std::size_t>(t));
 }
 
 // Batched combination message (bit_gen_all step 3): per dealer, one

@@ -18,7 +18,6 @@
 #include "gf/fft_field.h"
 #include "gf/gf2.h"
 #include "gf/zq.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/interpolate.h"
 #include "poly/linalg.h"
 #include "poly/polynomial.h"

@@ -202,7 +202,7 @@ std::vector<GradeCastResult> grade_cast_all(
   const int t = io.t();
   const int me = io.id();
   const unsigned c = gradecast_dimension(n, t);
-  const ReedSolomon rs(n, c);
+  const ReedSolomon& rs = ReedSolomon::cached(n, c);
   const std::uint32_t send_tag =
       make_tag(ProtoId::kGradeCast, instance, 0);
   const std::uint32_t echo_tag =

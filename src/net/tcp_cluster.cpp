@@ -95,15 +95,8 @@ void TcpCluster::set_misbehavior_manager(
 bool TcpCluster::start() {
   DPRBG_CHECK(!started_);
   started_ = true;
-  if (opts_.listen_fd >= 0) {
-    listen_fd_ = opts_.listen_fd;
-  } else {
-    std::string err;
-    listen_fd_ = tcp_listen_socket(roster_[static_cast<std::size_t>(id_)].host,
-                                   roster_[static_cast<std::size_t>(id_)].port,
-                                   &err);
-    DPRBG_CHECK(listen_fd_ >= 0);
-  }
+  DPRBG_CHECK(opts_.listen_fd >= 0);
+  listen_fd_ = opts_.listen_fd;
   listen_port_ = tcp_local_port(listen_fd_);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   lead_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);

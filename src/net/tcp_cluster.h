@@ -115,9 +115,11 @@ struct TcpClusterOptions {
   // Shutdown: how long the reactor lingers so final round frames and the
   // Bye still queued behind a busy socket reach the wire.
   unsigned drain_timeout_ms = 2000;
-  // Pre-bound listen socket (the in-process loopback harness binds all
-  // n ephemeral ports before any roster hash is computed); -1 binds
-  // roster[id] internally.
+  // The listen socket, bound by the caller (tcp_listen_socket) so a bind
+  // error is reported where it can be handled: dprbg_node binds its
+  // address, the in-process loopback harness binds all n ephemeral ports
+  // before any roster hash is computed. Required by start(); the node
+  // owns it from then on.
   int listen_fd = -1;
 };
 
@@ -185,7 +187,7 @@ class TcpCluster final : public LockstepTransport {
     return misbehavior_.get();
   }
 
-  // Binds (unless pre-bound), starts the reactor, and blocks until all
+  // Starts the reactor on options' listen socket and blocks until all
   // n-1 links are up or start_timeout elapses.
   // Returns whether the full mesh came up; on false the caller may
   // inspect stats() (e.g. handshake rejects) and must still destroy the

@@ -7,9 +7,9 @@
 // polynomial Q(x) of degree <= e + d such that for every received point
 // (x_i, y_i):  y_i * E(x_i) = Q(x_i). Any solution of this linear system
 // satisfies Q = f * E for the true codeword polynomial f, so f = Q / E.
-// Decoding succeeds whenever points.size() >= d + 2e + 1. Coin-Expose,
-// Bit-Gen and Grade-Cast reach it through poly/reed_solomon.h, which
-// answers a zero syndrome without solving the system.
+// Decoding succeeds whenever points.size() >= d + 2e + 1. Every protocol
+// decode reaches it through poly/reed_solomon.h, which answers a zero
+// syndrome without solving the system.
 
 #pragma once
 

@@ -1,35 +1,31 @@
 // Lagrange interpolation ("the basic solution ... compute the unique
 // polynomial that they define (using, say, the Lagrange method)", §3.1).
 //
-// Two entry points: full interpolation returning the polynomial, and
-// evaluation of the interpolating polynomial at a single target point
-// (the common case is reconstructing the secret f(0) from shares). Both
-// bump the `interpolations` metric once, matching the paper's habit of
-// counting "polynomial interpolations" as a unit of work.
+// lagrange_interpolate returns the polynomial through a point set and
+// bumps the `interpolations` metric once, matching the paper's habit of
+// counting "polynomial interpolations" as a unit of work; is_degree_at_most
+// is Problem 1's degree test on top of it. The protocols' threshold
+// decodes do not call it directly: they go through poly/reed_solomon.h,
+// which caches the barycentric data below per sender mask and falls back
+// to berlekamp_welch (and so to this header) only past a nonzero syndrome
+// or a full cache.
 //
-// Hot-path kernels:
-//  * Montgomery's-trick batch inversion turns the n barycentric-weight
-//    inversions into one inv() plus ~3(n-1) multiplications.
-//  * The share x-coordinates are almost always the canonical grid
-//    1..n (sharing/shamir.h's eval_point), so the master polynomial
-//    N(x) = prod (x - x_j) and the inverted weights
-//    w_i = prod_{j != i} (x_i - x_j)^{-1} are computed once per
-//    (field, grid size) and cached thread-locally — every later
-//    VSS/Bit-Gen/expose interpolation on that grid reuses them. Inputs
-//    off the grid (e.g. Berlekamp-Welch over a share subset under
-//    faults) fall back to the generic path.
-//  * Blocked SoA kernels at the bottom of this header evaluate all M
+// Also here:
+//  * The barycentric building blocks RsCheck shares: the master
+//    polynomial N(x) = prod (x - x_j) and the inverted weights
+//    w_i = prod_{j != i} (x_i - x_j)^{-1}, whose n inversions
+//    Montgomery's trick turns into one inv() plus ~3(n-1) multiplications.
+//  * Blocked SoA kernels at the bottom of this header that process all M
 //    columns of a round's share matrix in one pass (batch_combine_block,
-//    accumulate_rows_block, interpolate_at_block). The first two replay
-//    the scalar per-row operation sequence exactly — bit-for-bit outputs
-//    AND identical add/mul counts, so the Lemma 2/4/6/8 trace budgets
-//    are untouched (asserted in tests/block_kernels_test.cpp).
+//    accumulate_rows_block). Both replay the scalar per-row operation
+//    sequence exactly — bit-for-bit outputs AND identical add/mul counts,
+//    so the Lemma 2/4/6/8 trace budgets are untouched (asserted in
+//    tests/block_kernels_test.cpp).
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -73,14 +69,6 @@ void batch_invert(std::span<F> vals) {
   }
 }
 
-// Cached barycentric data for the canonical grid x = 1..n: the master
-// polynomial's coefficients and the pre-inverted weights.
-template <FiniteField F>
-struct GridData {
-  std::vector<F> master;   // n+1 coefficients of prod_j (x - x_j)
-  std::vector<F> weights;  // w_i = prod_{j != i} (x_i - x_j)^{-1}
-};
-
 // The n+1 coefficients of N(x) = prod_j (x - x_j); master[k] is the
 // coefficient of x^k.
 template <FiniteField F>
@@ -115,28 +103,6 @@ std::vector<F> inverted_weights(std::span<const PointValue<F>> points) {
   return w;
 }
 
-// The cached grid data when `points`' x-coordinates are exactly
-// 1, 2, ..., n (the Shamir evaluation grid); nullptr otherwise. The
-// cache is thread-local (player threads are born per run, so a run's
-// op counts stay deterministic) and the one-time build cost is charged
-// to the first interpolation that needs the size.
-template <FiniteField F>
-const GridData<F>* grid_lookup(std::span<const PointValue<F>> points) {
-  const std::size_t n = points.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(points[i].x == F::from_uint(i + 1))) return nullptr;
-  }
-  thread_local std::map<std::size_t, GridData<F>> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    GridData<F> data;
-    data.master = build_master(points);
-    data.weights = inverted_weights(points);
-    it = cache.emplace(n, std::move(data)).first;
-  }
-  return &it->second;
-}
-
 }  // namespace interp_detail
 
 // The unique polynomial of degree < points.size() through the given points
@@ -150,16 +116,8 @@ Polynomial<F> lagrange_interpolate(std::span<const PointValue<F>> points) {
   // coefficient arithmetic via the "master" product trick:
   //   N(x) = prod_j (x - x_j);  L_i(x) = N(x) / (x - x_i) * w_i,
   // where w_i = prod_{j != i} (x_i - x_j)^{-1} (barycentric weights).
-  const interp_detail::GridData<F>* grid =
-      interp_detail::grid_lookup<F>(points);
-  std::vector<F> master_local;
-  std::vector<F> weights_local;
-  if (grid == nullptr) {
-    master_local = interp_detail::build_master(points);
-    weights_local = interp_detail::inverted_weights(points);
-  }
-  const F* master = grid ? grid->master.data() : master_local.data();
-  const F* weights = grid ? grid->weights.data() : weights_local.data();
+  const std::vector<F> master = interp_detail::build_master(points);
+  const std::vector<F> weights = interp_detail::inverted_weights(points);
   std::vector<F> result(n, F::zero());
   std::vector<F> quotient(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -176,41 +134,6 @@ Polynomial<F> lagrange_interpolate(std::span<const PointValue<F>> points) {
     }
   }
   return Polynomial<F>{std::move(result)};
-}
-
-// Evaluate the interpolating polynomial at `target` without materializing
-// it: sum of y_i * prod_{j != i} (target - x_j)/(x_i - x_j). The
-// numerators come from prefix/suffix products (O(n) multiplications, no
-// divisions); the denominators from the cached grid weights or one batch
-// inversion.
-template <FiniteField F>
-F interpolate_at(std::span<const PointValue<F>> points, F target) {
-  count_interpolation();
-  const std::size_t n = points.size();
-  DPRBG_CHECK(n > 0);
-  const interp_detail::GridData<F>* grid =
-      interp_detail::grid_lookup<F>(points);
-  std::vector<F> weights_local;
-  if (grid == nullptr) weights_local = interp_detail::inverted_weights(points);
-  const F* weights = grid ? grid->weights.data() : weights_local.data();
-  // num_i = prod_{j != i} (target - x_j) = prefix_i * suffix_i. Handles
-  // target == x_j too: every other numerator contains the zero factor.
-  std::vector<F> num(n);
-  F acc = F::one();
-  for (std::size_t i = 0; i < n; ++i) {
-    num[i] = acc;
-    acc = acc * (target - points[i].x);
-  }
-  acc = F::one();
-  for (std::size_t i = n; i-- > 0;) {
-    num[i] = num[i] * acc;
-    acc = acc * (target - points[i].x);
-  }
-  F sum = F::zero();
-  for (std::size_t i = 0; i < n; ++i) {
-    sum = sum + points[i].y * num[i] * weights[i];
-  }
-  return sum;
 }
 
 // ---------------------------------------------------------------------
@@ -281,57 +204,6 @@ void accumulate_rows_block(std::span<const F* const> rows,
     for (const F* row : rows) {
       for (std::size_t t = 0; t < tile; ++t) {
         out[h0 + t] = out[h0 + t] + row[h0 + t];
-      }
-    }
-  }
-}
-
-// Evaluate, for every column h of an n x m share matrix (rows[i] holds
-// player i's m values), the polynomial interpolating (points[i].x,
-// rows[i][h]) at `target` — m interpolations sharing one set of
-// barycentric weights and one numerator walk. Bit-for-bit equal to m
-// independent interpolate_at calls on the per-column points (the final
-// sum replays interpolate_at's i-order and association); the shared
-// numerators make it ~3x cheaper in multiplications, which is why it is
-// metered separately and used only outside the budget-traced protocol
-// phases. points[i].y is ignored; counted as m interpolations.
-template <FiniteField F>
-void interpolate_at_block(std::span<const PointValue<F>> points,
-                          std::span<const F* const> rows, F target,
-                          std::span<F> out) {
-  const std::size_t n = points.size();
-  const std::size_t m = out.size();
-  DPRBG_CHECK(n > 0 && rows.size() == n);
-  for (std::size_t h = 0; h < m; ++h) count_interpolation();
-  interp_detail::tel_block("interp_block", n * m);
-  const interp_detail::GridData<F>* grid =
-      interp_detail::grid_lookup<F>(points);
-  std::vector<F> weights_local;
-  if (grid == nullptr) weights_local = interp_detail::inverted_weights(points);
-  const F* weights = grid ? grid->weights.data() : weights_local.data();
-  std::vector<F> num(n);
-  F acc = F::one();
-  for (std::size_t i = 0; i < n; ++i) {
-    num[i] = acc;
-    acc = acc * (target - points[i].x);
-  }
-  acc = F::one();
-  for (std::size_t i = n; i-- > 0;) {
-    num[i] = num[i] * acc;
-    acc = acc * (target - points[i].x);
-  }
-  // coeff_i = num_i * w_i, shared by every column.
-  std::vector<F> coeff(n);
-  for (std::size_t i = 0; i < n; ++i) coeff[i] = num[i] * weights[i];
-  constexpr std::size_t kTile = 64;
-  for (std::size_t h0 = 0; h0 < m; h0 += kTile) {
-    const std::size_t tile = std::min(kTile, m - h0);
-    for (std::size_t t = 0; t < tile; ++t) out[h0 + t] = F::zero();
-    for (std::size_t i = 0; i < n; ++i) {
-      const F c = coeff[i];
-      const F* row = rows[i];
-      for (std::size_t t = 0; t < tile; ++t) {
-        out[h0 + t] = out[h0 + t] + row[h0 + t] * c;
       }
     }
   }

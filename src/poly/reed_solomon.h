@@ -4,11 +4,13 @@
 // Points at fixed evaluation positions x_i form a Reed–Solomon codeword
 // of dimension c exactly when they lie on one polynomial of degree < c.
 // That is what every error-correcting decode in the protocols checks
-// first: Coin-Expose's shares (Fig. 6), Bit-Gen's combination shares
-// (Fig. 4 step 5), and Grade-Cast's dispersed echo symbols
+// first: Coin-Expose's shares (Fig. 6), the VSS and Batch-VSS decisions
+// (Lemmas 2 and 4), Bit-Gen's combination shares (Fig. 4 step 5), the
+// baselines' openings, and Grade-Cast's dispersed echo symbols
 // (gradecast/gradecast.h). Honest runs never carry an error, so the
 // common case is a zero syndrome, and Berlekamp–Welch's Gaussian
-// elimination is only worth paying for when someone lied.
+// elimination is only worth paying for when someone lied. Outside poly/,
+// nothing calls berlekamp_welch directly.
 //
 // Two layers:
 //
@@ -19,20 +21,22 @@
 //    vanishes for deg g <= p − 2), and the Lagrange basis of the first c
 //    points, from which F(0) and the polynomial itself are read off.
 //    Entries are cached thread-locally per (c, xs) — the present-sender
-//    mask — like interpolate.h's grid weights, so a run's op counts stay
-//    deterministic; a full cache leaves new masks to Berlekamp–Welch.
-//    rs_decode / rs_decode_at_zero keep berlekamp_welch's contract: a
-//    zero syndrome answers directly (counted as the one interpolation the
-//    paper charges for a decode), anything else runs berlekamp_welch
-//    unchanged. Both agree with berlekamp_welch on every input: when
-//    points >= degree + 2e + 1 the polynomial within distance e is
-//    unique, and outside that regime the fast path is not taken.
+//    mask — so a run's op counts stay deterministic; a full cache leaves
+//    new masks to Berlekamp–Welch. rs_decode / rs_decode_at_zero keep
+//    berlekamp_welch's contract: a zero syndrome answers directly
+//    (counted as the one interpolation the paper charges for a decode),
+//    anything else runs berlekamp_welch unchanged. Both agree with
+//    berlekamp_welch on every input: when points >= degree + 2e + 1 the
+//    polynomial within distance e is unique, and outside that regime the
+//    fast path is not taken. rs_decode_agreeing is the protocols' decision
+//    rule on top: the polynomial at least `need` points lie on.
 //
 //  * ReedSolomon — the byte-string dispersal codec over GF(2^64): a value
 //    of L bytes packs into ceil(L/8) little-endian elements, grouped in
 //    stripes of c; stripe s is the polynomial of degree < c whose values
 //    at x_1..x_c are the stripe's elements (a systematic code), and
 //    player i's symbol is that polynomial at x_i, one element per stripe.
+//    ReedSolomon::cached keeps one codec per (n, c) per thread.
 
 #pragma once
 
@@ -215,6 +219,23 @@ std::optional<F> rs_decode_at_zero(std::span<const PointValue<F>> points,
   return (*poly)(F::zero());
 }
 
+// The protocols' threshold decode: the polynomial of degree <= `degree`
+// that at least `need` of `points` lie on (Fig. 4 step 5, Lemma 2's
+// decision rule), or nullopt when there is none or fewer than `need`
+// points are present. The error budget min(p - need, (p - degree - 1)/2)
+// covers every polynomial within p - need of the points up to the unique
+// decoding radius, and rs_decode's answer disagrees with at most that many
+// (berlekamp_welch confirms the distance), so it agrees with >= need
+// points. Counted as one interpolation.
+template <FiniteField F>
+std::optional<Polynomial<F>> rs_decode_agreeing(
+    std::span<const PointValue<F>> points, unsigned degree, std::size_t need) {
+  const std::size_t p = points.size();
+  if (p < need || p <= degree) return std::nullopt;
+  const std::size_t max_errors = std::min(p - need, (p - degree - 1) / 2);
+  return rs_decode<F>(points, degree, static_cast<unsigned>(max_errors));
+}
+
 // ---------------------------------------------------------------------
 // The dispersal codec over GF(2^64).
 
@@ -249,6 +270,16 @@ class ReedSolomon {
         gen_[e * dim_ + j] = basis(point(static_cast<int>(dim_ + e)));
       }
     }
+  }
+
+  // The code for (n, dim), built on the calling thread's first use (its
+  // cost is charged to that call) and kept for the thread's later calls.
+  static const ReedSolomon& cached(int n, unsigned dim) {
+    thread_local std::map<std::pair<int, unsigned>, ReedSolomon> codes;
+    const auto key = std::make_pair(n, dim);
+    auto it = codes.find(key);
+    if (it == codes.end()) it = codes.emplace(key, ReedSolomon(n, dim)).first;
+    return it->second;
   }
 
   // The value's elements, stripe-major and zero-padded to whole stripes.

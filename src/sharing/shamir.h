@@ -5,12 +5,9 @@
 
 #pragma once
 
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "gf/field_concept.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
 #include "rng/chacha.h"
 
@@ -36,17 +33,6 @@ std::vector<F> deal_shares(const Polynomial<F>& f, int n) {
 template <FiniteField F>
 std::vector<F> share_secret(F secret, unsigned t, int n, Chacha& rng) {
   return deal_shares(Polynomial<F>::random_with_secret(secret, t, rng), n);
-}
-
-// Reconstructs the secret f(0) from (point, share) pairs, tolerating up to
-// `max_errors` corrupted shares via Berlekamp-Welch. Returns nullopt when
-// no degree-<=t polynomial is consistent with enough of the shares.
-template <FiniteField F>
-std::optional<F> reconstruct_secret(std::span<const PointValue<F>> shares,
-                                    unsigned t, unsigned max_errors) {
-  auto f = berlekamp_welch<F>(shares, t, max_errors);
-  if (!f) return std::nullopt;
-  return (*f)(F::zero());
 }
 
 }  // namespace dprbg

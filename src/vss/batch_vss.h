@@ -36,8 +36,8 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 #include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
@@ -121,8 +121,8 @@ BatchVssOutcome<F> batch_vss(
   const Inbox& in = io.sync();
   combine.close();
 
-  // Step 4: one interpolation (Berlekamp-Welch, tolerating faulty
-  // announcers as in vss.h) certifies all M sharings at once.
+  // Step 4: one interpolation (an error-correcting decode, tolerating
+  // faulty announcers as in vss.h) certifies all M sharings at once.
   TraceSpan interpolate(io, "batch-vss", "interpolate");
   std::vector<PointValue<F>> points;
   for (const Msg* m : in.with_tag(combo_tag)) {
@@ -133,23 +133,14 @@ BatchVssOutcome<F> batch_vss(
     }
     points.push_back({eval_point<F>(m->from), (*beta)[0]});
   }
-  if (points.size() < static_cast<std::size_t>(n - static_cast<int>(t))) {
-    return out;
-  }
-  const unsigned max_errors =
-      std::min(static_cast<unsigned>(io.t()),
-               static_cast<unsigned>((points.size() - t - 1) / 2));
-  const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-  if (!decoded) {
+  out.accepted =
+      rs_decode_agreeing<F>(points, t, static_cast<std::size_t>(n) - t)
+          .has_value();
+  if (!out.accepted) {
     trace_point("batch-vss", "decode-fail", io.id(), io.rounds(),
-                "berlekamp-welch failed", io.stream(), io.committee());
-    return out;
+                "fewer than n - t announcements on one polynomial",
+                io.stream(), io.committee());
   }
-  unsigned agreements = 0;
-  for (const auto& pv : points) {
-    if ((*decoded)(pv.x) == pv.y) ++agreements;
-  }
-  out.accepted = agreements >= static_cast<unsigned>(n) - t;
   return out;
 }
 

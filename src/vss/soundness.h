@@ -28,9 +28,9 @@
 
 #include "common/check.h"
 #include "gf/field_concept.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/interpolate.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "rng/chacha.h"
 #include "sharing/shamir.h"
 
@@ -183,16 +183,8 @@ SoundnessResult bitgen_soundness_trials(int n, unsigned t, unsigned m,
       points.push_back({x, beta});
     }
     ++result.trials;
-    const unsigned need = static_cast<unsigned>(n) - t;
-    const unsigned max_errors = std::min(
-        t, static_cast<unsigned>((points.size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-    if (decoded) {
-      unsigned agreements = 0;
-      for (const auto& pv : points) {
-        if ((*decoded)(pv.x) == pv.y) ++agreements;
-      }
-      if (agreements >= need) ++result.accepts;
+    if (rs_decode_agreeing<F>(points, t, static_cast<std::size_t>(n) - t)) {
+      ++result.accepts;
     }
   }
   return result;

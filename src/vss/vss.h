@@ -31,8 +31,8 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 #include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
@@ -121,10 +121,9 @@ VssOutcome<F> vss_share_and_verify(
 
     // Step 4: interpolate through the broadcast values; accept iff a
     // degree-<=t polynomial explains all honest contributions. Faulty
-    // players may broadcast garbage or stay silent, so we decode with
-    // Berlekamp-Welch tolerating up to t errors and require agreement
-    // with at least n - t of the announced points (n >= 3t+1 makes the
-    // decoding unambiguous).
+    // players may broadcast garbage or stay silent, so the decode
+    // tolerates errors and requires agreement with at least n - t of the
+    // announced points (n >= 3t+1 makes the decoding unambiguous).
     std::vector<PointValue<F>> points;
     for (const Msg* m : in.with_tag(combo_tag)) {
       const auto beta = decode_elem_row<F>(m->body, 1);
@@ -137,25 +136,15 @@ VssOutcome<F> vss_share_and_verify(
     VssOutcome<F> out;
     out.challenge = r;
     out.share = alpha;
-    if (points.size() < static_cast<std::size_t>(n - static_cast<int>(t))) {
-      return out;  // not enough announcements to certify anything
-    }
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points.size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-    if (!decoded) {
-      trace_point("vss", "decode-fail", io.id(), io.rounds(),
-                  "berlekamp-welch failed", io.stream(), io.committee());
-      return out;
-    }
-    // Require the decoded polynomial to explain >= n - t announcements.
-    unsigned agreements = 0;
-    for (const auto& pv : points) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
-    }
+    // Accept iff a degree-<=t polynomial explains >= n - t announcements.
     out.accepted =
-        agreements >= static_cast<unsigned>(n) - t;
+        rs_decode_agreeing<F>(points, t, static_cast<std::size_t>(n) - t)
+            .has_value();
+    if (!out.accepted) {
+      trace_point("vss", "decode-fail", io.id(), io.rounds(),
+                  "fewer than n - t announcements on one polynomial",
+                  io.stream(), io.committee());
+    }
     return out;
   }
 }

@@ -73,7 +73,7 @@ TEST(BitGenTest, DecodedPolynomialIsChallengeCombination) {
   for (int i = 0; i < n; ++i) {
     pts.push_back({eval_point<F>(i), *seed_coins[i][0].share});
   }
-  const F r = *reconstruct_secret<F>(pts, t, 0);
+  const F r = *rs_decode_at_zero<F>(pts, t, 0);
   Polynomial<F> expected;
   F rp = F::one();
   for (unsigned j = 0; j < m; ++j) {

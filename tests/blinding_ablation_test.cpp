@@ -85,7 +85,7 @@ BatchRun run_batch(bool with_blinder, std::uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     pts.push_back({eval_point<F>(i), *genesis[i][0].share});
   }
-  run.challenge = *reconstruct_secret<F>(pts, t, 0);
+  run.challenge = *rs_decode_at_zero<F>(pts, t, 0);
   run.last_coin = run.exposed.back();
   return run;
 }

@@ -3,9 +3,7 @@
 // bit-for-bit equal to their scalar loops AND perform identical field op
 // counts (the Lemma 2/4/6/8 trace budgets depend on it), on the generic
 // loops and on the inline GF2_64 PCLMUL kernels (gf/gf2_clmul.h);
-// PolyBlock::random must draw what Polynomial::random draws;
-// interpolate_at_block must be value-equal to per-column interpolate_at
-// (it is allowed — designed — to use fewer multiplications). Coin-Gen's
+// PolyBlock::random must draw what Polynomial::random draws. Coin-Gen's
 // qualification step reuses Bit-Gen's combinations (BitGenView::my_combo)
 // and must reach the verdicts it reached when it recomputed them.
 
@@ -213,62 +211,6 @@ TYPED_TEST(BlockKernelsTest, PolyBlockRandomMatchesPolynomialRandom) {
     }
     EXPECT_EQ(block_rng.next_u64(), poly_rng.next_u64()) << "deg=" << deg;
   }
-}
-
-TYPED_TEST(BlockKernelsTest, InterpolateAtBlockMatchesPerColumn) {
-  using F = TypeParam;
-  Chacha rng(404);
-  for (std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
-    for (std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{80}}) {
-      const auto mat = random_matrix<F>(n, m, rng);
-      std::vector<PointValue<F>> points(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        points[i] = {eval_point<F>(static_cast<int>(i)), F::zero()};
-      }
-      const F target = F::zero();
-
-      std::vector<F> expect(m);
-      for (std::size_t h = 0; h < m; ++h) {
-        std::vector<PointValue<F>> col(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          col[i] = {points[i].x, mat[i][h]};
-        }
-        expect[h] = interpolate_at<F>(col, target);
-      }
-
-      std::vector<const F*> ptrs(n);
-      for (std::size_t i = 0; i < n; ++i) ptrs[i] = mat[i].data();
-      std::vector<F> got(m);
-      interpolate_at_block<F>(points, ptrs, target, got);
-      ASSERT_EQ(got, expect) << "n=" << n << " m=" << m;
-    }
-  }
-}
-
-// Off-grid points (no cached-grid fast path) take the computed-weights
-// branch of interpolate_at_block.
-TYPED_TEST(BlockKernelsTest, InterpolateAtBlockOffGrid) {
-  using F = TypeParam;
-  Chacha rng(505);
-  const std::size_t n = 5, m = 13;
-  const auto mat = random_matrix<F>(n, m, rng);
-  std::vector<PointValue<F>> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Distinct but non-grid x coordinates.
-    points[i] = {eval_point<F>(static_cast<int>(2 * i + 1)), F::zero()};
-  }
-  const F target = random_element<F>(rng);
-  std::vector<F> expect(m);
-  for (std::size_t h = 0; h < m; ++h) {
-    std::vector<PointValue<F>> col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = {points[i].x, mat[i][h]};
-    expect[h] = interpolate_at<F>(col, target);
-  }
-  std::vector<const F*> ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs[i] = mat[i].data();
-  std::vector<F> got(m);
-  interpolate_at_block<F>(points, ptrs, target, got);
-  EXPECT_EQ(got, expect);
 }
 
 // The block kernels against Horner with the shift-XOR multiply

@@ -43,6 +43,7 @@
 #include "gf/gf2.h"
 #include "net/cluster.h"
 #include "net/fault.h"
+#include "poly/reed_solomon.h"
 #include "sharing/shamir.h"
 
 namespace dprbg {
@@ -109,7 +110,7 @@ std::optional<F> honest_value(const std::vector<std::optional<F>>& shares,
   if (points.size() < kT + 1) return std::nullopt;
   const unsigned max_errors = std::min<unsigned>(
       kT, static_cast<unsigned>((points.size() - kT - 1) / 2));
-  return reconstruct_secret<F>(points, kT, max_errors);
+  return rs_decode_at_zero<F>(points, kT, max_errors);
 }
 
 TEST(ChaosProactiveTest, RefreshUnanimousAndValuePreservingUnderFaults) {

@@ -67,7 +67,7 @@ TEST(CoinExposeTest, ByzantineWrongSharesTolerated) {
   for (int i = 0; i < 7; ++i) {
     pts.push_back({eval_point<F>(i), *coins[i][0].share});
   }
-  const F truth = *reconstruct_secret<F>(pts, 2, 0);
+  const F truth = *rs_decode_at_zero<F>(pts, 2, 0);
 
   std::vector<std::optional<F>> results(7);
   Cluster cluster(7, 2, 3);

@@ -56,7 +56,7 @@ TEST(ProactiveTest, RefreshPreservesCoinValues) {
     for (int i = 0; i < n; ++i) {
       pts.push_back({eval_point<F>(i), *coins[i][h].share});
     }
-    const F original = *reconstruct_secret<F>(pts, t, 0);
+    const F original = *rs_decode_at_zero<F>(pts, t, 0);
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(after[i][h].has_value()) << i << "," << h;
       EXPECT_EQ(*after[i][h], original) << i << "," << h;
@@ -123,7 +123,7 @@ TEST(ProactiveTest, OldSharesUselessAfterRefresh) {
   for (int i = 0; i < n; ++i) {
     pts.push_back({eval_point<F>(i), *coins[i][0].share});
   }
-  const F truth = *reconstruct_secret<F>(pts, t, 0);
+  const F truth = *rs_decode_at_zero<F>(pts, t, 0);
   // The mixed points interpolate to a cubic (2t+... 4 points define a
   // unique degree-3 polynomial); its value at 0 is NOT the coin — the
   // adversary learned nothing actionable.
@@ -188,7 +188,7 @@ TEST(ProactiveTest, RepeatedRefreshesStayCorrect) {
   for (int i = 0; i < n; ++i) {
     pts.push_back({eval_point<F>(i), *coins[i][0].share});
   }
-  const F truth = *reconstruct_secret<F>(pts, t, 0);
+  const F truth = *rs_decode_at_zero<F>(pts, t, 0);
 
   std::vector<std::optional<F>> finals(n);
   Cluster cluster(n, t, 10);

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -192,6 +194,110 @@ TEST(ReedSolomonTest, DecodesSymbolsWithErasuresAndErrors) {
       EXPECT_EQ(rs.unpack(decoded->data, value.size()), value);
     }
   }
+}
+
+// The callers' decision blocks as they read before rs_decode_agreeing:
+// VSS, Batch-VSS, the two baselines and the soundness trial capped the
+// error budget at the fault bound t; Bit-Gen capped it at p - need and
+// decoded syndrome first. Both then counted agreements.
+template <FiniteField G>
+std::optional<Polynomial<G>> fault_capped_rule(
+    std::span<const PointValue<G>> pts, int n, unsigned t) {
+  if (pts.size() < static_cast<std::size_t>(n) - t) return std::nullopt;
+  const unsigned max_errors =
+      std::min(t, static_cast<unsigned>((pts.size() - t - 1) / 2));
+  const auto decoded = berlekamp_welch<G>(pts, t, max_errors);
+  if (!decoded) return std::nullopt;
+  unsigned agreements = 0;
+  for (const auto& pv : pts) {
+    if ((*decoded)(pv.x) == pv.y) ++agreements;
+  }
+  if (agreements < static_cast<unsigned>(n) - t) return std::nullopt;
+  return decoded;
+}
+
+template <FiniteField G>
+std::optional<Polynomial<G>> slack_capped_rule(
+    std::span<const PointValue<G>> pts, int n, unsigned t) {
+  const std::size_t need = static_cast<std::size_t>(n) - t;
+  if (pts.size() < need) return std::nullopt;
+  const unsigned max_errors = std::min<unsigned>(
+      static_cast<unsigned>(pts.size() - need),
+      static_cast<unsigned>((pts.size() - t - 1) / 2));
+  auto poly = rs_decode<G>(pts, t, max_errors);
+  if (!poly) return std::nullopt;
+  std::size_t agreements = 0;
+  for (const auto& pv : pts) {
+    if ((*poly)(pv.x) == pv.y) ++agreements;
+  }
+  if (agreements < need) return std::nullopt;
+  return poly;
+}
+
+// Random codewords with 0..t+1 errors and over-degree sharings, at every
+// point count from n - t - 1 to n: rs_decode_agreeing must return what
+// both old blocks returned. Counts the accepted cases in `accepted`.
+template <FiniteField G>
+void expect_rules_agree(int n, unsigned t, int trials, std::uint64_t seed,
+                        int& accepted) {
+  using PG = Polynomial<G>;
+  Chacha rng(seed, 0);
+  for (int trial = 0; trial < trials; ++trial) {
+    for (int p = n - static_cast<int>(t) - 1; p <= n; ++p) {
+      // A random p-subset of the n players, in sender order.
+      std::vector<int> ids(n);
+      for (int i = 0; i < n; ++i) ids[i] = i;
+      for (int i = n - 1; i > 0; --i) {
+        std::swap(ids[i], ids[rng.uniform(static_cast<std::uint64_t>(i) + 1)]);
+      }
+      ids.resize(p);
+      std::sort(ids.begin(), ids.end());
+      for (unsigned errors = 0; errors <= t + 2; ++errors) {
+        // errors == t + 2 stands for an over-degree sharing.
+        const bool over = errors == t + 2;
+        const PG f = PG::random(over ? t + 1 : t, rng);
+        std::vector<PointValue<G>> pts;
+        for (int i : ids) {
+          const G x = G::from_uint(static_cast<std::uint64_t>(i) + 1);
+          pts.push_back({x, f(x)});
+        }
+        // Corrupt `errors` distinct positions by a nonzero offset.
+        for (unsigned e = 0; !over && e < errors && e < pts.size(); ++e) {
+          G delta = G::zero();
+          while (delta.is_zero()) delta = random_element<G>(rng);
+          auto& pv = pts[e * pts.size() / errors];
+          pv.y = pv.y + delta;
+        }
+        const std::span<const PointValue<G>> all(pts);
+        const auto want = fault_capped_rule<G>(all, n, t);
+        const auto bitgen = slack_capped_rule<G>(all, n, t);
+        const auto got = rs_decode_agreeing<G>(
+            all, t, static_cast<std::size_t>(n) - t);
+        ASSERT_EQ(bitgen.has_value(), want.has_value())
+            << "n=" << n << " p=" << p << " errors=" << errors;
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "n=" << n << " p=" << p << " errors=" << errors;
+        if (want) {
+          EXPECT_EQ(*bitgen, *want);
+          EXPECT_EQ(*got, *want);
+          EXPECT_EQ(*got, f);
+          ++accepted;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReedSolomonTest, ThresholdDecodeMatchesCallersOldBlocks) {
+  for (const auto& [n, t] : {std::pair{4, 1u}, {7, 1u}, {13, 2u}}) {
+    int accepted = 0;
+    expect_rules_agree<GF2_64>(n, t, 30, 0xA9 + n, accepted);
+    EXPECT_GT(accepted, 0) << "n=" << n;
+  }
+  // E13's Bit-Gen soundness setting (bench/error_prob) over GF(2^8).
+  int accepted = 0;
+  expect_rules_agree<GF2_8>(13, 2, 30, 0xE2, accepted);
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "gf/gf2.h"
+#include "poly/reed_solomon.h"
 #include "rng/chacha.h"
 #include "sharing/shamir.h"
 
@@ -37,7 +38,7 @@ TEST(ShamirTest, ReconstructFromAllShares) {
     const F secret = random_element<F>(rng);
     const auto shares = share_secret(secret, 2, 7, rng);
     const auto pts = to_points(shares);
-    const auto rec = reconstruct_secret<F>(pts, 2, 0);
+    const auto rec = rs_decode_at_zero<F>(pts, 2, 0);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(*rec, secret);
   }
@@ -49,7 +50,7 @@ TEST(ShamirTest, ReconstructFromThresholdSubset) {
   const auto shares = share_secret(secret, 3, 10, rng);
   auto pts = to_points(shares);
   pts.resize(4);  // exactly t+1 shares
-  const auto rec = reconstruct_secret<F>(pts, 3, 0);
+  const auto rec = rs_decode_at_zero<F>(pts, 3, 0);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(*rec, secret);
 }
@@ -61,7 +62,7 @@ TEST(ShamirTest, ReconstructDespiteCorruptedShares) {
   shares[1] = shares[1] + F::one();
   shares[6] = random_element<F>(rng);
   const auto pts = to_points(shares);
-  const auto rec = reconstruct_secret<F>(pts, 2, 2);
+  const auto rec = rs_decode_at_zero<F>(pts, 2, 2);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(*rec, secret);
 }
@@ -101,7 +102,7 @@ TEST(ShamirTest, ShareOfSumIsSumOfShares) {
   const auto sb = share_secret(b, 2, 7, rng);
   std::vector<F> sum(7);
   for (int i = 0; i < 7; ++i) sum[i] = sa[i] + sb[i];
-  const auto rec = reconstruct_secret<F>(to_points(sum), 2, 0);
+  const auto rec = rs_decode_at_zero<F>(to_points(sum), 2, 0);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(*rec, a + b);
 }
@@ -122,7 +123,7 @@ TEST(ShamirTest, TooFewSharesCannotReconstruct) {
   const auto shares = share_secret(secret, 5, 10, rng);
   auto pts = to_points(shares);
   pts.resize(5);  // only t shares for degree-t polynomial
-  EXPECT_FALSE(reconstruct_secret<F>(pts, 5, 0).has_value());
+  EXPECT_FALSE(rs_decode_at_zero<F>(pts, 5, 0).has_value());
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST_F(TraceBudgetTest, VssPerPhaseBudget) {
       {"vss", "deal", 0, 28, 28, 0, 6, 126},
       {"vss", "challenge", 1, 798, 987, 7, 42, 546},
       {"vss", "respond", 1, 7, 7, 0, 42, 588},
-      {"vss", "interpolate", 0, 882, 1071, 7, 0, 0},
+      {"vss", "interpolate", 0, 273, 273, 7, 0, 0},
   });
 }
 
@@ -186,7 +186,7 @@ TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
       {"batch-vss", "deal", 0, 56, 56, 0, 6, 222},
       {"batch-vss", "challenge", 1, 798, 987, 7, 42, 546},
       {"batch-vss", "combine", 1, 28, 28, 0, 42, 588},
-      {"batch-vss", "interpolate", 0, 882, 1071, 7, 0, 0},
+      {"batch-vss", "interpolate", 0, 273, 273, 7, 0, 0},
   });
 }
 
@@ -205,7 +205,7 @@ TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
       {"bitgen", "deal", 0, 392, 392, 0, 42, 1554},
       {"bitgen", "challenge", 1, 798, 987, 7, 42, 546},
       {"bitgen", "combine", 1, 196, 196, 0, 42, 2898},
-      {"bitgen", "decode", 0, 2597, 2597, 49, 0, 0},
+      {"bitgen", "decode", 0, 1911, 1911, 49, 0, 0},
   });
 }
 

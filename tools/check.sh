@@ -15,6 +15,16 @@ cd "$(dirname "$0")/.."
 mode="${1:-full}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+echo "=== [check] one share decoder ==="
+# Every threshold decode goes through poly/reed_solomon.h (syndrome first,
+# Berlekamp-Welch behind it); outside src/poly/ nothing may call
+# berlekamp_welch directly.
+if grep -rl 'berlekamp_welch' src --exclude-dir=poly; then
+  echo "check.sh: the files above name berlekamp_welch outside src/poly/;" \
+    "decode through poly/reed_solomon.h (rs_decode_agreeing)" >&2
+  exit 1
+fi
+
 echo "=== [check] tier-1: configure + build ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
@@ -158,21 +168,44 @@ echo "=== [check] TCP stress (tcp_cluster_test x20) ==="
 # Multi-process smoke: three dprbg_node processes on loopback must mint
 # at least one beacon output and print IDENTICAL beacon lines — the
 # distributed deployment's observable contract. PID-derived ports keep
-# concurrent check.sh runs on one host from colliding.
+# concurrent check.sh runs on one host from colliding; a port some other
+# program holds makes a node exit 3, and only then the smoke runs once
+# more on a base port 10007 away.
+#
+# node_smoke DIR BASE_PORT: runs the three nodes; returns 0 when all exit
+# 0, 3 when some node could not bind its port, 1 otherwise.
+node_smoke() {
+  local dir="$1" base="$2" rc=0 st p i
+  local pids=()
+  for i in 0 1 2; do
+    echo "127.0.0.1:$((base + i))"
+  done > "$dir/roster.txt"
+  for i in 0 1 2; do
+    ./build/tools/dprbg_node --roster="$dir/roster.txt" --id="$i" \
+      --batches=1 --m=2 --metrics="$dir/node$i.metrics.jsonl" \
+      > "$dir/node$i.out" 2> "$dir/node$i.err" &
+    pids+=($!)
+  done
+  for p in "${pids[@]}"; do
+    st=0
+    wait "$p" || st=$?
+    if [[ "$st" == 3 ]]; then
+      rc=3
+    elif [[ "$st" != 0 && "$rc" == 0 ]]; then
+      rc=1
+    fi
+  done
+  return "$rc"
+}
 tcp_dir="$(mktemp -d)"
-tcp_base_port=$((20000 + ($$ % 20000)))
-for i in 0 1 2; do
-  echo "127.0.0.1:$((tcp_base_port + i))"
-done > "$tcp_dir/roster.txt"
-tcp_pids=()
-for i in 0 1 2; do
-  ./build/tools/dprbg_node --roster="$tcp_dir/roster.txt" --id="$i" \
-    --batches=1 --m=2 --metrics="$tcp_dir/node$i.metrics.jsonl" \
-    > "$tcp_dir/node$i.out" 2> "$tcp_dir/node$i.err" &
-  tcp_pids+=($!)
-done
 tcp_rc=0
-for p in "${tcp_pids[@]}"; do wait "$p" || tcp_rc=1; done
+node_smoke "$tcp_dir" $((20000 + ($$ % 20000))) || tcp_rc=$?
+if [[ "$tcp_rc" == 3 ]]; then
+  echo "check.sh: a dprbg_node port was in use; retrying on another" >&2
+  cat "$tcp_dir"/node*.err >&2
+  tcp_rc=0
+  node_smoke "$tcp_dir" $((20000 + (($$ + 10007) % 20000))) || tcp_rc=$?
+fi
 if [[ "$tcp_rc" != 0 ]]; then
   echo "check.sh: dprbg_node smoke failed" >&2
   cat "$tcp_dir"/node*.err >&2

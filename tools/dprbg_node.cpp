@@ -28,7 +28,8 @@
 //   --metrics=FILE  enable telemetry; write the registry snapshot here
 //
 // Output: one "BEACON b=<batch> h=<coin> v=<hex16>" line per exposed
-// coin on stdout; diagnostics on stderr. Exit 0 on success, 2 when the
+// coin on stdout; diagnostics on stderr. Exit 0 on success, 3 when the
+// listen address cannot be bound (e.g. the port is in use), 2 when the
 // mesh never came up, 1 on any protocol failure.
 
 #include <cstdio>
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
   TcpClusterOptions opts;
   opts.start_timeout_ms = cfg.connect_wait_ms;
   // The address this node binds: the --listen override, else its own
-  // roster entry (bound by start()).
+  // roster entry.
   TcpNodeAddr bind_addr = (*roster)[static_cast<std::size_t>(cfg.id)];
   if (!cfg.listen_override.empty()) {
     const auto override_addr = parse_host_port(cfg.listen_override);
@@ -177,12 +178,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     bind_addr = *override_addr;
-    std::string err;
-    opts.listen_fd = tcp_listen_socket(bind_addr.host, bind_addr.port, &err);
-    if (opts.listen_fd < 0) {
-      std::fprintf(stderr, "dprbg_node: %s\n", err.c_str());
-      return 1;
-    }
+  }
+  std::string err;
+  opts.listen_fd = tcp_listen_socket(bind_addr.host, bind_addr.port, &err);
+  if (opts.listen_fd < 0) {
+    std::fprintf(stderr, "dprbg_node: cannot listen on %s:%u: %s\n",
+                 bind_addr.host.c_str(), static_cast<unsigned>(bind_addr.port),
+                 err.c_str());
+    return 3;
   }
 
   TcpCluster node(cfg.id, n, t, cfg.seed, *roster, opts);
