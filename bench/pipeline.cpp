@@ -11,9 +11,10 @@
 //
 // The harness simulates L with Cluster::set_round_latency_us (every
 // player sleeps one traversal per round; transcripts are unaffected) and
-// measures wall-clock and coins/sec at depths 1, 2, 4. Depth 1 is also
-// cross-checked bit-for-bit against the plain serial coin_gen loop (the
-// pre-pipeline idiom) — same outputs, same message/byte/round totals.
+// measures wall-clock and coins/sec at depths 1, 2, 4. Every depth is
+// also cross-checked bit-for-bit against the pipeline's schedule written
+// out as a serial loop (batch b on stream 1+b with a charged sub-pool) —
+// same outputs, same message/byte/round totals.
 //
 // Flags: --json (machine-readable rows), --rtt-us=N (simulated one-way
 // per-round latency, default 2000), --smoke (4 batches instead of 8, for
@@ -25,12 +26,13 @@
 //
 // --sweep-M (E20, DESIGN.md §14) replaces the depth table with a batch-
 // width sweep: M = 4 ... 4096 coins per batch at depths 1 and 4, with
-// the depth-1 serial cross-check and the stale==0 invariant hard-
-// asserted at every M (exit 1 on any violation). Protocol cost per M is
+// the serial cross-check and the stale==0 invariant hard-asserted at
+// every M and depth (exit 1 on any violation). Protocol cost per M is
 // identical across kernel dispatch modes, so comparing this sweep
 // against a DPRBG_FORCE_SCALAR=1 run isolates the wide-batch compute
 // engine's contribution (BENCH_pipeline.json records both).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,15 +66,20 @@ struct RunStats {
   CommCounters comm;
   std::uint64_t faults = 0;
   std::uint64_t stale = 0;
-  // Player 0's per-batch outcomes, for the depth-1 serial cross-check.
+  // Player 0's per-batch outcomes, for the serial cross-check.
   std::vector<CoinGenResult<F>> outcomes;
 };
 
+// Every batch's full charge (challenge + kLeaderCoins leader draws), with
+// slack.
+std::vector<std::vector<SealedCoin<F>>> make_genesis(unsigned batches) {
+  return trusted_dealer_coins<F>(
+      kN, kT, static_cast<int>((1 + kLeaderCoins) * batches + 8), kSeed);
+}
+
 RunStats run_depth(unsigned depth, unsigned batches, unsigned rtt_us,
                    unsigned m) {
-  auto genesis =
-      trusted_dealer_coins<F>(kN, kT, static_cast<int>(4 * batches + 8),
-                              kSeed);
+  auto genesis = make_genesis(batches);
   RunStats stats;
   Cluster cluster(kN, kT, kSeed);
   cluster.set_round_latency_us(rtt_us);
@@ -96,13 +103,12 @@ RunStats run_depth(unsigned depth, unsigned batches, unsigned rtt_us,
   return stats;
 }
 
-// The pre-pipeline idiom: a serial loop of coin_gen calls on the root
-// stream, same seed, same latency model.
+// The pipeline's schedule as a serial loop on the driving thread: batch b
+// runs on stream 1+b against a sub-pool charged 1 + kLeaderCoins coins,
+// whose unspent coins go back to the pool. Same seed, same latency model.
 RunStats run_serial_reference(unsigned batches, unsigned rtt_us,
                               unsigned m) {
-  auto genesis =
-      trusted_dealer_coins<F>(kN, kT, static_cast<int>(4 * batches + 8),
-                              kSeed);
+  auto genesis = make_genesis(batches);
   RunStats stats;
   Cluster cluster(kN, kT, kSeed);
   cluster.set_round_latency_us(rtt_us);
@@ -112,7 +118,11 @@ RunStats run_serial_reference(unsigned batches, unsigned rtt_us,
     CoinPool<F> pool;
     for (auto& c : genesis[io.id()]) pool.add(std::move(c));
     for (unsigned b = 0; b < batches; ++b) {
-      results[io.id()].push_back(coin_gen<F>(io, m, pool));
+      CoinPool<F> sub;
+      sub.add_batch(pool.take_batch(
+          std::min<std::size_t>(1 + kLeaderCoins, pool.remaining())));
+      results[io.id()].push_back(coin_gen<F>(io.instance(1 + b), m, sub));
+      if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
     }
   }));
   const auto stop = std::chrono::steady_clock::now();
@@ -139,8 +149,7 @@ bool run_metrics_gate(const std::string& path, unsigned batches,
                       unsigned rtt_us) {
   metrics().reset();
   set_telemetry_enabled(true);
-  auto genesis = trusted_dealer_coins<F>(
-      kN, kT, static_cast<int>(4 * batches + 8), kSeed);
+  auto genesis = make_genesis(batches);
   Cluster cluster(kN, kT, kSeed);
   cluster.set_round_latency_us(rtt_us);
   std::vector<PipelineResult<F>> results(kN);
@@ -243,6 +252,14 @@ bool outcomes_match(const std::vector<CoinGenResult<F>>& a,
   return true;
 }
 
+// Same outcomes and same message/byte/round totals as the serial loop.
+bool matches_serial(const RunStats& r, const RunStats& serial) {
+  return outcomes_match(r.outcomes, serial.outcomes) &&
+         r.comm.messages == serial.comm.messages &&
+         r.comm.bytes == serial.comm.bytes &&
+         r.comm.rounds == serial.comm.rounds;
+}
+
 }  // namespace
 }  // namespace dprbg
 
@@ -295,19 +312,11 @@ int main(int argc, char** argv) {
       if (serial.stale != 0) clean = false;
       for (const unsigned depth : {1u, 4u}) {
         const RunStats r = run_depth(depth, sweep_batches, rtt_us, m);
-        std::string match = "n/a";
-        if (depth == 1) {
-          match = outcomes_match(r.outcomes, serial.outcomes) &&
-                          r.comm.messages == serial.comm.messages &&
-                          r.comm.bytes == serial.comm.bytes &&
-                          r.comm.rounds == serial.comm.rounds
-                      ? "yes"
-                      : "NO";
-          if (match == "NO") {
-            std::fprintf(stderr,
-                         "FAIL: depth-1 serial mismatch at M=%u\n", m);
-            clean = false;
-          }
+        const bool match = matches_serial(r, serial);
+        if (!match) {
+          std::fprintf(stderr,
+                       "FAIL: depth-%u serial mismatch at M=%u\n", depth, m);
+          clean = false;
         }
         if (r.stale != 0) {
           std::fprintf(stderr, "FAIL: %llu stale rejections at M=%u\n",
@@ -315,8 +324,8 @@ int main(int argc, char** argv) {
           clean = false;
         }
         table.row({fmt(m), fmt(depth), fmt(r.coins), fmt(r.wall_ms),
-                   fmt(r.coins / (r.wall_ms / 1000.0)), match,
-                   fmt(r.stale), fmt(r.faults)});
+                   fmt(r.coins / (r.wall_ms / 1000.0)),
+                   match ? "yes" : "NO", fmt(r.stale), fmt(r.faults)});
       }
     }
     table.print();
@@ -346,36 +355,30 @@ int main(int argc, char** argv) {
   table.context("M", fmt(kM));
   table.context("rtt_us", fmt(rtt_us));
   double depth1_wall = 0.0;
-  bool stale_clean = serial.stale == 0;
+  bool clean = serial.stale == 0;
   for (unsigned depth : {1u, 2u, 4u}) {
     const RunStats r = run_depth(depth, batches, rtt_us, kM);
     if (r.stale != 0) {
       std::fprintf(stderr, "FAIL: %llu stale rejections at depth %u\n",
                    static_cast<unsigned long long>(r.stale), depth);
-      stale_clean = false;
+      clean = false;
     }
     if (depth == 1) depth1_wall = r.wall_ms;
-    // Only depth 1 runs on the root stream with the serial loop's rng;
-    // overlapped depths deal from per-stream rngs, so their (equally
-    // valid) coins are different values by construction.
-    std::string match = "n/a";
-    if (depth == 1) {
-      match = outcomes_match(r.outcomes, serial.outcomes) &&
-                      r.comm.messages == serial.comm.messages &&
-                      r.comm.bytes == serial.comm.bytes &&
-                      r.comm.rounds == serial.comm.rounds
-                  ? "yes"
-                  : "NO";
+    const bool match = matches_serial(r, serial);
+    if (!match) {
+      std::fprintf(stderr, "FAIL: depth-%u serial mismatch\n", depth);
+      clean = false;
     }
     table.row({fmt(depth), fmt(batches), fmt(r.coins), fmt(r.wall_ms),
                fmt(r.coins / (r.wall_ms / 1000.0)),
-               fmt(depth1_wall / r.wall_ms), match, fmt(r.stale),
-               fmt(r.faults)});
+               fmt(depth1_wall / r.wall_ms), match ? "yes" : "NO",
+               fmt(r.stale), fmt(r.faults)});
   }
   table.print();
-  // Clean pipelining means the stream demux never had to reject a
-  // delayed envelope: any nonzero count is a scheduling bug, not noise.
-  if (!stale_clean) return 1;
+  // Clean pipelining means every depth replays the serial schedule and
+  // the stream demux never had to reject a delayed envelope: either
+  // failure is a scheduling bug, not noise.
+  if (!clean) return 1;
   // After the measured (telemetry-disabled) rows: the instrumented run +
   // reconciliation gate.
   if (!metrics_path.empty() &&
@@ -384,7 +387,7 @@ int main(int argc, char** argv) {
   }
   if (json_mode()) return 0;
   std::printf(
-      "\nshape check: depth 1 matches the serial coin_gen loop bit-for-bit "
+      "\nshape check: every depth matches the serial schedule bit-for-bit "
       "(outputs and message/byte/round totals); depth 4 should approach "
       "the B*C + (B/4)*R*L bound — >= 1.5x coins/sec over depth 1 at the "
       "default rtt.\n");

@@ -45,7 +45,6 @@ int main() {
       [&](PartyIo& io) {
         DPrbg<F>::Options opts;
         opts.batch_size = 64;
-        opts.reserve = 4;
         DPrbg<F> prbg(opts, genesis[io.id()]);
         // Binary BA driven by D-PRBG coins (one coin per phase).
         const BinaryBa coin_ba = [&](PartyIo& pio, int input,

@@ -31,7 +31,6 @@ int main() {
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
     DPrbg<F>::Options opts;
     opts.batch_size = 64;
-    opts.reserve = 4;
     DPrbg<F> prbg(opts, genesis[io.id()]);
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
       const auto leader = elect_leader<F>(io, prbg);

@@ -36,7 +36,7 @@ int main() {
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
     DPrbg<F>::Options opts;
     opts.batch_size = 32;  // M coins minted per Coin-Gen run
-    opts.reserve = 5;      // refill threshold
+    // opts.reserve left unset: the refill threshold is derived from (n, t).
     DPrbg<F> prbg(opts, genesis[io.id()]);
     for (int d = 0; d < kDraws; ++d) {
       const auto coin = prbg.next_coin(io);

@@ -40,7 +40,6 @@ int main() {
       [&](PartyIo& io) {
         DPrbg<F>::Options opts;
         opts.batch_size = 48;
-        opts.reserve = 4;
         DPrbg<F> prbg(opts, genesis[io.id()]);
         const auto result = randomized_ba(
             io, inputs[io.id()],

@@ -4,14 +4,15 @@
 // campaign with chosen parameters and print a machine-readable summary.
 //
 //   ./build/examples/simulate --n 13 --t 2 --coins 100 --batch 32
-//       --reserve 5 --seed 42 --faulty 3,9 --adversary noise
+//       --seed 42 --faulty 3,9 --adversary noise
 //
 // Flags (all optional):
 //   --n N           players (default 7; must be >= 6t+1)
 //   --t T           fault threshold (default (n-1)/6)
 //   --coins C       shared coins to draw (default 50)
 //   --batch M       Coin-Gen batch size (default 32)
-//   --reserve R     pool refill threshold (default 5)
+//   --reserve R     pool refill threshold (default: derived from n and t,
+//                   see leader_draw_budget in dprbg/dprbg.h)
 //   --seed S        deterministic run seed (default 1)
 //   --faulty a,b,c  faulty player ids (default none)
 //   --adversary X   crash | noise | replay   (default crash)
@@ -38,7 +39,7 @@ struct Options {
   int t = -1;  // derived from n when unset
   int coins = 50;
   unsigned batch = 32;
-  unsigned reserve = 5;
+  std::optional<unsigned> reserve;  // unset: DPrbg's derived default
   std::uint64_t seed = 1;
   std::vector<int> faulty;
   std::string adversary = "crash";

@@ -23,16 +23,12 @@
 // Determinism contract (tests/beacon_test.cpp): the beacon output is a
 // pure function of Options{seed, committees, committee_size, ...} —
 // independent of pipeline depth and of how the committee threads
-// interleave in wall-clock. Two ingredients make this hold:
-//   * every Coin-Gen batch always runs on its own committee-local round
-//     stream 1+b (even at depth 1, where the pipelined scheduler would
-//     otherwise degenerate to the caller's stream), so the rng streams
-//     consumed per batch never depend on the overlap window;
-//   * seed coins are charged per batch up front from a genesis pool
-//     sized to exactly batches * (1 + leader_coins) coins, so every
-//     batch's charge is the same contiguous pool block at any depth
-//     (returned unspent coins land at the pool's tail and are never
-//     re-charged).
+// interleave in wall-clock. Each committee runs its batches through
+// pipelined_coin_gen, whose schedule is depth-invariant (batch b on
+// committee-local stream 1+b with a charged sub-pool); the genesis pool
+// holds exactly batches * (1 + kLeaderCoins) coins, so every batch's
+// charge is the same contiguous pool block at any depth (returned unspent
+// coins land at the pool's tail and are never re-charged).
 //
 // Failover (beacon_failover.h, DESIGN.md §11): every batch launch and
 // every exposure passes through a shared HealthBoard whose verdicts are
@@ -93,11 +89,9 @@ class Beacon {
     unsigned coins_per_batch = 4;
     // Coin-Gen batches per committee (each on its own round stream).
     unsigned batches = 4;
-    // Pipeline window per committee (1 = serial; transcripts are
-    // depth-invariant either way, see the header comment).
+    // Pipeline window per committee (>= 1; transcripts are
+    // depth-invariant, see the header comment).
     unsigned depth = 2;
-    unsigned leader_coins = 3;
-    unsigned max_iterations = 16;
     std::uint64_t seed = 0xBEAC04ull;
     // Simulated one-way per-round link latency (Cluster contract).
     unsigned round_latency_us = 0;
@@ -147,6 +141,7 @@ class Beacon {
                  static_cast<int>(opts.committee_t), opts.seed) {
     DPRBG_CHECK(opts_.committees >= 1);
     DPRBG_CHECK(opts_.batches >= 1);
+    DPRBG_CHECK(opts_.depth >= 1);
     DPRBG_CHECK(opts_.committees * kStride <= 0x10000u);
     // batches+1 local streams per committee: root + one per batch.
     DPRBG_CHECK(opts_.batches + 1 <= kStride);
@@ -185,7 +180,7 @@ class Beacon {
     const unsigned K = opts_.committees;
     const int n = static_cast<int>(opts_.committee_size);
     const unsigned genesis_count =
-        opts_.batches * (1 + opts_.leader_coins);
+        opts_.batches * (1 + kLeaderCoins);
     std::vector<std::vector<std::vector<SealedCoin<F>>>> genesis(K);
     for (unsigned c = 0; c < K; ++c) {
       genesis[c] = trusted_dealer_coins<F>(
@@ -345,54 +340,26 @@ class Beacon {
   // kMaxStreamId stream cap.
   static constexpr std::uint32_t kStride = 4096;
 
-  // Depth-invariant batch schedule (see header comment): batch b always
-  // runs on committee-local stream 1+b with the pipelined scheduler's
-  // up-front seed-coin charge; depth only changes how many overlap.
-  // Every launch consults the HealthBoard's latched gate (plus the
-  // scripted crash cutoff) with the committee's fault-bound verdict from
-  // peer standing, every join reports progress — in both the pipelined
-  // and the serial schedule, so failover behaves identically at any
-  // depth.
+  // Runs committee c's batches through the pipeline. Every launch
+  // consults the HealthBoard's latched gate (plus the scripted crash
+  // cutoff) with the committee's fault-bound verdict from peer standing;
+  // every join reports progress.
   PipelineResult<F> run_batches(unsigned c, bool crashing, Endpoint& ep,
                                 CoinPool<F>& pool) {
     const unsigned crash_at = opts_.chaos.crash_at_batch;
     const Committee& com = *committees_[c];
-    auto gate = [this, c, &com, crashing, crash_at](unsigned b) {
-      if (crashing && b >= crash_at) return false;
-      return board_->may_launch(c, b, com.banned_members() > com.t());
-    };
-    auto heartbeat = [this, c](unsigned b) {
-      board_->report_batch_done(c, b);
-    };
     PipelineOptions popts;
     popts.depth = opts_.depth;
     popts.first_batch_id = 1;
-    popts.leader_coins = opts_.leader_coins;
-    popts.max_iterations = opts_.max_iterations;
-    popts.may_launch = gate;
-    popts.on_batch_joined = heartbeat;
-    if (opts_.depth > 1) {
-      return pipelined_coin_gen<F>(ep, opts_.coins_per_batch, pool,
-                                   opts_.batches, popts);
-    }
-    PipelineResult<F> res;
-    res.batches.resize(opts_.batches);
-    for (unsigned b = 0; b < opts_.batches; ++b) {
-      if (!gate(b)) {
-        res.cancelled = true;
-        break;
-      }
-      CoinPool<F> sub;
-      sub.add_batch(pool.take_batch(std::min<std::size_t>(
-          1 + opts_.leader_coins, pool.remaining())));
-      res.batches[b] = coin_gen<F>(ep.instance(1 + b), opts_.coins_per_batch,
-                                   sub, opts_.max_iterations);
-      res.seed_coins_used += res.batches[b].seed_coins_used;
-      ++res.launched;
-      if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
-      heartbeat(b);
-    }
-    return res;
+    popts.may_launch = [this, c, &com, crashing, crash_at](unsigned b) {
+      if (crashing && b >= crash_at) return false;
+      return board_->may_launch(c, b, com.banned_members() > com.t());
+    };
+    popts.on_batch_joined = [this, c](unsigned b) {
+      board_->report_batch_done(c, b);
+    };
+    return pipelined_coin_gen<F>(ep, opts_.coins_per_batch, pool,
+                                 opts_.batches, popts);
   }
 
   Options opts_;

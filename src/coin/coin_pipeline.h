@@ -8,25 +8,25 @@
 // graph, its own leader draw — so batch k+1's deal round can ride the
 // same traversal as batch k's gradecast. This driver overlaps up to
 // `depth` batches, each on its own round stream (wire-tagged, demuxed by
-// the cluster), cutting wall-clock to ~B/D * 10 traversals while leaving
-// every per-batch transcript identical to a serial run.
+// the cluster), cutting wall-clock to ~B/D * 10 traversals.
 //
-// Scheduling rule (identical at every player, which is what keeps the
-// streams deadlock-free): launch batches 0..D-1, then on joining batch b
-// launch batch b+D; batches complete and are drained strictly in order.
-// Each batch runs on a dedicated worker thread against the per-batch
-// PartyIo handle `io.instance(first_batch_id + b)`.
+// One schedule at every depth >= 1: batch b runs on a worker thread
+// against the per-batch PartyIo handle `io.instance(first_batch_id + b)`
+// with its own charged sub-pool. Launch batches 0..D-1, then on joining
+// batch b launch batch b+D; batches complete and are drained strictly in
+// order (identical at every player, which keeps the streams
+// deadlock-free). Depth changes only how many batches overlap, never a
+// transcript: every batch sees the same stream, rng and sub-pool at any
+// depth, as long as the pool covers every batch's full charge (returned
+// coins land at its tail, behind the coins still to be charged).
 //
 // Seed-coin accounting: the pool must be touched only from the driving
 // thread in a canonical order (honest pools are index-aligned across
 // players). Each batch is charged an up-front sub-pool of
-// min(1 + leader_coins, pool.remaining()) coins at launch; unspent coins
+// min(1 + kLeaderCoins, pool.remaining()) coins at launch; unspent coins
 // return to the pool when the batch is joined. Both happen in launch /
 // join order, so pool alignment is preserved no matter how the batches
 // interleave in wall-clock.
-//
-// depth <= 1 degenerates to the plain serial coin_gen() loop on the
-// caller's own stream — bit-for-bit the pre-pipeline behavior.
 
 #pragma once
 
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "ba/binary_ba.h"
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "gf/field_concept.h"
@@ -49,21 +50,20 @@
 
 namespace dprbg {
 
+// Seed coins charged per pipelined batch beyond the Bit-Gen challenge: one
+// per leader draw the batch may make. A draw lands on a faulty player with
+// probability <= t/n (Lemma 8), so a batch fails with probability
+// <= (t/n)^kLeaderCoins; a failed batch is wasted, not fatal, and the
+// caller's refill loop retries it (DESIGN.md §10).
+inline constexpr unsigned kLeaderCoins = 3;
+
 struct PipelineOptions {
-  // In-flight window: how many Coin-Gen batches overlap. 1 = serial.
+  // In-flight window: how many Coin-Gen batches overlap (>= 1).
   unsigned depth = 2;
   // Round-stream id of batch 0; batch b runs on stream first_batch_id + b.
   // Must be nonzero (stream 0 is the caller's root stream) and must not
   // reuse a stream id from an earlier pipeline run on the same cluster.
   std::uint32_t first_batch_id = 1;
-  // Seed coins charged per batch beyond the Bit-Gen challenge: one per
-  // leader draw the batch may need. Lemma 8 makes >1 draw unlikely
-  // (probability <= t/n each), so a small budget covers the expected
-  // case; a batch that exhausts it fails unanimously and is retried by
-  // the caller's refill loop.
-  unsigned leader_coins = 3;
-  // Forwarded to coin_gen (cap on BA iterations per batch).
-  unsigned max_iterations = 16;
   // Launch gate: consulted once per batch index, in batch order, right
   // before that batch would be launched. Returning false stops the
   // pipeline — the gated batch and everything after it never run (their
@@ -111,6 +111,7 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
                                      CoinPool<F>& pool, unsigned batches,
                                      const PipelineOptions& opts = {},
                                      const Ba& ba = default_binary_ba) {
+  DPRBG_CHECK(opts.depth >= 1);
   PipelineResult<F> result;
   result.batches.resize(batches);
   if (batches == 0) return result;
@@ -136,29 +137,6 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
     tel.inflight = &reg.gauge("pipeline_inflight_depth");
   }
 
-  if (opts.depth <= 1) {
-    for (unsigned b = 0; b < batches; ++b) {
-      if (opts.may_launch && !opts.may_launch(b)) {
-        result.cancelled = true;
-        break;
-      }
-      TelemetryClock::time_point t0;
-      if (tel_on) t0 = TelemetryClock::now();
-      result.batches[b] = coin_gen<F>(io, m, pool, opts.max_iterations, ba);
-      if (tel_on) {
-        const std::uint64_t us = telemetry_elapsed_us(t0);
-        tel.batch_us->observe(us);
-        tel.gen_us->observe(us);
-        tel.batches->add(1);
-        if (!result.batches[b].success) tel.failures->add(1);
-      }
-      result.seed_coins_used += result.batches[b].seed_coins_used;
-      ++result.launched;
-      if (opts.on_batch_joined) opts.on_batch_joined(b);
-    }
-    return result;
-  }
-
   struct InFlight {
     std::thread th;
     CoinPool<F> subpool;          // this batch's seed-coin charge
@@ -172,12 +150,12 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
   auto launch = [&](unsigned b) {
     InFlight& fl = flight[b];
     const std::size_t charge =
-        std::min<std::size_t>(1 + opts.leader_coins, pool.remaining());
+        std::min<std::size_t>(1 + kLeaderCoins, pool.remaining());
     fl.subpool.add_batch(pool.take_batch(charge));
     const std::uint32_t stream = opts.first_batch_id + b;
     if (tel_on) fl.launched_at = TelemetryClock::now();
     Histogram* const gen_us = tel.gen_us;
-    fl.th = std::thread([&fl, &io, &opts, &ba, m, stream, gen_us] {
+    fl.th = std::thread([&fl, &io, &ba, m, stream, gen_us] {
       // field_counters() is thread_local; measure this worker's delta so
       // the driver can fold it back into the driving thread's counters
       // (keeping Cluster::per_player_field_ops exact).
@@ -186,8 +164,7 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
       if (gen_us != nullptr) t0 = TelemetryClock::now();
       try {
         Io& bio = io.instance(stream);
-        fl.outcome =
-            coin_gen<F>(bio, m, fl.subpool, opts.max_iterations, ba);
+        fl.outcome = coin_gen<F>(bio, m, fl.subpool, kLeaderCoins, ba);
       } catch (...) {
         fl.error = std::current_exception();
       }

@@ -14,6 +14,12 @@
 // once-only genesis the supply never ends ("the generation process is
 // endless, as bits are generated upon demand", Section 1.4).
 //
+// "Never ends" holds up to a bound: the default reserve covers
+// L = leader_draw_budget(n, t) leader draws, so a refill fails with
+// probability <= 2^-64. A refill that fails with an empty pool leaves the
+// generator seed_exhausted() for good; only a new genesis (Fig. 1's
+// "initial seed") revives it.
+//
 // All honest players drive their DPrbg instances in lockstep (same call
 // sequence); the pools stay structurally identical, so refills trigger at
 // the same instant everywhere.
@@ -24,8 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/telemetry.h"
 #include "gf/field_concept.h"
 #include "net/endpoint.h"
@@ -38,6 +46,37 @@
 
 namespace dprbg {
 
+// The leader-draw budget L of one serial Coin-Gen run: the smallest L with
+// (t/n)^L <= 2^-64. All L draws land on faulty players with at most that
+// probability (Lemma 8), which is the only way a run holding 1 + L seed
+// coins fails. Exact: compares t^L * 2^64 against n^L, so boundaries such
+// as n=4, t=1 -> 32 come out right.
+inline unsigned leader_draw_budget(unsigned n, unsigned t) {
+  DPRBG_CHECK(t < n);
+  if (t == 0) return 1;
+  // Big-endian base-2^32 magnitudes: led by their length, they compare as
+  // pairs like the numbers they hold.
+  using Magnitude = std::vector<std::uint32_t>;
+  const auto scale = [](Magnitude& a, std::uint32_t k) {
+    std::uint64_t carry = 0;
+    for (auto limb = a.rbegin(); limb != a.rend(); ++limb) {
+      const std::uint64_t p = std::uint64_t{*limb} * k + carry;
+      *limb = static_cast<std::uint32_t>(p);
+      carry = p >> 32;
+    }
+    if (carry != 0) a.insert(a.begin(), static_cast<std::uint32_t>(carry));
+  };
+  Magnitude faulty{1, 0, 0};  // t^L * 2^64
+  Magnitude all{1};           // n^L
+  unsigned l = 0;
+  do {
+    ++l;
+    scale(faulty, t);
+    scale(all, n);
+  } while (std::pair{faulty.size(), faulty} > std::pair{all.size(), all});
+  return l;
+}
+
 template <FiniteField F>
 class DPrbg {
  public:
@@ -45,25 +84,22 @@ class DPrbg {
     // M: sealed coins minted per Coin-Gen run. Soundness degrades as M/p
     // (Lemma 3), so M can be "exponentially large" in k = F::kBits.
     unsigned batch_size = 64;
-    // Refill when the pool drops below this level. Must cover one
-    // Coin-Gen run: 1 challenge + expected O(1) leader draws + slack.
-    unsigned reserve = 6;
-    // Leader-draw budget per Coin-Gen run.
-    unsigned max_iterations = 16;
+    // Refill when the pool drops to this level. Unset: 1 + L with L =
+    // leader_draw_budget(n, t), one challenge plus every leader draw a
+    // serial Coin-Gen run may make. An explicit value is used as given.
+    std::optional<unsigned> reserve;
     // Refill pipelining: how many Coin-Gen batches a refill keeps in
-    // flight (coin/coin_pipeline.h). 1 (the default) is the serial
-    // pre-pipeline behavior, bit-for-bit. Depths > 1 run each batch on
-    // its own round stream and overlap their rounds; every refill uses a
-    // fresh block of stream ids, so stale delayed traffic from an old
-    // refill can never alias a live stream.
+    // flight (>= 1). 1 (the default) is the paper's serial refill on the
+    // caller's stream. Depths > 1 run each pass as one pipelined window
+    // (coin/coin_pipeline.h); every pass uses a fresh block of stream
+    // ids, so stale delayed traffic from an old pass can never alias a
+    // live stream.
     unsigned pipeline_depth = 1;
-    // Seed-coin charge per pipelined batch beyond the challenge (see
-    // PipelineOptions::leader_coins). Unused in serial mode.
-    unsigned leader_coins = 3;
   };
 
   DPrbg(Options opts, std::vector<SealedCoin<F>> genesis_coins)
       : opts_(opts) {
+    DPRBG_CHECK(opts_.pipeline_depth >= 1);
     // The generator's pool is the canonical seed pool — the one whose
     // depth an operator watches (pool_depth gauge and take counters).
     pool_.watch_telemetry();
@@ -71,12 +107,12 @@ class DPrbg {
   }
 
   // Draws the next shared k-ary coin. Runs Coin-Expose (1 round), plus a
-  // Coin-Gen refill first when the pool is low. Returns nullopt only when
-  // the model's guarantees were violated (refill impossible).
+  // Coin-Gen refill first when the pool is low. Returns nullopt exactly
+  // when the generator is seed_exhausted(), then and on every later call.
   template <NetEndpoint Io>
   std::optional<F> next_coin(Io& io) {
-    if (!maybe_refill(io)) return std::nullopt;
-    if (pool_.empty()) return std::nullopt;
+    maybe_refill(io);
+    if (seed_exhausted_) return std::nullopt;
     const unsigned instance =
         static_cast<unsigned>(pool_.consumed() % 4096);
     const SealedCoin<F> coin = pool_.take();
@@ -151,70 +187,68 @@ class DPrbg {
     return seed_spent_;
   }
   [[nodiscard]] const Options& options() const { return opts_; }
+  // True once a refill failed with the pool empty: no coin is left to
+  // challenge or elect a leader with, so the generator can never refill
+  // again. Honest players reach it at the same draw.
+  [[nodiscard]] bool seed_exhausted() const { return seed_exhausted_; }
 
  private:
   // Adaptive refill ("a constant threshold triggering the generation of
-  // new coins", Section 1.2). Returns false when refilling failed and the
-  // pool cannot serve the request.
+  // new coins", Section 1.2). Each pass is one serial coin_gen run on the
+  // caller's stream with the whole pool (depth 1, the paper's refill) or
+  // one pipelined window (depth > 1). A window charges its batches up
+  // front, so the trigger grows to cover a full window's charge. A pass
+  // that mints nothing ends the refill; if it left the pool empty, the
+  // seed is exhausted.
   template <NetEndpoint Io>
-  bool maybe_refill(Io& io) {
-    if (opts_.pipeline_depth <= 1) {
-      while (pool_.remaining() <= opts_.reserve) {
-        TelemetryClock::time_point t0;
-        const bool tel_on = telemetry_enabled();
-        if (tel_on) t0 = TelemetryClock::now();
-        auto gen = coin_gen<F>(io, opts_.batch_size, pool_,
-                               opts_.max_iterations);
-        if (tel_on) note_refill_telemetry(t0);
-        seed_spent_ += gen.seed_coins_used;
-        if (!gen.success) return pool_.remaining() > 0;
-        ++refills_;
-        for (auto& c : gen.sealed_coins(static_cast<unsigned>(io.t()))) {
-          pool_.add(std::move(c));
-        }
-      }
-      return true;
+  void maybe_refill(Io& io) {
+    if (leader_budget_ == 0) {
+      leader_budget_ = leader_draw_budget(static_cast<unsigned>(io.n()),
+                                          static_cast<unsigned>(io.t()));
     }
-    // Pipelined refill: one full window of overlapped batches per pass.
-    // The trigger threshold grows to cover charging the whole window's
-    // seed coins up front (short-charged batches would fail and waste a
-    // pass). Every pass consumes a fresh block of stream ids — ids are
-    // never reused, so an envelope delayed from an old pass can only ever
-    // be rejected by the demux, not surface in a live batch.
-    const std::size_t reserve_eff = std::max<std::size_t>(
-        opts_.reserve,
-        std::size_t{opts_.pipeline_depth} * (1 + opts_.leader_coins));
-    while (pool_.remaining() <= reserve_eff) {
-      PipelineOptions popts;
-      popts.depth = opts_.pipeline_depth;
-      popts.first_batch_id = next_batch_id_;
-      popts.leader_coins = opts_.leader_coins;
-      popts.max_iterations = opts_.max_iterations;
-      next_batch_id_ += opts_.pipeline_depth;
+    const unsigned depth = opts_.pipeline_depth;
+    std::size_t trigger = opts_.reserve.value_or(1 + leader_budget_);
+    if (depth > 1) {
+      trigger = std::max<std::size_t>(trigger,
+                                      std::size_t{depth} * (1 + kLeaderCoins));
+    }
+    while (!seed_exhausted_ && pool_.remaining() <= trigger) {
       TelemetryClock::time_point t0;
       const bool tel_on = telemetry_enabled();
       if (tel_on) t0 = TelemetryClock::now();
-      auto gen = pipelined_coin_gen<F>(io, opts_.batch_size, pool_,
-                                       opts_.pipeline_depth, popts);
-      if (tel_on) note_refill_telemetry(t0);
-      seed_spent_ += gen.seed_coins_used;
-      if (gen.successes() == 0) return pool_.remaining() > 0;
-      for (const auto& batch : gen.batches) {
-        if (!batch.success) continue;
-        ++refills_;
-        pool_.add_batch(batch.sealed_coins(static_cast<unsigned>(io.t())));
+      std::vector<CoinGenResult<F>> pass;
+      if (depth == 1) {
+        pass.push_back(
+            coin_gen<F>(io, opts_.batch_size, pool_, leader_budget_));
+      } else {
+        PipelineOptions popts;
+        popts.depth = depth;
+        popts.first_batch_id = next_batch_id_;
+        next_batch_id_ += depth;
+        pass = pipelined_coin_gen<F>(io, opts_.batch_size, pool_, depth,
+                                     popts).batches;
+      }
+      if (tel_on) {
+        metrics().histogram("dprbg_refill_us")
+            .observe(telemetry_elapsed_us(t0));
+        metrics().counter("dprbg_refills_total").add(1);
+      }
+      unsigned minted = 0;
+      for (const auto& gen : pass) {
+        seed_spent_ += gen.seed_coins_used;
+        if (!gen.success) continue;
+        ++minted;
+        pool_.add_batch(gen.sealed_coins(static_cast<unsigned>(io.t())));
+      }
+      refills_ += minted;
+      if (minted == 0) {
+        seed_exhausted_ = pool_.empty();
+        if (seed_exhausted_ && tel_on) {
+          metrics().counter("dprbg_seed_exhausted_total").add(1);
+        }
+        return;
       }
     }
-    return true;
-  }
-
-  // One refill pass (serial coin_gen run or pipelined window) completed.
-  // Called only when telemetry is enabled at pass start.
-  static void note_refill_telemetry(TelemetryClock::time_point t0) {
-    static Histogram& refill_us = metrics().histogram("dprbg_refill_us");
-    static Counter& refills = metrics().counter("dprbg_refills_total");
-    refill_us.observe(telemetry_elapsed_us(t0));
-    refills.add(1);
   }
 
   Options opts_;
@@ -225,6 +259,9 @@ class DPrbg {
   std::uint64_t bit_cache_ = 0;
   unsigned cached_bits_ = 0;
   std::uint64_t refreshes_ = 0;
+  bool seed_exhausted_ = false;
+  // L for this cluster's (n, t); computed at the first refill check.
+  unsigned leader_budget_ = 0;
   // Next unused round-stream id for pipelined refills (stream 0 is the
   // root stream; ids advance monotonically and are never reused).
   std::uint32_t next_batch_id_ = 1;

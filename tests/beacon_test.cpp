@@ -16,6 +16,7 @@
 
 #include "beacon/beacon.h"
 #include "coin/coin_gen.h"
+#include "coin/coin_pipeline.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
@@ -129,7 +130,7 @@ TEST(BeaconTest, SingleCommitteeMatchesRawClusterReference) {
   ASSERT_TRUE(out.success);
 
   const int n = static_cast<int>(opts.committee_size);
-  const unsigned genesis_count = opts.batches * (1 + opts.leader_coins);
+  const unsigned genesis_count = opts.batches * (1 + kLeaderCoins);
   auto genesis = trusted_dealer_coins<F>(
       n, opts.committee_t, static_cast<int>(genesis_count),
       committee_seed(opts.seed, 0));
@@ -142,9 +143,9 @@ TEST(BeaconTest, SingleCommitteeMatchesRawClusterReference) {
     for (unsigned b = 0; b < opts.batches; ++b) {
       CoinPool<F> sub;
       sub.add_batch(pool.take_batch(std::min<std::size_t>(
-          1 + opts.leader_coins, pool.remaining())));
+          1 + kLeaderCoins, pool.remaining())));
       const auto res = coin_gen<F>(io.instance(1 + b), opts.coins_per_batch,
-                                   sub, opts.max_iterations);
+                                   sub, kLeaderCoins);
       if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
       if (!res.success) continue;
       for (const auto& coin : res.sealed_coins(opts.committee_t)) {

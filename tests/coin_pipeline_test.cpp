@@ -1,14 +1,16 @@
 // Pipelined Coin-Gen (coin/coin_pipeline.h) + round streams
-// (net/cluster.h): depth 1 must reproduce the serial loop bit-for-bit,
-// overlapped depths must replay deterministically from a fixed seed, and
-// per-batch instance handles must stay fully isolated (independent
-// rounds, rng, inboxes; zero cross-batch deliveries).
+// (net/cluster.h): every depth must reproduce the hand-written batch
+// schedule bit-for-bit, overlapped depths must replay deterministically
+// from a fixed seed, and per-batch instance handles must stay fully
+// isolated (independent rounds, rng, inboxes; zero cross-batch
+// deliveries).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -43,8 +45,12 @@ struct PipelineRun {
   std::uint64_t stale = 0;
 };
 
-PipelineRun run_pipeline(std::uint64_t seed, unsigned batches,
-                         unsigned depth, int seed_coins = 32) {
+// One player's minting of `batches` batches from its genesis pool.
+using Mint =
+    std::function<PipelineResult<F>(PartyIo&, CoinPool<F>&, unsigned)>;
+
+PipelineRun run_with(std::uint64_t seed, unsigned batches, const Mint& mint,
+                     int seed_coins = 32) {
   auto genesis = trusted_dealer_coins<F>(kN, kT, seed_coins, seed);
   PipelineRun run;
   run.results.resize(kN);
@@ -54,9 +60,7 @@ PipelineRun run_pipeline(std::uint64_t seed, unsigned batches,
       [&](PartyIo& io) {
         CoinPool<F> pool;
         for (auto& c : genesis[io.id()]) pool.add(std::move(c));
-        PipelineOptions opts;
-        opts.depth = depth;
-        auto result = pipelined_coin_gen<F>(io, kM, pool, batches, opts);
+        const PipelineResult<F> result = mint(io, pool, batches);
         run.results[io.id()] = result;
         // Drain: expose every minted coin on the root stream, in batch
         // order — the canonical consumption order of the pipeline.
@@ -79,6 +83,35 @@ PipelineRun run_pipeline(std::uint64_t seed, unsigned batches,
   run.comm = cluster.comm();
   run.stale = cluster.stale_rejections();
   return run;
+}
+
+PipelineRun run_pipeline(std::uint64_t seed, unsigned batches,
+                         unsigned depth, int seed_coins = 32) {
+  const Mint mint = [depth](PartyIo& io, CoinPool<F>& pool,
+                            unsigned count) {
+    PipelineOptions opts;
+    opts.depth = depth;
+    return pipelined_coin_gen<F>(io, kM, pool, count, opts);
+  };
+  return run_with(seed, batches, mint, seed_coins);
+}
+
+// The pipeline's schedule written out by hand, one batch at a time on the
+// driving thread: batch b runs on stream 1 + b against a sub-pool charged
+// 1 + kLeaderCoins coins, and its unspent coins go back to the pool.
+PipelineResult<F> serial_schedule(PartyIo& io, CoinPool<F>& pool,
+                                  unsigned batches) {
+  PipelineResult<F> out;
+  for (unsigned b = 0; b < batches; ++b) {
+    CoinPool<F> sub;
+    sub.add_batch(pool.take_batch(
+        std::min<std::size_t>(1 + kLeaderCoins, pool.remaining())));
+    out.batches.push_back(coin_gen<F>(io.instance(1 + b), kM, sub));
+    out.seed_coins_used += out.batches.back().seed_coins_used;
+    if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
+  }
+  out.launched = batches;
+  return out;
 }
 
 // Comparable projection of a batch outcome (CoinGenResult has no ==).
@@ -117,90 +150,25 @@ void expect_runs_identical(const PipelineRun& a, const PipelineRun& b) {
 }
 
 // ---------------------------------------------------------------------
-// Depth 1 == the plain serial coin_gen loop, bit for bit.
+// Every depth == the hand-written schedule, bit for bit.
 // ---------------------------------------------------------------------
 
-TEST(CoinPipelineTest, Depth1MatchesSerialLoopBitForBit) {
+TEST(CoinPipelineTest, EveryDepthMatchesHandWrittenSchedule) {
+  // Batch outcomes, coin shares, the exposed coins and the cluster's
+  // message/byte/round totals all equal the serial loop's.
   const std::uint64_t seed = 11;
   const unsigned batches = 3;
-
-  // Reference: the pre-pipeline idiom — a serial loop of coin_gen calls
-  // on the root stream.
-  auto genesis = trusted_dealer_coins<F>(kN, kT, 32, seed);
-  std::vector<std::vector<CoinGenResult<F>>> serial(kN);
-  Cluster ref(kN, kT, seed);
-  ref.run(
-      [&](PartyIo& io) {
-        CoinPool<F> pool;
-        for (auto& c : genesis[io.id()]) pool.add(std::move(c));
-        for (unsigned b = 0; b < batches; ++b) {
-          serial[io.id()].push_back(coin_gen<F>(io, kM, pool));
-        }
-      },
-      {}, nullptr);
-
-  const PipelineRun piped = run_pipeline(seed, batches, /*depth=*/1);
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(piped.results[i].batches.size(), batches);
-    for (unsigned b = 0; b < batches; ++b) {
-      EXPECT_EQ(batch_key(serial[i][b]),
-                batch_key(piped.results[i].batches[b]))
-          << "player " << i << " batch " << b;
-      ASSERT_EQ(serial[i][b].coin_shares.size(),
-                piped.results[i].batches[b].coin_shares.size());
-      for (std::size_t h = 0; h < serial[i][b].coin_shares.size(); ++h) {
-        EXPECT_EQ(serial[i][b].coin_shares[h],
-                  piped.results[i].batches[b].coin_shares[h])
-            << "player " << i << " batch " << b << " share " << h;
-      }
-    }
+  const PipelineRun reference = run_with(seed, batches, serial_schedule);
+  for (unsigned depth : {1u, 2u, 4u}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    const PipelineRun piped = run_pipeline(seed, batches, depth);
+    expect_runs_identical(reference, piped);
+    EXPECT_EQ(piped.stale, 0u);
   }
-  // Identical transcripts imply identical communication totals. The
-  // pipelined run's comm includes its expose drain; compare the
-  // generation-phase totals only via per-batch message equality above
-  // plus the depth-1 serial fallback being the very same code path:
-  // message/byte counts per batch must match the reference exactly.
-  EXPECT_EQ(piped.stale, 0u);
 }
 
-TEST(CoinPipelineTest, Depth1AndSerialCommBitForBit) {
-  // Same programs on both clusters (pipeline depth 1 vs the raw loop):
-  // the cluster-level byte/message/round counters must be equal.
-  const std::uint64_t seed = 12;
-  const unsigned batches = 2;
-  auto genesis = trusted_dealer_coins<F>(kN, kT, 32, seed);
-
-  CommCounters serial_comm;
-  {
-    Cluster c(kN, kT, seed);
-    c.run(
-        [&](PartyIo& io) {
-          CoinPool<F> pool;
-          for (auto& coin : genesis[io.id()]) pool.add(std::move(coin));
-          for (unsigned b = 0; b < batches; ++b) {
-            (void)coin_gen<F>(io, kM, pool);
-          }
-        },
-        {}, nullptr);
-    serial_comm = c.comm();
-  }
-  CommCounters piped_comm;
-  {
-    Cluster c(kN, kT, seed);
-    c.run(
-        [&](PartyIo& io) {
-          CoinPool<F> pool;
-          for (auto& coin : genesis[io.id()]) pool.add(std::move(coin));
-          PipelineOptions opts;
-          opts.depth = 1;
-          (void)pipelined_coin_gen<F>(io, kM, pool, batches, opts);
-        },
-        {}, nullptr);
-    piped_comm = c.comm();
-  }
-  EXPECT_EQ(serial_comm.messages, piped_comm.messages);
-  EXPECT_EQ(serial_comm.bytes, piped_comm.bytes);
-  EXPECT_EQ(serial_comm.rounds, piped_comm.rounds);
+TEST(CoinPipelineTest, DepthZeroIsRejected) {
+  EXPECT_DEATH(run_pipeline(1, 1, /*depth=*/0), "DPRBG_CHECK");
 }
 
 // ---------------------------------------------------------------------
@@ -278,12 +246,14 @@ TEST(CoinPipelineTest, DepthFourReplayIsDeterministic) {
 TEST(CoinPipelineTest, DepthTwoMatchesDepthFourOutputs) {
   // Per-batch transcripts are depth-independent: each batch runs the
   // same protocol on the same stream with the same rng and sub-pool no
-  // matter how many neighbors are in flight.
+  // matter how many neighbors are in flight — none at depth 1.
   const std::uint64_t seed = 44;
   const unsigned batches = 4;
+  const PipelineRun d1 = run_pipeline(seed, batches, /*depth=*/1);
   const PipelineRun d2 = run_pipeline(seed, batches, /*depth=*/2);
   const PipelineRun d4 = run_pipeline(seed, batches, /*depth=*/4);
-  expect_runs_identical(d2, d4);
+  expect_runs_identical(d1, d2);
+  expect_runs_identical(d1, d4);
 }
 
 TEST(CoinPipelineTest, DepthFourToleratesCrashFaults) {

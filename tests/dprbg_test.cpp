@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "dprbg/dprbg.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
@@ -23,6 +25,9 @@ struct PrbgRun {
   std::vector<Stream> streams;  // [player][draw]
   std::vector<std::uint64_t> refills;
   std::vector<std::uint64_t> seed_spent;
+  // One flag per player. Not vector<bool>: player threads write their
+  // flags concurrently, and vector<bool> packs them into shared words.
+  std::vector<std::uint8_t> exhausted;
 };
 
 PrbgRun run_prbg(int n, int t, std::uint64_t seed, int draws,
@@ -34,6 +39,7 @@ PrbgRun run_prbg(int n, int t, std::uint64_t seed, int draws,
   run.streams.assign(n, {});
   run.refills.assign(n, 0);
   run.seed_spent.assign(n, 0);
+  run.exhausted.assign(n, 0);
   Cluster cluster(n, t, seed);
   cluster.run(
       [&](PartyIo& io) {
@@ -43,6 +49,7 @@ PrbgRun run_prbg(int n, int t, std::uint64_t seed, int draws,
         }
         run.refills[io.id()] = prbg.refills();
         run.seed_spent[io.id()] = prbg.seed_coins_spent_refilling();
+        run.exhausted[io.id()] = prbg.seed_exhausted();
       },
       faulty, adversary);
   return run;
@@ -211,6 +218,60 @@ TEST(DprbgTest, PipelinedReplayIsDeterministic) {
     ASSERT_TRUE(a.streams[0][d].has_value());
     EXPECT_EQ(*a.streams[0][d], *b.streams[0][d]);
   }
+}
+
+TEST(DprbgTest, LeaderDrawBudgetIsSmallestWithin2ToMinus64) {
+  EXPECT_EQ(leader_draw_budget(7, 1), 23u);
+  EXPECT_EQ(leader_draw_budget(13, 2), 24u);
+  EXPECT_EQ(leader_draw_budget(19, 3), 25u);
+  // (1/4)^32 is exactly 2^-64: the boundary itself qualifies.
+  EXPECT_EQ(leader_draw_budget(4, 1), 32u);
+  EXPECT_EQ(leader_draw_budget(8, 1), 22u);  // (1/8)^21 = 2^-63
+  // No faulty player can be drawn: one draw always suffices.
+  EXPECT_EQ(leader_draw_budget(7, 0), 1u);
+}
+
+TEST(DprbgTest, DefaultReserveSurvivesCrashedLeaderRuns) {
+  // Player 6 crashed, M=4: a refill every ~2 draws. Under the former
+  // fixed reserve of 6, five straight leader draws on player 6 emptied
+  // the pool at draw 320 of this seed and every later draw was nullopt.
+  // The derived reserve covers 23 such draws.
+  const int n = 7, t = 1, draws = 1000;
+  DPrbg<F>::Options opts;
+  opts.batch_size = 4;
+  const auto run = run_prbg(n, t, 52, draws, opts, 32, {6}, nullptr);
+  for (int d = 0; d < draws; ++d) {
+    ASSERT_TRUE(run.streams[0][d].has_value()) << "draw " << d;
+    for (int i = 1; i < 6; ++i) {
+      EXPECT_EQ(run.streams[i][d], run.streams[0][d])
+          << "player " << i << " draw " << d;
+    }
+  }
+  for (int i = 0; i < 6; ++i) EXPECT_FALSE(run.exhausted[i]);
+}
+
+TEST(DprbgTest, ExplicitSmallReserveReachesSeedExhaustion) {
+  // reserve = 3 leaves a refill two leader draws; with player 6 crashed
+  // both land on it with probability 1/49, and then the pool is empty.
+  // Exhaustion is terminal, unanimous and counted once per player.
+  const int n = 7, t = 1, draws = 2300, dies_at = 2256;
+  DPrbg<F>::Options opts;
+  opts.batch_size = 64;
+  opts.reserve = 3;
+  metrics().reset();
+  set_telemetry_enabled(true);
+  const auto run = run_prbg(n, t, 99, draws, opts, 32, {6}, nullptr);
+  const MetricsSnapshot snap = metrics().snapshot();
+  set_telemetry_enabled(false);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_TRUE(run.exhausted[i]) << "player " << i;
+    for (int d = 0; d < draws; ++d) {
+      ASSERT_EQ(run.streams[i][d].has_value(), d < dies_at)
+          << "player " << i << " draw " << d;
+    }
+    EXPECT_EQ(run.streams[i], run.streams[0]) << "player " << i;
+  }
+  EXPECT_EQ(snap.sum_values("dprbg_seed_exhausted_total"), 6);
 }
 
 }  // namespace

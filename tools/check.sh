@@ -36,12 +36,13 @@ echo "=== [check] cost-regression budgets (trace_budget_test) ==="
 ./build/tests/trace_budget_test
 
 echo "=== [check] pipelined Coin-Gen smoke (bench/pipeline) ==="
-# Smoke run of E16: depth 1 must match the serial loop bit-for-bit
-# ("serial_match": "yes") and no envelope may cross batches (stale 0).
+# Smoke run of E16: every depth must match the pipeline's schedule run as
+# a serial loop bit-for-bit ("serial_match": "yes"; the bench exits 1 on
+# any mismatch) and no envelope may cross batches (stale 0).
 pipeline_out="$(./build/bench/pipeline --json --smoke)"
 echo "$pipeline_out"
 echo "$pipeline_out" | grep -q '"serial_match": "yes"' || {
-  echo "check.sh: pipeline depth-1 diverged from the serial loop" >&2
+  echo "check.sh: pipeline diverged from the serial schedule" >&2
   exit 1
 }
 if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
@@ -79,14 +80,15 @@ DPRBG_FORCE_SCALAR=1 ./build/tests/reed_solomon_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gradecast_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
-# E20 smoke: at every swept M, depth 1 must match the serial loop
-# bit-for-bit and no envelope may cross batches. The bench exits 1
-# itself on violations; the greps below double-check the markers.
+# E20 smoke: at every swept M and depth, the pipeline must match the
+# serial schedule bit-for-bit and no envelope may cross batches. The
+# bench exits 1 itself on violations; the greps below double-check the
+# markers.
 sweep_out="$(./build/bench/pipeline --json --smoke --sweep-M)"
 echo "$sweep_out"
 if echo "$sweep_out" | grep '"serial_match"' | grep -v '"serial_match": "n/a"' \
     | grep -qv '"serial_match": "yes"'; then
-  echo "check.sh: M-sweep depth-1 diverged from the serial loop" >&2
+  echo "check.sh: M-sweep diverged from the serial schedule" >&2
   exit 1
 fi
 if echo "$sweep_out" | grep '"stale"' | grep -qv '"stale": 0'; then
@@ -173,10 +175,12 @@ echo "=== [check] TCP stress (tcp_cluster_test x20) ==="
 # more on a base port 10007 away.
 #
 # node_smoke DIR BASE_PORT: runs the three nodes; returns 0 when all exit
-# 0, 3 when some node could not bind its port, 1 otherwise.
+# 0, 3 when some node could not bind its port, 1 otherwise. A node that
+# exits 3 stops the other two at once: they would only wait out their
+# mesh bring-up timeout.
 node_smoke() {
   local dir="$1" base="$2" rc=0 st p i
-  local pids=()
+  local -A live=()
   for i in 0 1 2; do
     echo "127.0.0.1:$((base + i))"
   done > "$dir/roster.txt"
@@ -184,14 +188,19 @@ node_smoke() {
     ./build/tools/dprbg_node --roster="$dir/roster.txt" --id="$i" \
       --batches=1 --m=2 --metrics="$dir/node$i.metrics.jsonl" \
       > "$dir/node$i.out" 2> "$dir/node$i.err" &
-    pids+=($!)
+    live[$!]=1
   done
-  for p in "${pids[@]}"; do
+  while ((${#live[@]})); do
     st=0
-    wait "$p" || st=$?
+    wait -n -p p "${!live[@]}" || st=$?
+    unset "live[$p]"
     if [[ "$st" == 3 ]]; then
-      rc=3
-    elif [[ "$st" != 0 && "$rc" == 0 ]]; then
+      if ((${#live[@]})); then
+        kill "${!live[@]}" 2>/dev/null || true
+        wait "${!live[@]}" 2>/dev/null || true
+      fi
+      return 3
+    elif [[ "$st" != 0 ]]; then
       rc=1
     fi
   done

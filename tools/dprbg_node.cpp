@@ -23,7 +23,7 @@
 //   --seed=N        shared determinism seed (default 4242)
 //   --m=N           coins per batch (default 4)
 //   --batches=N     Coin-Gen batches to mint (default 2)
-//   --depth=N       pipeline depth (default 2)
+//   --depth=N       pipeline depth, >= 1 (default 2)
 //   --connect-wait-ms=N  mesh bring-up timeout (default 15000)
 //   --metrics=FILE  enable telemetry; write the registry snapshot here
 //
@@ -134,7 +134,7 @@ bool parse_flags(int argc, char** argv, NodeConfig* cfg) {
       return false;
     }
   }
-  return !cfg->roster_path.empty() && cfg->id >= 0;
+  return !cfg->roster_path.empty() && cfg->id >= 0 && cfg->depth >= 1;
 }
 
 }  // namespace
@@ -208,10 +208,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "dprbg_node: mesh up (port %u), minting %u batches\n",
                node.listen_port(), cfg.batches);
 
-  // Genesis sizing mirrors bench/pipeline: challenge + expected-O(1) BA
-  // iterations per batch, with slack.
+  // Genesis sizing mirrors bench/pipeline: every batch's full charge
+  // (challenge + kLeaderCoins leader draws), with slack.
   auto genesis = trusted_dealer_coins<F>(
-      n, t, static_cast<int>(4 * cfg.batches + 8), cfg.seed);
+      n, t, static_cast<int>((1 + kLeaderCoins) * cfg.batches + 8),
+      cfg.seed);
 
   bool ok = true;
   unsigned exposed = 0;
