@@ -7,7 +7,8 @@
 //  * Theorem 2 / Corollary 3: "the amortized cost of computation per coin
 //    in {0,1} is O(n log k) operations, and the amortized communication
 //    is n + O(n^4/M) bits" — communication per coin falls with M toward
-//    the n-bit floor, with the O(n^4) BA/grade-cast term amortized away.
+//    the n-bit floor, with the O(n^4) BA/grade-cast term amortized away
+//    (O(n^3) here: only the elected leader grade-casts, DESIGN.md §18).
 
 #include <chrono>
 #include <cstdio>
@@ -29,7 +30,7 @@ using bench::fmt;
 struct Row {
   FieldCounters ops;  // representative player
   CommCounters comm;
-  std::uint64_t gradecast_bytes = 0;  // Coin-Gen steps 7-8, all players
+  std::uint64_t gradecast_bytes = 0;  // the leader's grade-cast, all players
   FaultCounters faults;  // all-zero unless a FaultInjector is attached
   double wall_ms = 0;
   std::size_t clique = 0;
@@ -96,12 +97,12 @@ int main(int argc, char** argv) {
       const double bits = double(m) * F::kBits;
       // Corollary 3 shape: per binary coin, n^2 bits of dealing traffic
       // plus the run-constant term amortized over Mk bits. The constant
-      // is dominated by the grade-cast of an n(t+1)k-bit value: n^2
-      // sends of it in round 1, then two echo rounds of n^2 messages of
-      // n dispersed chunks, each 1/c of it with c = n - 3t — in all
-      // n^3 (t+1) k (1 + 2n/c) bits, O(n^4 k) (EXPERIMENTS.md E9).
+      // is dominated by the leader's grade-cast of an n(t+1)k-bit value:
+      // n sends of it in round 1, then two echo rounds of n^2 messages
+      // of one dispersed chunk, 1/c of it with c = n - 3t — in all
+      // n^2 (t+1) k (1 + 2n/c) bits, O(n^3 k) (EXPERIMENTS.md E9).
       const double nd = n;
-      const double gradecast_bits = nd * nd * nd * (t + 1.0) * F::kBits *
+      const double gradecast_bits = nd * nd * (t + 1.0) * F::kBits *
                                     (1.0 + 2.0 * nd / (nd - 3.0 * t));
       const double predicted = (nd * nd + gradecast_bits / bits) / 8.0;
       table.row({fmt(m), row.success ? "yes" : "NO", fmt(row.clique),
@@ -121,7 +122,8 @@ int main(int argc, char** argv) {
       "shape check: bytes/bit decays ~1/M toward the per-coin floor while "
       "the clique stays >= 4t+1 and BA converges in one iteration when "
       "leaders are honest. gc bytes is the Grade-Cast phase's share of "
-      "bytes (steps 7-8, independent of M). The faults column totals "
-      "Cluster::faults() and must be 0 here: no injector is attached.\n");
+      "bytes (the leader's steps 7-8, independent of M). The faults "
+      "column totals Cluster::faults() and must be 0 here: no injector is "
+      "attached.\n");
   return 0;
 }

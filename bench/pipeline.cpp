@@ -104,8 +104,8 @@ RunStats run_depth(unsigned depth, unsigned batches, unsigned rtt_us,
 }
 
 // The pipeline's schedule as a serial loop on the driving thread: batch b
-// runs on stream 1+b against a sub-pool charged 1 + kLeaderCoins coins,
-// whose unspent coins go back to the pool. Same seed, same latency model.
+// runs on stream 1+b against its charge_batch sub-pool, whose unspent
+// coins go back to the pool. Same seed, same latency model.
 RunStats run_serial_reference(unsigned batches, unsigned rtt_us,
                               unsigned m) {
   auto genesis = make_genesis(batches);
@@ -118,9 +118,7 @@ RunStats run_serial_reference(unsigned batches, unsigned rtt_us,
     CoinPool<F> pool;
     for (auto& c : genesis[io.id()]) pool.add(std::move(c));
     for (unsigned b = 0; b < batches; ++b) {
-      CoinPool<F> sub;
-      sub.add_batch(pool.take_batch(
-          std::min<std::size_t>(1 + kLeaderCoins, pool.remaining())));
+      CoinPool<F> sub = charge_batch(pool);
       results[io.id()].push_back(coin_gen<F>(io.instance(1 + b), m, sub));
       if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
     }

@@ -37,7 +37,9 @@ int main() {
       "assumed anywhere\n\n",
       n, t);
 
-  auto genesis = trusted_dealer_coins<F>(n, t, 8, /*seed=*/1234);
+  // Genesis: twice the refill threshold 1 + L (dprbg/dprbg.h).
+  auto genesis = trusted_dealer_coins<F>(
+      n, t, 2 * (1 + leader_draw_budget(n, t)), /*seed=*/1234);
   std::vector<std::vector<std::uint8_t>> delivered(n);
 
   Cluster cluster(n, t, 1234);

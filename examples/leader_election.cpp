@@ -23,7 +23,9 @@ int main() {
   std::printf("leader/committee election demo: n=%d, t=%d, %d epochs\n\n",
               n, t, kEpochs);
 
-  auto genesis = trusted_dealer_coins<F>(n, t, 8, /*seed=*/321);
+  // Genesis: twice the refill threshold 1 + L (dprbg/dprbg.h).
+  auto genesis = trusted_dealer_coins<F>(
+      n, t, 2 * (1 + leader_draw_budget(n, t)), /*seed=*/321);
   std::vector<std::vector<int>> leaders(n);
   std::vector<std::vector<std::vector<int>>> committees(n);
 

@@ -30,6 +30,7 @@
 #include "coin/coin_expose.h"
 #include "coin/coin_gen.h"
 #include "dprbg/coin_pool.h"
+#include "dprbg/dprbg.h"
 #include "dprbg/proactive.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
@@ -47,7 +48,11 @@ int main() {
               "epoch\n\n",
               n, t);
 
-  auto genesis = trusted_dealer_coins<F>(n, t, 8, /*seed=*/7);
+  // Genesis for one Coin-Gen run: its challenge plus L leader draws, so
+  // the run fails with probability <= 2^-64 (dprbg/dprbg.h).
+  const unsigned leader_budget = leader_draw_budget(n, t);
+  auto genesis =
+      trusted_dealer_coins<F>(n, t, 1 + leader_budget, /*seed=*/7);
   std::vector<std::vector<F>> stream(n);
   std::vector<int> refreshes(n, 0);
   bool ok = true;
@@ -58,7 +63,8 @@ int main() {
     for (auto& c : genesis[io.id()]) pool.add(std::move(c));
     // One Coin-Gen run mints the whole campaign's coins up front, plus
     // one refresh-challenge coin per epoch boundary.
-    auto gen = coin_gen<F>(io, kEpochs * (kCoinsPerEpoch + 1), pool);
+    auto gen = coin_gen<F>(io, kEpochs * (kCoinsPerEpoch + 1), pool,
+                           leader_budget);
     if (!gen.success) return;
     auto sealed = gen.sealed_coins(static_cast<unsigned>(io.t()));
 

@@ -27,10 +27,13 @@ int main() {
   std::printf("D-PRBG quickstart: n=%d players, t=%d faults, k=%u bits\n\n",
               n, t, F::kBits);
 
-  // Once-only trusted genesis: 8 sealed coins.
-  auto genesis = trusted_dealer_coins<F>(n, t, /*count=*/8, /*seed=*/2026);
+  // Once-only trusted genesis: twice the refill threshold 1 + L, so the
+  // first refill, like every later one, holds all L leader draws that
+  // bound its failure probability by 2^-64 (dprbg/dprbg.h).
+  const int genesis_coins = 2 * (1 + leader_draw_budget(n, t));
+  auto genesis = trusted_dealer_coins<F>(n, t, genesis_coins, /*seed=*/2026);
 
-  const int kDraws = 20;
+  const int kDraws = 40;
   std::vector<std::vector<F>> stream(n);
   Cluster cluster(n, t, /*seed=*/2026);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {

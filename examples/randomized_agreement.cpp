@@ -30,7 +30,9 @@ int main() {
       "the D-PRBG\n\n",
       n, t);
 
-  auto genesis = trusted_dealer_coins<F>(n, t, 8, /*seed=*/42);
+  // Genesis: twice the refill threshold 1 + L (dprbg/dprbg.h).
+  auto genesis = trusted_dealer_coins<F>(
+      n, t, 2 * (1 + leader_draw_budget(n, t)), /*seed=*/42);
   std::vector<int> inputs = {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
   std::vector<int> decisions(n, -1);
   std::vector<unsigned> phases(n, 0), coins(n, 0);

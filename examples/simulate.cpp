@@ -144,7 +144,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto genesis = trusted_dealer_coins<F>(o.n, o.t, 8, o.seed);
+  // Genesis: twice the refill threshold, so the first refill holds as
+  // many leader draws as every later one.
+  const unsigned trigger = o.reserve.value_or(
+      1 + leader_draw_budget(static_cast<unsigned>(o.n),
+                             static_cast<unsigned>(o.t)));
+  auto genesis = trusted_dealer_coins<F>(o.n, o.t, 2 * trigger, o.seed);
   std::vector<std::vector<std::optional<F>>> streams(o.n);
   std::uint64_t refills = 0, seed_spent = 0;
   std::size_t pool_left = 0;

@@ -100,7 +100,7 @@ inline int envelope_header_one(const std::uint8_t* data, std::size_t size) {
 // --- protocol decoders ----------------------------------------------------
 //
 // One dispatching target over every length-validated protocol decoder:
-// the Grade-Cast echo batch, the Coin-Gen clique message, the Bit-Gen
+// the Grade-Cast echo chunk, the Coin-Gen clique message, the Bit-Gen
 // combination batch, the field-element row, the defensive ByteReader
 // itself, the Reed–Solomon dispersal codec, and the syndrome-first
 // decoder against berlekamp_welch. data[0] selects the decoder, data[1]
@@ -114,21 +114,16 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
   constexpr std::size_t kMaxValue = 1u << 10;
   switch (sel) {
     case 0: {
-      // Low nibble: n; high nibble: the code dimension c <= n.
-      const int n = 1 + param % 16;
-      const unsigned c = 1 + (param >> 4) % static_cast<unsigned>(n);
-      const auto decoded =
-          gradecast_detail::decode_echoes(body, n, c, kMaxValue);
+      // High nibble: the code dimension c - 1.
+      const unsigned c = 1 + (param >> 4);
+      const auto decoded = gradecast_detail::decode_echo(body, c, kMaxValue);
       if (decoded) {
-        FUZZ_CHECK(static_cast<int>(decoded->size()) == n);
-        for (const auto& chunk : *decoded) {
-          if (!chunk) continue;
-          FUZZ_CHECK(chunk->length <= kMaxValue);
-          FUZZ_CHECK(chunk->symbols.size() == rs_stripes(chunk->length, c));
-        }
-        // The layout is canonical: every accepted batch re-encodes to
+        FUZZ_CHECK(decoded->length <= kMaxValue);
+        FUZZ_CHECK(decoded->symbols.size() ==
+                   rs_stripes(decoded->length, c));
+        // The layout is canonical: every accepted chunk re-encodes to
         // exactly the bytes it was decoded from.
-        const auto re = gradecast_detail::encode_echoes(*decoded);
+        const auto re = gradecast_detail::encode_echo(*decoded);
         FUZZ_CHECK(re.size() == body.size());
         for (std::size_t i = 0; i < re.size(); ++i) {
           FUZZ_CHECK(re[i] == body[i]);

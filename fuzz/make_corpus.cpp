@@ -136,23 +136,20 @@ int main(int argc, char** argv) {
       out.insert(out.end(), body.begin(), body.end());
       return out;
     };
-    // Grade-Cast echo chunks, n == 4 and c == 2 (param 0x13: low nibble
-    // 3 -> n = 1 + 3, high nibble 1 -> c = 1 + 1), as echoer 3 sends them.
+    // Grade-Cast echo chunks at c == 2 (param 0x13: high nibble 1 ->
+    // c = 1 + 1), as echoer 3 of n == 4 sends them: a 24-byte value, the
+    // empty value, and a body too short for the length it claims.
     {
       const dprbg::ReedSolomon rs(4, 2);
-      auto chunk = [&](const std::vector<std::uint8_t>& value) {
-        return dprbg::gradecast_detail::EchoChunk{
-            value.size(), rs.symbol(rs.pack(value), 3)};
-      };
-      std::vector<dprbg::gradecast_detail::MaybeChunk> echoes(4);
-      echoes[0] = chunk({0xAA, 0xBB});
-      echoes[2] = chunk({});
-      echoes[3] = chunk(std::vector<std::uint8_t>(24, 0x42));
+      const std::vector<std::uint8_t> value(24, 0x42);
+      const dprbg::gradecast_detail::EchoChunk chunk{
+          value.size(), rs.symbol(rs.pack(value), 3)};
       write_seed(dir, "echoes",
                  with_prefix(0, 0x13,
-                             dprbg::gradecast_detail::encode_echoes(echoes)));
+                             dprbg::gradecast_detail::encode_echo(chunk)));
     }
-    write_seed(dir, "echoes_short", with_prefix(0, 0x13, {0, 0, 0}));
+    write_seed(dir, "echoes_empty", with_prefix(0, 0x13, {0}));
+    write_seed(dir, "echoes_short", with_prefix(0, 0x13, {9, 0, 0}));
     // Dispersal codec: a 19-byte value at n == 7, c == 4 (param 0x36).
     write_seed(dir, "rs_codec",
                with_prefix(5, 0x36,

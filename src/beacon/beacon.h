@@ -26,9 +26,9 @@
 // interleave in wall-clock. Each committee runs its batches through
 // pipelined_coin_gen, whose schedule is depth-invariant (batch b on
 // committee-local stream 1+b with a charged sub-pool); the genesis pool
-// holds exactly batches * (1 + kLeaderCoins) coins, so every batch's
-// charge is the same contiguous pool block at any depth (returned unspent
-// coins land at the pool's tail and are never re-charged).
+// holds batches * (1 + kLeaderCoins) coins, so every batch takes its
+// challenge and first leader coin from the same front block at any depth
+// (spare leader coins cycle at the pool's back, charge_batch).
 //
 // Failover (beacon_failover.h, DESIGN.md §11): every batch launch and
 // every exposure passes through a shared HealthBoard whose verdicts are

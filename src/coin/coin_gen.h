@@ -5,18 +5,26 @@
 //
 //   1-3. Act as dealer of a Bit-Gen batch; participate in everyone
 //        else's instance, all with the same exposed challenge r.
-//   4-5. Build the mutual-verification graph G: edge (j,k) when each of
-//        j,k holds a share satisfying the other's decoded combination
-//        polynomial.
-//   6.   Find a clique C of size >= n - 2t (matching approximation).
-//   7-8. Grade-Cast (C_i, {F_j}_{j in C_i}); record everyone's clique and
-//        confidence.
+//   Then, per iteration:
 //   9.   l <- Coin-Expose(seed coin) mod n  (leader selection).
+//   4-6. Leader l only: build the mutual-verification graph G (edge
+//        (j,k) when each of j,k holds a share satisfying the other's
+//        decoded combination polynomial) and find a clique C_l of size
+//        >= n - 2t (matching approximation).
+//   7-8. Grade-Cast (C_l, {F_j}_{j in C_l}) from sender l; record its
+//        confidence conf_l.
 //   10.  Run BA with input 1 iff (i) conf_l = 2, (ii) |C_l| >= n - 2t,
 //        and (iii) >= 3t + 1 members of C_l hold shares satisfying F_k
 //        for every k in C_l (checked against this player's own copy of
 //        the combination shares, which were sent to everyone).
 //   11.  If BA decides 1, output C_l; otherwise repeat from step 9.
+//
+// Fig. 5 has every player grade-cast its clique before the leader is
+// drawn; only the leader's is ever read, so here only the leader's is
+// computed and sent. The coins are the same (the leader runs the same
+// deterministic clique search on the same graph); the argument is in
+// DESIGN.md §18. A retry costs 1 + 3 + 2(t+1) rounds instead of
+// 1 + 2(t+1).
 //
 // Expected O(1) iterations (Lemma 8): a repeat requires the coin-selected
 // leader to be faulty, probability <= t/n per iteration.
@@ -153,6 +161,47 @@ std::optional<CliqueMsg<F>> decode_clique_msg(
   return msg;
 }
 
+// Steps 4-6, run by the elected leader. Step 4-5: the mutual-
+// verification graph. Directed edge j -> k when instance j decoded and
+// k's combination share fits; G keeps mutual edges. Every honest pair is
+// connected: both decode (>= n - t honest combos agree) and both sent
+// fitting shares. Step 6: a clique of size >= n - 2t (find_large_clique
+// guarantees that bound only when the complement's cover is <= t; with
+// more faults the found clique may be smaller — condition (ii) catches
+// it).
+template <FiniteField F, NetEndpoint Io>
+std::vector<int> leader_clique(Io& io,
+                               const std::vector<BitGenView<F>>& views) {
+  const int n = io.n();
+  TraceSpan graph_span(io, "coin-gen", "graph");
+  Graph g(n);
+  for (int j = 0; j < n; ++j) {
+    const auto& vj = views[j];
+    if (!vj.poly) continue;
+    for (int k = j + 1; k < n; ++k) {
+      const auto& vk = views[k];
+      if (!vk.poly) continue;
+      const auto j_has_k = vj.combos.find(k);
+      const auto k_has_j = vk.combos.find(j);
+      const bool jk = j_has_k != vj.combos.end() &&
+                      (*vj.poly)(eval_point<F>(k)) == j_has_k->second;
+      const bool kj = k_has_j != vk.combos.end() &&
+                      (*vk.poly)(eval_point<F>(j)) == k_has_j->second;
+      if (jk && kj) {
+        g.add_edge(j, k);
+        if (tracer().enabled()) {
+          trace_point("coin-gen", "edge", io.id(), io.rounds(),
+                      "j=" + std::to_string(j) + " k=" + std::to_string(k),
+                      io.stream(), io.committee());
+        }
+      }
+    }
+  }
+  graph_span.close();
+  TraceSpan clique_span(io, "coin-gen", "clique");
+  return find_large_clique(g);
+}
+
 }  // namespace coin_gen_detail
 
 // Generates M sealed coins. All players call in lockstep; seed coins are
@@ -179,80 +228,51 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
                            /*instance=*/0);
   deal_span.close();
 
-  // Steps 4-5: the mutual-verification graph. Directed edge j -> k when
-  // instance j decoded and k's combination share fits; G keeps mutual
-  // edges. Every honest pair is connected: both decode (>= n - t honest
-  // combos agree) and both sent fitting shares.
-  TraceSpan graph_span(io, "coin-gen", "graph");
-  Graph g(n);
-  for (int j = 0; j < n; ++j) {
-    const auto& vj = bg.views[j];
-    if (!vj.poly) continue;
-    for (int k = j + 1; k < n; ++k) {
-      const auto& vk = bg.views[k];
-      if (!vk.poly) continue;
-      const auto j_has_k = vj.combos.find(k);
-      const auto k_has_j = vk.combos.find(j);
-      const bool jk = j_has_k != vj.combos.end() &&
-                      (*vj.poly)(eval_point<F>(k)) == j_has_k->second;
-      const bool kj = k_has_j != vk.combos.end() &&
-                      (*vk.poly)(eval_point<F>(j)) == k_has_j->second;
-      if (jk && kj) {
-        g.add_edge(j, k);
-        if (tracer().enabled()) {
-          trace_point("coin-gen", "edge", io.id(), io.rounds(),
-                      "j=" + std::to_string(j) + " k=" + std::to_string(k),
-                      io.stream(), io.committee());
-        }
-      }
-    }
-  }
-  graph_span.close();
-
-  // Step 6: clique of size >= n - 2t. (find_large_clique guarantees that
-  // bound only when the complement's cover is <= t; with more faults the
-  // found clique may be smaller — condition (ii) below catches it.)
-  TraceSpan clique_span(io, "coin-gen", "clique");
-  const std::vector<int> my_clique = find_large_clique(g);
-  clique_span.close();
-
-  // Steps 7-8: grade-cast cliques + combined polynomials.
-  TraceSpan gc_span(io, "coin-gen", "gradecast");
-  const auto gc = grade_cast_all(
-      io, coin_gen_detail::encode_clique_msg<F>(my_clique, bg.views, t));
-  gc_span.close();
-
-  // Steps 9-11: leader selection + BA, repeated until BA decides 1.
+  // Steps 9-11, with steps 4-8 moved behind the leader draw (a deviation
+  // from Fig. 5, DESIGN.md §18): expose the leader coin, let the leader
+  // alone find its clique and grade-cast it, vote, run BA; repeat until
+  // BA decides 1.
   const unsigned clique_min = static_cast<unsigned>(n) - 2 * t;
   for (unsigned iter = 0; iter < max_iterations; ++iter) {
     if (pool.empty()) return result;
     const SealedCoin<F> leader_coin = pool.take();
     ++result.seed_coins_used;
     ++result.iterations;
-    TraceSpan leader_span(io, "coin-gen", "leader",
-                          tracer().enabled()
-                              ? "iter=" + std::to_string(iter)
-                              : std::string{});
+    const std::string iter_detail =
+        tracer().enabled() ? "iter=" + std::to_string(iter) : std::string{};
+    TraceSpan leader_span(io, "coin-gen", "leader", iter_detail);
     const std::optional<F> leader_val =
         coin_expose<F>(io, leader_coin, /*instance=*/1 + iter);
     leader_span.close();
     // A failed exposure cannot happen within the fault bounds; treat it
-    // as a faulty leader (everyone votes 0 — still unanimous).
+    // as a faulty leader (nobody grade-casts, everyone votes 0 — still
+    // unanimous).
     const int l = leader_val.has_value()
                       ? static_cast<int>(leader_val->to_uint() %
                                          static_cast<std::uint64_t>(n))
                       : -1;
 
+    // Steps 4-8, leader only: find a clique in the verification graph
+    // and grade-cast (C_l, {F_j}_{j in C_l}).
+    std::vector<std::uint8_t> package;
+    if (l == io.id()) {
+      package = coin_gen_detail::encode_clique_msg<F>(
+          coin_gen_detail::leader_clique<F>(io, bg.views), bg.views, t);
+    }
+    TraceSpan gc_span(io, "coin-gen", "gradecast", iter_detail);
+    const GradeCastResult gc = grade_cast(io, l, package, /*instance=*/iter);
+    gc_span.close();
+
     int my_vote = 0;
     std::optional<coin_gen_detail::CliqueMsg<F>> msg;
-    if (l >= 0 && gc[l].confidence >= 1) {
-      msg = coin_gen_detail::decode_clique_msg<F>(gc[l].value, n, t);
+    if (gc.confidence >= 1) {
+      msg = coin_gen_detail::decode_clique_msg<F>(gc.value, n, t);
       // The grade-cast carried a value but it is not a well-formed clique
       // message: the leader itself authored garbage.
       if (!msg) io.note_decode_failure(l);
     }
-    if (msg && gc[l].confidence == 2 &&                      // (i)
-        msg->clique.size() >= clique_min) {                  // (ii)
+    if (msg && gc.confidence == 2 &&                  // (i)
+        msg->clique.size() >= clique_min) {           // (ii)
       // (iii): count dealers j in C_l whose combination shares (as *I*
       // received them in Bit-Gen step 3) satisfy F_k for every k in C_l.
       unsigned good = 0;
@@ -272,9 +292,7 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
       if (good >= 3 * t + 1) my_vote = 1;
     }
 
-    TraceSpan ba_span(io, "coin-gen", "ba",
-                      tracer().enabled() ? "iter=" + std::to_string(iter)
-                                         : std::string{});
+    TraceSpan ba_span(io, "coin-gen", "ba", iter_detail);
     const int decision = ba(io, my_vote, /*instance=*/iter);
     ba_span.close();
     if (decision != 1) continue;

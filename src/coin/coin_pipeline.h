@@ -15,18 +15,22 @@
 // with its own charged sub-pool. Launch batches 0..D-1, then on joining
 // batch b launch batch b+D; batches complete and are drained strictly in
 // order (identical at every player, which keeps the streams
-// deadlock-free). Depth changes only how many batches overlap, never a
-// transcript: every batch sees the same stream, rng and sub-pool at any
-// depth, as long as the pool covers every batch's full charge (returned
-// coins land at its tail, behind the coins still to be charged).
+// deadlock-free). Depth changes only how many batches overlap, not a
+// batch whose first leader is honest: it sees the same stream, rng,
+// challenge and leader coin at any depth, as long as the pool's front
+// never reaches the spare coins at its back.
 //
 // Seed-coin accounting: the pool must be touched only from the driving
 // thread in a canonical order (honest pools are index-aligned across
-// players). Each batch is charged an up-front sub-pool of
-// min(1 + kLeaderCoins, pool.remaining()) coins at launch; unspent coins
-// return to the pool when the batch is joined. Both happen in launch /
-// join order, so pool alignment is preserved no matter how the batches
-// interleave in wall-clock.
+// players). Each batch is charged min(1 + kLeaderCoins, pool.remaining())
+// coins at launch (charge_batch): its challenge and first leader coin
+// from the pool's front, its spare leader coins from the back, where
+// unspent coins return when the batch is joined. An honest-leader batch
+// so advances the front by exactly the two coins it exposed, and which
+// leader a batch elects does not depend on the pool's length (the leader
+// alone grade-casts, so per-stream ledgers show who led; DESIGN.md §18).
+// Charges and returns happen in launch / join order, so pool alignment
+// is preserved no matter how the batches interleave in wall-clock.
 
 #pragma once
 
@@ -56,6 +60,19 @@ namespace dprbg {
 // <= (t/n)^kLeaderCoins; a failed batch is wasted, not fatal, and the
 // caller's refill loop retries it (DESIGN.md §10).
 inline constexpr unsigned kLeaderCoins = 3;
+
+// A batch's seed-coin charge, min(1 + kLeaderCoins, pool.remaining())
+// coins: its challenge and first leader coin from the front of `pool`,
+// then its spare leader coins from the back.
+template <FiniteField F>
+CoinPool<F> charge_batch(CoinPool<F>& pool) {
+  CoinPool<F> charge;
+  charge.add_batch(
+      pool.take_batch(std::min<std::size_t>(2, pool.remaining())));
+  charge.add_batch(pool.take_back_batch(
+      std::min<std::size_t>(kLeaderCoins - 1, pool.remaining())));
+  return charge;
+}
 
 struct PipelineOptions {
   // In-flight window: how many Coin-Gen batches overlap (>= 1).
@@ -149,9 +166,7 @@ PipelineResult<F> pipelined_coin_gen(Io& io, unsigned m,
 
   auto launch = [&](unsigned b) {
     InFlight& fl = flight[b];
-    const std::size_t charge =
-        std::min<std::size_t>(1 + kLeaderCoins, pool.remaining());
-    fl.subpool.add_batch(pool.take_batch(charge));
+    fl.subpool = charge_batch(pool);
     const std::uint32_t stream = opts.first_batch_id + b;
     if (tel_on) fl.launched_at = TelemetryClock::now();
     Histogram* const gen_us = tel.gen_us;

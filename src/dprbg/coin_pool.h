@@ -3,8 +3,10 @@
 //
 // Every honest player holds a structurally identical pool (same coins in
 // the same order; only the share values differ), and all honest players
-// consume coins in lockstep FIFO order — the pool index doubles as the
-// Coin-Expose instance tag, so concurrent exposures never cross wires.
+// take coins in the same lockstep order (from the front, and for the
+// pipeline's spare leader coins from the back) — the take count doubles
+// as the Coin-Expose instance tag, so concurrent exposures never cross
+// wires.
 
 #pragma once
 
@@ -82,6 +84,21 @@ class CoinPool {
     out.assign(std::make_move_iterator(coins_.begin()),
                std::make_move_iterator(end));
     coins_.erase(coins_.begin(), end);
+    consumed_ += m;
+    note_take(m);
+    return out;
+  }
+
+  // Pops the last m coins at once, in pool order, so that add_batch() of
+  // the same run restores the pool. consumed() advances by m. The
+  // pipeline charges a batch's spare leader coins from the back
+  // (coin/coin_pipeline.h).
+  std::vector<SealedCoin<F>> take_back_batch(std::size_t m) {
+    DPRBG_CHECK(m <= coins_.size());
+    const auto begin = coins_.end() - static_cast<std::ptrdiff_t>(m);
+    std::vector<SealedCoin<F>> out(std::make_move_iterator(begin),
+                                   std::make_move_iterator(coins_.end()));
+    coins_.erase(begin, coins_.end());
     consumed_ += m;
     note_take(m);
     return out;

@@ -15,10 +15,11 @@
 // endless, as bits are generated upon demand", Section 1.4).
 //
 // "Never ends" holds up to a bound: the default reserve covers
-// L = leader_draw_budget(n, t) leader draws, so a refill fails with
-// probability <= 2^-64. A refill that fails with an empty pool leaves the
-// generator seed_exhausted() for good; only a new genesis (Fig. 1's
-// "initial seed") revives it.
+// L = leader_draw_budget(n, t) leader draws at any pipeline depth
+// (refill_trigger), so a refill fails with probability <= 2^-64. A
+// refill that fails with an empty pool leaves the generator
+// seed_exhausted() for good; only a new genesis (Fig. 1's "initial
+// seed") revives it.
 //
 // All honest players drive their DPrbg instances in lockstep (same call
 // sequence); the pools stay structurally identical, so refills trigger at
@@ -77,6 +78,37 @@ inline unsigned leader_draw_budget(unsigned n, unsigned t) {
   return l;
 }
 
+// The default refill trigger: the smallest pool level from which the
+// pool can only run dry after `leader_budget` (L) leader draws have all
+// landed on faulty players. At depth 1 that is 1 + L: one serial Coin-Gen
+// run holds the challenge and L draws. At depth D > 1 every pass is one
+// window of D batches, each charged min(1 + kLeaderCoins, remaining)
+// coins: a challenge, then a leader draw per further coin. A pass whose
+// every draw is faulty spends all it was charged and mints nothing; the
+// pass ends the refill and the caller's draw takes one more coin before
+// the next pass. So a fully failed pass plus that draw costs
+// D(1 + kLeaderCoins) + 1 coins for D * kLeaderCoins leader draws, and
+// the last pass, which empties the pool, yields one draw per coin beyond
+// each batch's challenge.
+inline std::size_t refill_trigger(unsigned leader_budget, unsigned depth) {
+  DPRBG_CHECK(depth >= 1);
+  if (depth == 1) return std::size_t{1} + leader_budget;
+  const std::size_t charge = std::size_t{1} + kLeaderCoins;
+  const std::size_t cycle = depth * charge + 1;
+  const std::size_t cycle_draws = std::size_t{depth} * kLeaderCoins;
+  // Draws of the last pass from a pool of p <= depth * charge coins.
+  const auto last_pass = [&](std::size_t p) {
+    return p / charge * kLeaderCoins + (p % charge > 0 ? p % charge - 1 : 0);
+  };
+  // Full cycles first; the last pass supplies the other 1..D*kLeaderCoins.
+  const std::size_t cycles =
+      leader_budget == 0 ? 0 : (leader_budget - 1) / cycle_draws;
+  const std::size_t left = leader_budget - cycles * cycle_draws;
+  std::size_t p = 0;
+  while (last_pass(p) < left) ++p;
+  return cycles * cycle + p;
+}
+
 template <FiniteField F>
 class DPrbg {
  public:
@@ -84,9 +116,11 @@ class DPrbg {
     // M: sealed coins minted per Coin-Gen run. Soundness degrades as M/p
     // (Lemma 3), so M can be "exponentially large" in k = F::kBits.
     unsigned batch_size = 64;
-    // Refill when the pool drops to this level. Unset: 1 + L with L =
-    // leader_draw_budget(n, t), one challenge plus every leader draw a
-    // serial Coin-Gen run may make. An explicit value is used as given.
+    // Refill when the pool drops to this level. Unset:
+    // refill_trigger(L, pipeline_depth) with L = leader_draw_budget(n, t),
+    // 1 + L at depth 1 (one challenge plus every leader draw a serial
+    // Coin-Gen run may make). At depth > 1 the trigger is at least one
+    // window's charge, depth * (1 + kLeaderCoins).
     std::optional<unsigned> reserve;
     // Refill pipelining: how many Coin-Gen batches a refill keeps in
     // flight (>= 1). 1 (the default) is the paper's serial refill on the
@@ -197,9 +231,10 @@ class DPrbg {
   // new coins", Section 1.2). Each pass is one serial coin_gen run on the
   // caller's stream with the whole pool (depth 1, the paper's refill) or
   // one pipelined window (depth > 1). A window charges its batches up
-  // front, so the trigger grows to cover a full window's charge. A pass
-  // that mints nothing ends the refill; if it left the pool empty, the
-  // seed is exhausted.
+  // front, so the default trigger (refill_trigger) counts those charges
+  // and the draws served between failed passes. A pass that mints
+  // nothing ends the refill; if it left the pool empty, the seed is
+  // exhausted.
   template <NetEndpoint Io>
   void maybe_refill(Io& io) {
     if (leader_budget_ == 0) {
@@ -207,7 +242,8 @@ class DPrbg {
                                           static_cast<unsigned>(io.t()));
     }
     const unsigned depth = opts_.pipeline_depth;
-    std::size_t trigger = opts_.reserve.value_or(1 + leader_budget_);
+    std::size_t trigger =
+        opts_.reserve.value_or(refill_trigger(leader_budget_, depth));
     if (depth > 1) {
       trigger = std::max<std::size_t>(trigger,
                                       std::size_t{depth} * (1 + kLeaderCoins));

@@ -9,7 +9,7 @@
 //   crash            — send nothing, ever (the Cluster's default).
 //   sleeper          — behave honestly for a while, then crash. The
 //                      end-to-end shape (a Coin-Gen dealer that completes
-//                      Bit-Gen honestly and dies before grade-cast) is
+//                      Bit-Gen honestly and dies before the leader draw) is
 //                      exercised by AdversaryLibTest.CoinGenDealerCrashes
 //                      MidProtocol.
 //   silent           — participate in every barrier but never send

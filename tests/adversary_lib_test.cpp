@@ -110,9 +110,9 @@ TEST(AdversaryLibTest, SilentAdversaryIsOmissionNotCrash) {
 
 TEST(AdversaryLibTest, CoinGenDealerCrashesMidProtocol) {
   // A dealer that runs Coin-Gen's steps 1-3 (its own Bit-Gen instance,
-  // honestly) and then dies *before* the grade-cast of cliques — the
-  // nastiest crash point: its instance decodes everywhere and may appear
-  // in honest cliques, but it never announces a clique of its own and
+  // honestly) and then dies *before* the leader draw — the nastiest
+  // crash point: its instance decodes everywhere and may appear in
+  // honest cliques, but it never grade-casts a clique if elected and
   // never votes. Honest players must still agree, and with only this one
   // fault (t = 1) the run must succeed.
   const int n = 7;
@@ -133,7 +133,7 @@ TEST(AdversaryLibTest, CoinGenDealerCrashesMidProtocol) {
     const unsigned m_total = m + 1;
     const auto my_polys = PolyBlock<F>::random(m_total, t, io.rng());
     bit_gen_all<F>(io, my_polys, m_total, t, challenge, /*instance=*/0);
-    // ...and crash here, before grade_cast_all.
+    // ...and crash here, before the leader draw and its grade-cast.
   }};
 
   Cluster cluster(n, static_cast<int>(t), seed);

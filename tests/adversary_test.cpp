@@ -121,6 +121,7 @@ TEST(AdversaryTest, LyingGradeCaster) {
   // and the loop must retry; otherwise it is ignored. Either way honest
   // players end unanimous. Several seeds exercise both paths.
   const int n = 13, t = 2;
+  int led = 0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     auto genesis = trusted_dealer_coins<F>(n, t, 10, 100 + seed);
     AttackRun run;
@@ -159,6 +160,10 @@ TEST(AdversaryTest, LyingGradeCaster) {
           (void)coin_expose<F>(io, pool.take(), 0);
           // Round 2: silent in combos.
           io.sync();
+          // The leader draw; honest players read the grade-cast below
+          // only when it elected this player.
+          const auto drawn = coin_expose<F>(io, pool.take(), 1);
+          if (drawn && drawn->to_uint() % n == 6) ++led;
           // Grade-cast rounds: fabricate a clique message claiming all of
           // {0..4t} with zero polynomials.
           ByteWriter lie;
@@ -175,6 +180,9 @@ TEST(AdversaryTest, LyingGradeCaster) {
         });
     expect_success_and_unanimity(run, n, 2, {6});
   }
+  // The seeds cover both paths: the liar leads in some runs, not all.
+  EXPECT_GE(led, 1);
+  EXPECT_LT(led, 6);
 }
 
 TEST(AdversaryTest, ProtocolNoiseFuzz) {

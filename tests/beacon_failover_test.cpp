@@ -210,10 +210,11 @@ TEST(BeaconFailoverTest, WallClockMonitorEvictsStalledCommittee) {
 
 // Two hostages of committee 1 (n=7, t=1) delay every outgoing envelope
 // by a round. The cluster's misbehavior manager scores each late
-// envelope against its sender; under its default policy both bans land
-// during batch 1, so the batch-2 launch gate finds the committee past
-// its fault bound and evicts it for misbehavior, leaving the solo
-// committee-0 beacon.
+// envelope against its sender. With two late members no grade-cast
+// reaches confidence 2, so batch 0 spends all kLeaderCoins leader draws
+// (8 rounds each) and both bans land during it: the batch-1 launch gate
+// finds the committee past its fault bound and evicts it for
+// misbehavior, leaving the solo committee-0 beacon.
 TEST(BeaconFailoverTest, MoreThanTBannedMembersEvictCommittee) {
   auto solo_opts = base_options();
   solo_opts.committees = 1;
@@ -246,7 +247,7 @@ TEST(BeaconFailoverTest, MoreThanTBannedMembersEvictCommittee) {
   EXPECT_EQ(beacon.committee(0).banned_members(), 0);
   EXPECT_EQ(out.committees[1].health, CommitteeHealth::kEvicted);
   EXPECT_EQ(out.committees[1].reason, EvictionReason::kMisbehavior);
-  EXPECT_EQ(out.committees[1].evicted_at, 2u);
+  EXPECT_EQ(out.committees[1].evicted_at, 1u);
   EXPECT_TRUE(out.committees[1].coins.empty());
   EXPECT_EQ(out.beacon, ref.beacon);
   for (std::uint32_t mask : out.window_mask) EXPECT_EQ(mask, 0b01u);

@@ -141,9 +141,7 @@ TEST(BeaconTest, SingleCommitteeMatchesRawClusterReference) {
     for (auto& c : genesis[io.id()]) pool.add(std::move(c));
     unsigned idx = 0;
     for (unsigned b = 0; b < opts.batches; ++b) {
-      CoinPool<F> sub;
-      sub.add_batch(pool.take_batch(std::min<std::size_t>(
-          1 + kLeaderCoins, pool.remaining())));
+      CoinPool<F> sub = charge_batch(pool);
       const auto res = coin_gen<F>(io.instance(1 + b), opts.coins_per_batch,
                                    sub, kLeaderCoins);
       if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));

@@ -161,13 +161,18 @@ TEST(ChaosSoakTest, GradeCastBandHoldsUnderFaults) {
   const unsigned t = 2;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE(replay_note(seed));
-    Trial trial(n, t, seed, /*rounds=*/3, /*rate=*/0.15);
+    // Every player grade-casts in turn (sender s at instance s), so the
+    // plan covers all n three-round grade-casts.
+    Trial trial(n, t, seed, /*rounds=*/3 * n, /*rate=*/0.15);
     std::vector<std::vector<GradeCastResult>> results(n);
     trial.cluster.run(
         [&](PartyIo& io) {
           const std::vector<std::uint8_t> mine{
               static_cast<std::uint8_t>(io.id()), 0xA5};
-          results[io.id()] = grade_cast_all(io, mine);
+          for (int s = 0; s < n; ++s) {
+            results[io.id()].push_back(
+                grade_cast(io, s, mine, static_cast<unsigned>(s)));
+          }
         },
         {}, nullptr);
     for (int s = 0; s < n; ++s) {

@@ -15,6 +15,7 @@
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
 #include "net/cluster.h"
+#include "poly/reed_solomon.h"
 
 namespace dprbg {
 namespace {
@@ -72,6 +73,82 @@ void expect_unanimous_coins(const GenRun& run, int n, unsigned m,
           << "player " << i << " coin " << h;
     }
   }
+}
+
+// The player the first leader draw elects: genesis coin 1 (coin 0 is the
+// Bit-Gen challenge) mod n.
+int first_leader(const std::vector<std::vector<SealedCoin<F>>>& genesis,
+                 int n, int t) {
+  std::vector<PointValue<F>> points;
+  for (int i = 0; i < n; ++i) {
+    points.push_back({eval_point<F>(i), *genesis[i][1].share});
+  }
+  const auto secret =
+      rs_decode_at_zero<F>(points, static_cast<unsigned>(t), 0);
+  return static_cast<int>(secret->to_uint() % static_cast<std::uint64_t>(n));
+}
+
+// Coin-Gen whose first leader is faulty: it deals honestly, joins the
+// leader draw, then in iteration 0's Grade-Cast either sends one package
+// to the lower half of the honest players and another (its clique minus
+// one dealer, so a different length) to the rest, or sends nothing. It
+// sends nothing after that. Every honest player must vote 0, retry under
+// a new leader, and end unanimous with equal coins.
+void expect_retry_past_faulty_leader(int n, int t, std::uint64_t seed,
+                                     bool equivocate) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " t=" + std::to_string(t));
+  const unsigned m = 3;
+  const auto genesis = trusted_dealer_coins<F>(n, t, 8, seed);
+  const int leader = first_leader(genesis, n, t);
+  const auto run = run_coin_gen(
+      n, t, seed, m, {leader}, [&](PartyIo& io) {
+        CoinPool<F> pool;
+        for (const auto& c : genesis[io.id()]) pool.add(c);
+        const SealedCoin<F> challenge = pool.take();
+        const auto polys = PolyBlock<F>::random(m + 1, t, io.rng());
+        const auto bg = bit_gen_all<F>(io, polys, m + 1, t, challenge,
+                                       /*instance=*/0);
+        const auto drawn = coin_expose<F>(io, pool.take(), /*instance=*/1);
+        EXPECT_EQ(drawn->to_uint() % static_cast<std::uint64_t>(n),
+                  static_cast<std::uint64_t>(io.id()));
+        if (equivocate) {
+          auto clique = coin_gen_detail::leader_clique<F>(io, bg.views);
+          const auto whole =
+              coin_gen_detail::encode_clique_msg<F>(clique, bg.views, t);
+          clique.pop_back();
+          const auto cut =
+              coin_gen_detail::encode_clique_msg<F>(clique, bg.views, t);
+          int sent = 0;
+          for (int to = 0; to < n; ++to) {
+            if (to == io.id()) continue;
+            io.send(to, make_tag(ProtoId::kGradeCast, 0, 0),
+                    2 * sent++ < n - 1 ? whole : cut);
+          }
+        }
+        io.sync();
+        io.sync();
+        io.sync();
+      });
+  expect_unanimous_coins(run, n, m, {leader});
+  const int ref = leader == 0 ? 1 : 0;
+  for (int i = 0; i < n; ++i) {
+    if (i == leader) continue;
+    EXPECT_GE(run.results[i].iterations, 2u) << "player " << i;
+    EXPECT_EQ(run.results[i].iterations, run.results[ref].iterations)
+        << "player " << i;
+    EXPECT_EQ(run.results[i].qualified, run.results[ref].qualified)
+        << "player " << i;
+  }
+}
+
+TEST(CoinGenTest, EquivocatingLeaderForcesUnanimousRetry) {
+  expect_retry_past_faulty_leader(7, 1, 31, /*equivocate=*/true);
+  expect_retry_past_faulty_leader(13, 2, 32, /*equivocate=*/true);
+}
+
+TEST(CoinGenTest, SilentLeaderForcesUnanimousRetry) {
+  expect_retry_past_faulty_leader(7, 1, 33, /*equivocate=*/false);
+  expect_retry_past_faulty_leader(13, 2, 34, /*equivocate=*/false);
 }
 
 TEST(CoinGenTest, AllHonestSmallSystem) {

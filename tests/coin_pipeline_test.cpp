@@ -97,15 +97,13 @@ PipelineRun run_pipeline(std::uint64_t seed, unsigned batches,
 }
 
 // The pipeline's schedule written out by hand, one batch at a time on the
-// driving thread: batch b runs on stream 1 + b against a sub-pool charged
-// 1 + kLeaderCoins coins, and its unspent coins go back to the pool.
+// driving thread: batch b runs on stream 1 + b against its charge_batch
+// sub-pool, and its unspent coins go back to the pool.
 PipelineResult<F> serial_schedule(PartyIo& io, CoinPool<F>& pool,
                                   unsigned batches) {
   PipelineResult<F> out;
   for (unsigned b = 0; b < batches; ++b) {
-    CoinPool<F> sub;
-    sub.add_batch(pool.take_batch(
-        std::min<std::size_t>(1 + kLeaderCoins, pool.remaining())));
+    CoinPool<F> sub = charge_batch(pool);
     out.batches.push_back(coin_gen<F>(io.instance(1 + b), kM, sub));
     out.seed_coins_used += out.batches.back().seed_coins_used;
     if (!sub.empty()) pool.add_batch(sub.take_batch(sub.remaining()));
@@ -197,6 +195,50 @@ TEST(CoinPipelineTest, Depth1AndSerialCommBitForBit) {
   EXPECT_EQ(serial_comm.messages, piped_comm.messages);
   EXPECT_EQ(serial_comm.bytes, piped_comm.bytes);
   EXPECT_EQ(serial_comm.rounds, piped_comm.rounds);
+}
+
+TEST(CoinPipelineTest, LeadersDoNotDependOnGenesisSize) {
+  // Only the elected leader grade-casts, so each player's per-stream
+  // ledger shows who led. Two runs whose genesis pools differ in length
+  // (one just covering two coins per batch plus the in-flight spares,
+  // one covering every full charge) must charge every batch the same
+  // challenge and leader coin: equal outputs and equal ledgers.
+  const unsigned batches = 12, depth = 2;
+  const auto run = [&](int seed_coins) {
+    auto genesis = trusted_dealer_coins<F>(kN, kT, seed_coins, 77);
+    std::vector<PipelineResult<F>> results(kN);
+    std::vector<std::vector<CommCounters>> sent(kN);
+    Cluster cluster(kN, kT, 77);
+    cluster.run(std::vector<Cluster::Program>(kN, [&](PartyIo& io) {
+      CoinPool<F> pool;
+      for (auto& c : genesis[io.id()]) pool.add(std::move(c));
+      PipelineOptions opts;
+      opts.depth = depth;
+      results[io.id()] = pipelined_coin_gen<F>(io, kM, pool, batches, opts);
+      for (unsigned b = 0; b < batches; ++b) {
+        sent[io.id()].push_back(io.instance(opts.first_batch_id + b).sent());
+      }
+    }));
+    return std::pair{results, sent};
+  };
+  const auto [short_results, short_sent] =
+      run(static_cast<int>(2 * batches + (kLeaderCoins - 1) * depth + 2));
+  const auto [long_results, long_sent] =
+      run(static_cast<int>((1 + kLeaderCoins) * batches + 8));
+  for (int i = 0; i < kN; ++i) {
+    for (unsigned b = 0; b < batches; ++b) {
+      SCOPED_TRACE("player " + std::to_string(i) + " batch " +
+                   std::to_string(b));
+      const auto& s = short_results[i].batches[b];
+      const auto& l = long_results[i].batches[b];
+      ASSERT_TRUE(s.success);
+      ASSERT_TRUE(l.success);
+      EXPECT_EQ(s.coin_shares, l.coin_shares);
+      EXPECT_EQ(s.clique, l.clique);
+      EXPECT_EQ(short_sent[i][b].messages, long_sent[i][b].messages);
+      EXPECT_EQ(short_sent[i][b].bytes, long_sent[i][b].bytes);
+    }
+  }
 }
 
 TEST(CoinPipelineTest, DepthZeroIsRejected) {

@@ -114,6 +114,27 @@ TEST(CoinPoolTest, TakeBatchThenReturnKeepsConsumedAligned) {
   EXPECT_EQ(pool.consumed(), 5u);
 }
 
+TEST(CoinPoolTest, TakeBackBatchThenReturnRestoresPool) {
+  // The pipeline charges spare leader coins from the back; returning them
+  // unspent puts the pool back as it was, while consumed() still only
+  // grows.
+  CoinPool<F> pool;
+  for (std::uint64_t v = 0; v < 6; ++v) {
+    pool.add(SealedCoin<F>{F::from_uint(v), 1});
+  }
+  auto spares = pool.take_back_batch(2);
+  ASSERT_EQ(spares.size(), 2u);
+  EXPECT_EQ(spares[0].share->to_uint(), 4u);
+  EXPECT_EQ(spares[1].share->to_uint(), 5u);
+  EXPECT_EQ(pool.consumed(), 2u);
+  pool.add_batch(std::move(spares));
+  ASSERT_EQ(pool.remaining(), 6u);
+  for (std::uint64_t v = 0; v < 6; ++v) {
+    EXPECT_EQ(pool.coins()[v].share->to_uint(), v);
+  }
+  EXPECT_TRUE(pool.take_back_batch(0).empty());
+}
+
 TEST(TrustedDealerTest, SharesLieOnDegreeTPolynomial) {
   const int n = 9;
   const unsigned t = 2;

@@ -32,15 +32,11 @@ std::vector<std::uint8_t> random_bytes(Chacha& rng, std::size_t len) {
 // message probe different failure edges than pure noise.
 constexpr unsigned kDim = 4;  // n - 3t at n = 7, t = 1
 
-std::vector<std::uint8_t> valid_echoes(int n) {
+std::vector<std::uint8_t> valid_echo(int n) {
   const ReedSolomon rs(n, kDim);
   const std::vector<std::uint8_t> value(40, 3);  // 5 elements, 2 stripes
-  std::vector<gradecast_detail::MaybeChunk> per_sender(n);
-  for (int s = 0; s < n; s += 2) {
-    per_sender[s] = gradecast_detail::EchoChunk{
-        value.size(), rs.symbol(rs.pack(value), s)};
-  }
-  return gradecast_detail::encode_echoes(per_sender);
+  return gradecast_detail::encode_echo(
+      {value.size(), rs.symbol(rs.pack(value), n - 1)});
 }
 
 TEST(DecoderFuzzTest, DecodeEchoesRejectsGarbage) {
@@ -50,44 +46,39 @@ TEST(DecoderFuzzTest, DecodeEchoesRejectsGarbage) {
   for (int iter = 0; iter < 2000; ++iter) {
     const auto bytes = random_bytes(rng, rng.uniform(4 * 5 * n));
     const auto decoded =
-        gradecast_detail::decode_echoes(bytes, n, kDim, kMaxValue);
+        gradecast_detail::decode_echo(bytes, kDim, kMaxValue);
     if (decoded) {
-      // Acceptance is fine only when every chunk respects the cap and
+      // Acceptance is fine only when the chunk respects the cap and
       // holds exactly the stripes its length needs.
-      for (const auto& chunk : *decoded) {
-        if (chunk) {
-          EXPECT_LE(chunk->length, kMaxValue);
-          EXPECT_EQ(chunk->symbols.size(), rs_stripes(chunk->length, kDim));
-        }
-      }
-      EXPECT_EQ(gradecast_detail::encode_echoes(*decoded), bytes);
+      EXPECT_LE(decoded->length, kMaxValue);
+      EXPECT_EQ(decoded->symbols.size(), rs_stripes(decoded->length, kDim));
+      EXPECT_EQ(gradecast_detail::encode_echo(*decoded), bytes);
     }
   }
   // Truncations and oversizings of a valid message must all reject.
-  const auto good = valid_echoes(n);
-  ASSERT_TRUE(gradecast_detail::decode_echoes(good, n, kDim, kMaxValue));
+  const auto good = valid_echo(n);
+  ASSERT_TRUE(gradecast_detail::decode_echo(good, kDim, kMaxValue));
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
     const std::vector<std::uint8_t> trunc(good.begin(),
                                           good.begin() + cut);
-    EXPECT_FALSE(gradecast_detail::decode_echoes(trunc, n, kDim, kMaxValue))
+    EXPECT_FALSE(gradecast_detail::decode_echo(trunc, kDim, kMaxValue))
         << "truncated at " << cut;
   }
   auto padded = good;
   padded.push_back(0);
-  EXPECT_FALSE(gradecast_detail::decode_echoes(padded, n, kDim, kMaxValue));
+  EXPECT_FALSE(gradecast_detail::decode_echo(padded, kDim, kMaxValue));
 }
 
 TEST(DecoderFuzzTest, DecodeEchoesNeverOverAllocates) {
   // A hostile length prefix far beyond the buffer (the GCC-flagged
   // alloc-size path): claim 4 GiB of value in a 40-byte message. Both the
   // cap and the stripe count are checked before any symbol is allocated.
-  const int n = 1;
   ByteWriter w;
-  w.uvarint(0xFFFFFFFFull + 1);  // key = length + 1
+  w.uvarint(0xFFFFFFFFull);  // the claimed length
   auto bytes = std::move(w).take();
   bytes.resize(40, 0xAB);
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, n, kDim, 1u << 20));
-  EXPECT_FALSE(gradecast_detail::decode_echoes(bytes, n, kDim, ~0ull));
+  EXPECT_FALSE(gradecast_detail::decode_echo(bytes, kDim, 1u << 20));
+  EXPECT_FALSE(gradecast_detail::decode_echo(bytes, kDim, ~0ull));
 }
 
 TEST(DecoderFuzzTest, DecodeCliqueMsgRejectsGarbage) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -229,6 +232,63 @@ TEST(DprbgTest, LeaderDrawBudgetIsSmallestWithin2ToMinus64) {
   EXPECT_EQ(leader_draw_budget(8, 1), 22u);  // (1/8)^21 = 2^-63
   // No faulty player can be drawn: one draw always suffices.
   EXPECT_EQ(leader_draw_budget(7, 0), 1u);
+}
+
+// Faulty leader draws a pipelined refill makes before the pool runs dry
+// when every draw lands on a faulty player, from pool level `pool`: each
+// pass charges its `depth` batches min(1 + kLeaderCoins, left) coins in
+// launch order, every batch fails and spends its whole charge (its
+// challenge, then one leader draw per further coin), and a pass that
+// leaves coins is followed by the caller's draw before the next pass.
+std::size_t faulty_draws_before_exhaustion(std::size_t pool,
+                                           unsigned depth) {
+  std::size_t draws = 0;
+  while (pool > 0) {
+    for (unsigned b = 0; b < depth; ++b) {
+      const std::size_t charge =
+          std::min<std::size_t>(1 + kLeaderCoins, pool);
+      pool -= charge;
+      if (charge > 1) draws += charge - 1;
+    }
+    if (pool > 0) --pool;
+  }
+  return draws;
+}
+
+TEST(DprbgTest, PipelinedDefaultTriggerCoversLeaderBudget) {
+  for (const auto& [n, t] : {std::pair{7u, 1u}, {13u, 2u}, {4u, 1u}}) {
+    const unsigned budget = leader_draw_budget(n, t);
+    for (const unsigned depth : {2u, 4u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " t=" + std::to_string(t) +
+                   " depth=" + std::to_string(depth));
+      const std::size_t trigger = refill_trigger(budget, depth);
+      // Every level from the trigger up covers L draws; one coin less
+      // does not.
+      for (std::size_t p = trigger; p < trigger + 40; ++p) {
+        EXPECT_GE(faulty_draws_before_exhaustion(p, depth), budget)
+            << "pool " << p;
+      }
+      EXPECT_LT(faulty_draws_before_exhaustion(trigger - 1, depth), budget);
+    }
+  }
+  EXPECT_EQ(refill_trigger(23, 1), 24u);
+  EXPECT_EQ(refill_trigger(23, 2), 34u);
+  EXPECT_EQ(refill_trigger(23, 4), 32u);
+  // The former trigger max(1 + L, depth * (1 + kLeaderCoins)) = 24 at
+  // n=7, t=1 covered 16 draws at depth 2 and 17 at depth 4.
+  EXPECT_EQ(faulty_draws_before_exhaustion(24, 2), 16u);
+  EXPECT_EQ(faulty_draws_before_exhaustion(24, 4), 17u);
+}
+
+TEST(DprbgTest, PipelinedDefaultTriggerStartsTheRefill) {
+  // Depth 2 at n=7, t=1: the first refill runs at the first draw that
+  // finds the pool at refill_trigger(23, 2) = 34, the 7th from a genesis
+  // of 40.
+  DPrbg<F>::Options opts;
+  opts.batch_size = 4;
+  opts.pipeline_depth = 2;
+  EXPECT_EQ(run_prbg(7, 1, 53, 6, opts, 40).refills[0], 0u);
+  EXPECT_EQ(run_prbg(7, 1, 53, 7, opts, 40).refills[0], 2u);
 }
 
 TEST(DprbgTest, DefaultReserveSurvivesCrashedLeaderRuns) {

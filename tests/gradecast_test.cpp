@@ -99,18 +99,14 @@ TEST(GradeCastTest, Confidence2ImpliesAllHonestAtLeast1) {
       {1, 5},
       [&](PartyIo& io) {
         io.sync();  // receive value
-        // Echo a wrong value for every sender, then support it too
-        // (batched wire format: per sender, presence flag + u32 length +
-        // value).
-        ByteWriter lie;
-        for (int s = 0; s < io.n(); ++s) {
-          lie.u8(1);
-          lie.u32(1);
-          lie.u8(0x13);
-        }
-        io.send_all(make_tag(ProtoId::kGradeCast, 0, 1), lie.data());
+        // Echo our chunk of a wrong value, then support it too.
+        const unsigned c = gradecast_dimension(io.n(), io.t());
+        const ReedSolomon& rs = ReedSolomon::cached(io.n(), c);
+        const auto lie = gradecast_detail::encode_echo(
+            {1, rs.symbol(rs.pack(bytes({0x13})), io.id())});
+        io.send_all(make_tag(ProtoId::kGradeCast, 0, 1), lie);
         io.sync();
-        io.send_all(make_tag(ProtoId::kGradeCast, 0, 2), lie.data());
+        io.send_all(make_tag(ProtoId::kGradeCast, 0, 2), lie);
         io.sync();
       });
   bool some_conf2 = false;
@@ -126,13 +122,18 @@ TEST(GradeCastTest, Confidence2ImpliesAllHonestAtLeast1) {
   }
 }
 
-TEST(GradeCastTest, AllSendersInParallel) {
+TEST(GradeCastTest, EverySenderInTurn) {
+  // Each player grade-casts its own value at its own instance; everyone
+  // outputs every value with confidence 2.
   const int n = 7, t = 2;
   std::vector<std::vector<GradeCastResult>> results(n);
   Cluster cluster(n, t, 5);
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    results[io.id()] = grade_cast_all(
-        io, bytes({static_cast<std::uint8_t>(0x10 + io.id())}));
+    const auto mine = bytes({static_cast<std::uint8_t>(0x10 + io.id())});
+    for (int s = 0; s < n; ++s) {
+      results[io.id()].push_back(
+          grade_cast(io, s, mine, static_cast<unsigned>(s)));
+    }
   }));
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(results[i].size(), static_cast<std::size_t>(n));
@@ -142,6 +143,20 @@ TEST(GradeCastTest, AllSendersInParallel) {
                 bytes({static_cast<std::uint8_t>(0x10 + s)}));
     }
   }
+}
+
+TEST(GradeCastTest, SenderOutsideTheClusterGradesZero) {
+  // Coin-Gen passes sender -1 when its leader draw failed: nobody sends,
+  // every player still runs the three rounds and grades 0.
+  const int n = 7, t = 1;
+  std::vector<GradeCastResult> results(n);
+  Cluster cluster(n, t, 8);
+  cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
+    results[io.id()] = grade_cast(io, /*sender=*/-1, bytes({1}));
+    EXPECT_EQ(io.rounds(), 3u);
+  }));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(results[i].confidence, 0);
+  EXPECT_EQ(cluster.comm().messages, 0u);
 }
 
 TEST(GradeCastTest, OversizedValueTreatedAsAbsent) {
@@ -214,11 +229,11 @@ void expect_guarantees(const std::vector<GradeCastResult>& results,
   }
 }
 
-// One batch carrying `chunk` for sender 0 and nothing for the others.
-std::vector<std::uint8_t> batch_for_sender0(int n, MaybeChunk chunk) {
-  std::vector<MaybeChunk> per_sender(n);
-  per_sender[0] = std::move(chunk);
-  return gradecast_detail::encode_echoes(per_sender);
+// Sends `chunk` as an echo-round message to `to`; an absent chunk is no
+// message, as an honest player with nothing to echo sends.
+void send_chunk(PartyIo& io, int to, std::uint32_t tag,
+                const MaybeChunk& chunk) {
+  if (chunk) io.send(to, tag, gradecast_detail::encode_echo(*chunk));
 }
 
 class DispersedGradeCast
@@ -285,15 +300,13 @@ TEST_P(DispersedGradeCast, ChunkCollidingEquivocatorKeepsGuarantees) {
           io.sync();
           const EchoChunk mine{v1.size(), rs.symbol(data1, io.id())};
           for (std::size_t k = 0; k < honest.size(); ++k) {
-            io.send(honest[k], kEchoTag,
-                    batch_for_sender0(n, k < supporters ? MaybeChunk(mine)
-                                                        : std::nullopt));
+            send_chunk(io, honest[k], kEchoTag,
+                       k < supporters ? MaybeChunk(mine) : std::nullopt);
           }
           io.sync();
           for (std::size_t k = 0; k < honest.size(); ++k) {
-            io.send(honest[k], kSupportTag,
-                    batch_for_sender0(n, k % 2 == 0 ? MaybeChunk(mine)
-                                                    : std::nullopt));
+            send_chunk(io, honest[k], kSupportTag,
+                       k % 2 == 0 ? MaybeChunk(mine) : std::nullopt);
           }
           io.sync();
         });
@@ -331,8 +344,8 @@ TEST_P(DispersedGradeCast, ThirdValueEchoerCannotMoveHonestSender) {
       std::vector<int>(faulty.begin(), faulty.end()),
       [&](PartyIo& io) {
         io.sync();
-        const auto lie = batch_for_sender0(
-            n, EchoChunk{v3.size(), rs.symbol(rs.pack(v3), io.id())});
+        const auto lie = gradecast_detail::encode_echo(
+            {v3.size(), rs.symbol(rs.pack(v3), io.id())});
         io.send_all(kEchoTag, lie);
         io.sync();
         io.send_all(kSupportTag, lie);
@@ -367,15 +380,14 @@ TEST_P(DispersedGradeCast, MismatchedLengthChunksAreIgnoredOrScored) {
         // Round 2: a length one stripe longer, with its symbols.
         const std::uint64_t longer = v.size() + 8 * c;
         io.send_all(kEchoTag,
-                    batch_for_sender0(
-                        n, EchoChunk{longer, std::vector<GF2_64>(
-                                                 rs_stripes(longer, c))}));
+                    gradecast_detail::encode_echo(
+                        {longer, std::vector<GF2_64>(rs_stripes(longer, c))}));
         io.sync();
         // Round 3: the right length with the longer length's symbols.
         io.send_all(kSupportTag,
-                    batch_for_sender0(
-                        n, EchoChunk{v.size(), std::vector<GF2_64>(
-                                                   rs_stripes(longer, c))}));
+                    gradecast_detail::encode_echo(
+                        {v.size(),
+                         std::vector<GF2_64>(rs_stripes(longer, c))}));
         io.sync();
       });
   for (int i = 0; i < n; ++i) {

@@ -326,8 +326,8 @@ TEST(TcpClusterTest, DecodeRejectionsMatchSimulatedClusterWithTracing) {
     std::vector<std::string> decode_points;  // sorted multiset
   };
   // Everyone but `garbler` grade-casts player 1's value. The garbler sits
-  // out round 1, then sends one-byte echo and support bodies, too short
-  // to hold the n entries every batch carries.
+  // out round 1, then sends one-byte echo and support bodies: a varint
+  // with its continuation bit set and nothing after it.
   auto program = [&](auto& io, Outcome& out) {
     const auto me = static_cast<std::size_t>(io.id());
     if (io.id() == garbler) {
@@ -416,8 +416,10 @@ void expect_pipelined_coin_gen_matches(
     unsigned batches, const std::function<void(int)>& on_joined = {}) {
   auto genesis = trusted_dealer_coins<F>(n, t, 4 * batches + 8, seed);
 
+  // Per player, the comm ledger of each batch's stream.
+  using Ledgers = std::vector<std::vector<CommCounters>>;
   auto program = [&](auto& io, std::vector<PipelineResult<F>>& out,
-                     bool hook) {
+                     Ledgers& sent, bool hook) {
     CoinPool<F> pool;
     for (const auto& c : genesis[static_cast<std::size_t>(io.id())]) {
       pool.add(c);
@@ -429,19 +431,25 @@ void expect_pipelined_coin_gen_matches(
     }
     out[static_cast<std::size_t>(io.id())] =
         pipelined_coin_gen<F>(io, m, pool, batches, opts);
+    for (unsigned b = 0; b < batches; ++b) {
+      sent[static_cast<std::size_t>(io.id())].push_back(
+          io.instance(opts.first_batch_id + b).sent());
+    }
   };
 
   std::vector<PipelineResult<F>> sim_out(n), tcp_out(n);
+  Ledgers sim_sent(n), tcp_sent(n);
   Cluster sim(n, t, seed);
   sim.run(std::vector<Cluster::Program>(
       static_cast<std::size_t>(n),
-      [&](PartyIo& io) { program(io, sim_out, false); }));
+      [&](PartyIo& io) { program(io, sim_out, sim_sent, false); }));
 
   TcpLoopback loop(n, t, seed);
   ASSERT_TRUE(loop.start());
   std::vector<TcpCluster::Program> programs;
   for (int i = 0; i < n; ++i) {
-    programs.push_back([&](TcpPartyIo& io) { program(io, tcp_out, true); });
+    programs.push_back(
+        [&](TcpPartyIo& io) { program(io, tcp_out, tcp_sent, true); });
   }
   loop.run(std::move(programs));
 
@@ -461,6 +469,11 @@ void expect_pipelined_coin_gen_matches(
       EXPECT_EQ(sb.seed_coins_used, cb.seed_coins_used);
       EXPECT_EQ(sb.iterations, cb.iterations);
       EXPECT_TRUE(cb.success) << "player " << i << " batch " << b;
+      const CommCounters& sl = sim_sent[static_cast<std::size_t>(i)][b];
+      const CommCounters& cl = tcp_sent[static_cast<std::size_t>(i)][b];
+      EXPECT_EQ(sl.messages, cl.messages) << "player " << i << " batch " << b;
+      EXPECT_EQ(sl.bytes, cl.bytes) << "player " << i << " batch " << b;
+      EXPECT_EQ(sl.rounds, cl.rounds) << "player " << i << " batch " << b;
     }
   }
 }

@@ -1,15 +1,17 @@
 // Cost-regression gates: checked-in per-phase budgets for n=7, t=1 runs
-// of VSS, Coin-Expose, Batch-VSS, Bit-Gen, and Coin-Gen, enforced against
-// the trace layer's per-phase ledger (common/trace.h).
+// of VSS, Coin-Expose, Batch-VSS, Bit-Gen, and Coin-Gen (plus one n=13,
+// t=2 Coin-Gen run), enforced against the trace layer's per-phase ledger
+// (common/trace.h).
 //
 // The budgets ARE the paper's lemmas, made executable:
 //   * Lemma 2:  VSS       = 2 rounds (challenge + respond), 2 interps.
 //   * Fig. 6:   Coin-Expose = 1 round, 1 interp per coin.
 //   * Lemma 4:  Batch-VSS = 2 rounds, 2 interps — independent of M.
 //   * Lemma 6:  Bit-Gen   = 2 rounds, interps independent of M.
-//   * Lemma 8 / Fig. 5: Coin-Gen = deal(2) + gradecast(3) + per-iteration
-//     leader(1) + BA(2(t+1)) rounds, one iteration when leaders are
-//     honest — 10 rounds total at t=1.
+//   * Lemma 8 / Fig. 5: Coin-Gen = deal(2) + per-iteration leader(1) +
+//     the leader's gradecast(3) + BA(2(t+1)) rounds, one iteration when
+//     leaders are honest — 10 rounds total at t=1 (12 at n=13, t=2,
+//     whose messages and bytes are pinned exactly).
 //
 // Round budgets are EXACT (the protocols are synchronous and lockstep;
 // any change is a protocol change). Operation and byte budgets allow a
@@ -78,8 +80,10 @@ void expect_within_band(const char* what, const std::string& where,
                         << expected << ") — a lemma cost regressed";
 }
 
+// With `exact_comm`, messages and bytes must match exactly too.
 void check_budgets(const std::vector<PhaseCost>& phases,
-                   const std::vector<PhaseBudget>& budgets) {
+                   const std::vector<PhaseBudget>& budgets,
+                   bool exact_comm = false) {
   for (const auto& b : budgets) {
     const PhaseCost* found = nullptr;
     for (const auto& p : phases) {
@@ -98,18 +102,24 @@ void check_budgets(const std::vector<PhaseCost>& phases,
     expect_within_band("muls", where, b.muls, found->ops.muls);
     expect_within_band("interps", where, b.interps,
                        found->ops.interpolations);
-    expect_within_band("msgs", where, b.msgs, found->comm.messages);
-    expect_within_band("bytes", where, b.bytes, found->comm.bytes);
+    if (exact_comm) {
+      EXPECT_EQ(found->comm.messages, b.msgs) << where << ": msgs";
+      EXPECT_EQ(found->comm.bytes, b.bytes) << where << ": bytes";
+    } else {
+      expect_within_band("msgs", where, b.msgs, found->comm.messages);
+      expect_within_band("bytes", where, b.bytes, found->comm.bytes);
+    }
   }
 }
 
-// Runs `program` on a fresh traced n=7 cluster and returns the per-phase
-// aggregation of the trace.
-std::vector<PhaseCost> trace_run(const Cluster::Program& program) {
+// Runs `program` on a fresh traced cluster (n=7, t=1 unless given) and
+// returns the per-phase aggregation of the trace.
+std::vector<PhaseCost> trace_run(const Cluster::Program& program,
+                                 int n = kN, unsigned t = kT) {
   tracer().clear();
   tracer().set_enabled(true);
-  Cluster cluster(kN, static_cast<int>(kT), kSeed);
-  cluster.run(std::vector<Cluster::Program>(kN, program));
+  Cluster cluster(n, static_cast<int>(t), kSeed);
+  cluster.run(std::vector<Cluster::Program>(n, program));
   tracer().set_enabled(false);
   return aggregate_phases(tracer().events());
 }
@@ -216,16 +226,17 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
     ASSERT_TRUE(out.success);
     ASSERT_EQ(out.iterations, 1u);  // honest leader on the first draw
   });
-  // Fig. 5 / Lemma 8: deal rides on Bit-Gen (2 rounds), grade-cast adds
-  // 3, one leader exposure (1) + one Phase-King BA (2(t+1) = 4) when the
-  // first leader is honest: 10 rounds total. Grade-cast's echo rounds
-  // carry Reed–Solomon chunks of dimension n - 3t = 4 (its ops are the
-  // encode and the syndrome checks).
+  // Fig. 5 / Lemma 8: deal rides on Bit-Gen (2 rounds), then one leader
+  // exposure (1), the leader's grade-cast (3) and one Phase-King BA
+  // (2(t+1) = 4) when the first leader is honest: 10 rounds total. Only
+  // the leader builds the graph and grade-casts (DESIGN.md §18); the
+  // echo rounds carry Reed–Solomon chunks of dimension n - 3t = 4 (its
+  // ops are the encode and the syndrome checks).
   check_budgets(phases, {
       {"coin-gen", "deal", 2, 3948, 4410, 56, 126, 5334},
-      {"coin-gen", "graph", 0, 588, 588, 0, 0, 0},
+      {"coin-gen", "graph", 0, 84, 84, 0, 0, 0},
       {"coin-gen", "clique", 0, 0, 0, 0, 0, 0},
-      {"coin-gen", "gradecast", 3, 10150, 10920, 0, 126, 25242},
+      {"coin-gen", "gradecast", 3, 2518, 3288, 0, 90, 4026},
       {"coin-gen", "leader", 1, 259, 259, 7, 42, 630},
       {"coin-gen", "ba", 4, 0, 0, 0, 96, 630},
       {"coin-gen", "output", 0, 210, 98, 0, 0, 0},
@@ -236,6 +247,39 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
     if (p.protocol == "coin-gen") total_rounds += p.rounds;
   }
   EXPECT_EQ(total_rounds, 10u);
+}
+
+TEST_F(TraceBudgetTest, CoinGenThirteenPlayersExactComm) {
+  // n = 13, t = 2: messages and bytes pinned exactly, so a Grade-Cast
+  // term that grows as n^4 (every player grade-casting, as in Fig. 5)
+  // cannot come back unseen. Rounds: deal 2, leader 1, grade-cast 3,
+  // BA 2(t+1) = 6.
+  const int n = 13;
+  const unsigned t = 2;
+  const auto genesis = trusted_dealer_coins<F>(n, t, 8, kSeed);
+  const auto phases = trace_run(
+      [&](PartyIo& io) {
+        CoinPool<F> pool;
+        for (const auto& c : genesis[io.id()]) pool.add(c);
+        const auto out = coin_gen<F>(io, /*m=*/kM, pool);
+        ASSERT_TRUE(out.success);
+        ASSERT_EQ(out.iterations, 1u);
+      },
+      n, t);
+  check_budgets(phases, {
+      {"coin-gen", "deal", 2, 30901, 33332, 182, 468, 28236},
+      {"coin-gen", "leader", 1, 1729, 1729, 13, 156, 2340},
+      {"coin-gen", "graph", 0, 468, 468, 0, 0, 0},
+      {"coin-gen", "clique", 0, 0, 0, 0, 0, 0},
+      {"coin-gen", "gradecast", 3, 22162, 25776, 0, 324, 21456},
+      {"coin-gen", "ba", 6, 0, 0, 0, 504, 3540},
+      {"coin-gen", "output", 0, 871, 507, 0, 0, 0},
+  }, /*exact_comm=*/true);
+  std::uint64_t total_rounds = 0;
+  for (const auto& p : phases) {
+    if (p.protocol == "coin-gen") total_rounds += p.rounds;
+  }
+  EXPECT_EQ(total_rounds, 12u);
 }
 
 }  // namespace

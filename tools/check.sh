@@ -50,7 +50,7 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / chacha / golden / reed-solomon) ==="
+echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / chacha / golden / reed-solomon / grade-cast / coin-gen) ==="
 # The hardware-vs-portable differentials, run twice: once with the PCLMUL
 # latch free to pick the hardware path, once with DPRBG_FORCE_SCALAR=1
 # pinning the GF(2^64) multiply and the share-row kernels to portable
@@ -62,8 +62,9 @@ echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / ch
 # keystream against single blocks, golden_test the pinned keystream and
 # the Coin-Gen and D-PRBG transcript digests that both modes must
 # reproduce, reed_solomon_test the syndrome-first decoder against
-# berlekamp_welch and the dispersal codec, and gradecast_test the
-# dispersed Grade-Cast under its adversaries.
+# berlekamp_welch and the dispersal codec, gradecast_test the
+# dispersed Grade-Cast under its adversaries, and coin_gen_test the
+# leader-only Grade-Cast in Coin-Gen under faulty leaders.
 ./build/tests/block_kernels_test
 ./build/tests/gf2_test
 ./build/tests/serial_test
@@ -71,6 +72,7 @@ echo "=== [check] field kernel gate (pclmul / share-row kernels / row codec / ch
 ./build/tests/golden_test
 ./build/tests/reed_solomon_test
 ./build/tests/gradecast_test
+./build/tests/coin_gen_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/serial_test
@@ -78,6 +80,7 @@ DPRBG_FORCE_SCALAR=1 ./build/tests/chacha_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/reed_solomon_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gradecast_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/coin_gen_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M and depth, the pipeline must match the
